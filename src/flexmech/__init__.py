@@ -10,10 +10,9 @@ format.
 from .analysis import (CreepFit, CreepModel, SweepObjective, SweepPoint, SweepSpec,
                        VerticalComplianceDatum, creep_force, fit_creep, run_sweep)
 from .elements import (BeamGeometry, HingeGeometry, beam_compliance, hinge_compliance,
-                       notch_thickness, torsion_beta, torsion_compliance_hinge)
-from .errors import (FlexmechError, MechanismFileError, QuadratureError,
-                     SingularMatrixError)
-from .kernels import BACKEND as KERNEL_BACKEND
+                       notch_thickness, torsion_compliance_hinge)
+from .errors import FlexmechError, MechanismFileError, SingularMatrixError
+from .kernels import torsion_beta
 from .materials import (Material, MeasuredJointRecord, derive_shear_modulus,
                         stiffness_ratio)
 from .mechanism import (Limb, Mechanism, RccResult, analyze, center_of_compliance,

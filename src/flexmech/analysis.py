@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -253,17 +252,6 @@ def _evaluate(spec: SweepSpec, template: Mechanism, params) -> SweepPoint:
                       k_diag=tuple(float(v) for v in np.diag(result.k.m)))
 
 
-def run_sweep(spec: SweepSpec, template: Mechanism, workers=1):
-    """Evaluate the full grid and rank by score (infeasible points last).
-
-    Grid points are independent; `workers` > 1 evaluates them in a thread
-    pool with a deterministic merge, so the ranking never depends on the
-    execution schedule.
-    """
-    points = list(spec.grid())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _evaluate(spec, template, p), points))
-    else:
-        results = [_evaluate(spec, template, p) for p in points]
-    return sorted(results, key=SweepPoint.sort_key)
+def run_sweep(spec: SweepSpec, template: Mechanism):
+    """Evaluate the full grid and rank by score (infeasible points last)."""
+    return sorted((_evaluate(spec, template, p) for p in spec.grid()), key=SweepPoint.sort_key)

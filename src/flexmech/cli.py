@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .analysis import fit_creep, run_sweep
-from .errors import FlexmechError, MechanismFileError, QuadratureError, SingularMatrixError
+from .errors import FlexmechError, MechanismFileError, SingularMatrixError
 from .mechanism import analyze
 from .mechfile import parse_mechanism
 from .report import build_report, creep_report, human_report, machine_report, sweep_table
@@ -56,7 +56,7 @@ def cmd_sweep(args):
     parsed = parse_mechanism(args.file)
     if parsed.sweep is None:
         raise MechanismFileError(f"{args.file} has no [sweep] section")
-    points = run_sweep(parsed.sweep, parsed.mechanism, workers=args.workers)
+    points = run_sweep(parsed.sweep, parsed.mechanism)
     table = sweep_table(points)
     sys.stdout.write(table)
     if args.out:
@@ -119,7 +119,6 @@ def build_parser():
     p = sub.add_parser("sweep", help="run the parametric design sweep of a mechanism file")
     p.add_argument("file")
     p.add_argument("--out", help="write the ranked table to this path")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("creep", help="fit the exponential creep model to a sample file")
@@ -140,7 +139,7 @@ def main(argv=None):
     except MechanismFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SingularMatrixError, QuadratureError) as exc:
+    except SingularMatrixError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FlexmechError, ValueError) as exc:

@@ -7,11 +7,11 @@ the hinge axis.  Couplings therefore sit at (2,6)/(6,2) and (3,5)/(5,3)
 only.
 
 The beam uses the closed-form Timoshenko cantilever entries.  The hinge is
-built by strip integration of the notch profile h(x): the four kernels
+built by strip integration of the notch profile h(x): the three kernels
 (see :mod:`flexmech.kernels`) give axial, shear, bending and torsion
-compliances lumped at the notch's elastic center, which the frame
-transform then carries to the distal face, producing the (r + h1)
-lever-arm couplings.
+compliances lumped at the notch's elastic center.  The circular profile is
+symmetric, so that center is the mid-plane x = r, and the frame transform
+carries it to the distal face, producing the (r + h1) lever-arm couplings.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ class HingeGeometry:
         return 2.0 * self.r + self.t
 
 
-def torsion_beta(aspect):
-    """Shape coefficient of a rectangle with side ratio aspect >= 1."""
-    return kernels.torsion_beta(aspect)
-
-
 def notch_thickness(g: HingeGeometry, x):
     """Thickness h(x) across the notch, x in [0, 2r] from the proximal edge."""
     if not 0.0 <= x <= 2.0 * g.r:
@@ -103,7 +98,7 @@ def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
 
 def torsion_compliance_hinge(g: HingeGeometry):
     """C_{tx-Mx} = int dx / (G I_t(x)) with the per-strip long/short side rule."""
-    _, _, _, kt = _notch_kernels_cached(g.r, g.t, g.w)
+    _, _, kt = _notch_kernels_cached(g.r, g.t, g.w)
     return kt / g.material.g_modulus
 
 
@@ -111,10 +106,10 @@ def hinge_compliance(g: HingeGeometry) -> SpatialMatrix6:
     """Distal-frame compliance of a circular notch hinge via strip integration."""
     e, gs = g.material.e_modulus, g.material.g_modulus
     w = g.w
-    k1, k3, k3x, kt = _notch_kernels_cached(g.r, g.t, g.w)
+    k1, k3, kt = _notch_kernels_cached(g.r, g.t, g.w)
 
-    # lumped joint at the bending elastic center (= mid-plane for the
-    # symmetric circular profile, located generally via the first moment)
+    # lumped joint at the bending elastic center: the mid-plane of the
+    # symmetric circular profile, a lever r + h1 from the element frame
     c = np.zeros((6, 6))
     c[0, 0] = k1 / (e * w)
     c[1, 1] = SHEAR_ALPHA * k1 / (gs * w)
@@ -124,6 +119,4 @@ def hinge_compliance(g: HingeGeometry) -> SpatialMatrix6:
     c[5, 5] = 12.0 * k3 / (e * w)
     lump = SpatialMatrix6(c, "compliance")
 
-    x_center = k3x / k3
-    lever = (2.0 * g.r - x_center) + g.h1
-    return transform_compliance(lump, FramePlacement(0.0, (lever, 0.0, 0.0)))
+    return transform_compliance(lump, FramePlacement(0.0, (g.r + g.h1, 0.0, 0.0)))

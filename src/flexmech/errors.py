@@ -5,18 +5,6 @@ class FlexmechError(Exception):
     """Base class for flexmech-specific failures."""
 
 
-class QuadratureError(FlexmechError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Attributes:
-        residual: error estimate of the best partition reached.
-    """
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
-
-
 class SingularMatrixError(FlexmechError):
     """Matrix inversion refused: condition number above the trust threshold.
 

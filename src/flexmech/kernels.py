@@ -1,39 +1,102 @@
-"""Kernel backend selection: compiled extension if present, else pure Python.
+"""Kernel core: notch profile integrals and rectangle torsion.
 
-Set ``FLEXMECH_PURE_PYTHON=1`` to force the fallback (useful for the
-benchmark and for debugging the extension).
+All lengths in mm.  The three notch kernels are
+
+    k1 = int_0^2r  dx / h(x)
+    k3 = int_0^2r  dx / h(x)^3
+    kt = int_0^2r  dx / I_t(x)
+
+with h(x) the local thickness of a circular notch and I_t the Saint-Venant
+torsion constant of the local w-by-h(x) rectangle (long/short side decided
+per strip).  The profile is symmetric about x = r, so the bending elastic
+center sits at the mid-plane and needs no first-moment kernel.
+
+The integrals use one fixed Gauss-Legendre rule after the neck-clustering
+substitution x - r = r sin(psi), sin(psi/2) = c tan(alpha), c = sqrt(t/4r),
+which turns the profile into h = t sec^2(alpha) on
+alpha in [-atan sqrt(2r/t), +atan sqrt(2r/t)].  Every integrand is then
+smooth except the torsion one at h = w, where the rule is split.  The rule
+is relative by construction: the kernels follow their exact scaling laws at
+any length scale.  Against a 30-digit reference the kernels agree to 1e-14
+relative for r/t <= 10; the outer profile crowds toward alpha_max as r/t
+grows, and the error reaches about 3e-11 at r/t = 30 and 5e-9 at r/t = 100.
 """
 
-import os
+import math
 
-from . import _notchpure
+import numpy as np
 
-_impl = _notchpure
-BACKEND = "pure-python"
-
-if os.environ.get("FLEXMECH_PURE_PYTHON") != "1":
-    try:
-        from . import _notchcore as _compiled
-
-        _impl = _compiled
-        BACKEND = "compiled"
-    except ImportError:
-        pass
-
-torsion_beta = _impl.torsion_beta
-rect_torsion_constant = _impl.rect_torsion_constant
-notch_thickness = _impl.notch_thickness
-notch_kernels = _impl.notch_kernels
-adaptive_quadrature = _notchpure.adaptive_quadrature  # generic f(x); pure only
+GL_NODES = 32  # Gauss-Legendre nodes per panel
+_BETA_N = np.arange(1.0, 40.0, 2.0)  # odd-n series terms; tanh saturates long before n = 39
+_BETA_ARG = 0.5 * math.pi * _BETA_N
+_BETA_INV_N5 = _BETA_N**-5
 
 
-def available_backends():
-    """Importable kernel implementations, keyed by name."""
-    out = {"pure-python": _notchpure}
-    try:
-        from . import _notchcore as compiled
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point rule on [-1, 1] (Golub-Welsch)."""
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
 
-        out["compiled"] = compiled
-    except ImportError:
-        pass
-    return out
+
+_GL_X, _GL_W = _gauss_legendre(GL_NODES)
+
+
+def torsion_beta(aspect):
+    """Saint-Venant shape coefficient for rectangles of side ratio >= 1.
+
+    beta = (1/3) * (1 - (192/pi^5) (b/a) sum_{n odd} tanh(n pi a / 2b) / n^5)
+
+    Accepts a scalar (returns a float) or an array of aspect ratios.
+    """
+    a = np.asarray(aspect, dtype=float)
+    if (a < 1.0).any():
+        raise ValueError(f"aspect ratio must be >= 1 (long/short), got {a.min()}")
+    series = np.tanh(a[..., None] * _BETA_ARG) @ _BETA_INV_N5
+    beta = 1.0 / 3.0 - (64.0 / math.pi**5) * series / a
+    return float(beta) if beta.ndim == 0 else beta
+
+
+def rect_torsion_constant(side_a, side_b):
+    """Torsion constant beta*a*b^3 of an a-by-b rectangle, sides in any order."""
+    if side_a <= 0.0 or side_b <= 0.0:
+        raise ValueError("rectangle sides must be positive")
+    long_s = max(side_a, side_b)
+    short_s = min(side_a, side_b)
+    return torsion_beta(long_s / short_s) * long_s * short_s**3
+
+
+def notch_thickness(x, r, t):
+    """Thickness h(x) of a circular notch, x in [0, 2r] from the proximal edge."""
+    d = r * r - (x - r) * (x - r)
+    if d < 0.0:
+        d = 0.0
+    return t + 2.0 * r - 2.0 * math.sqrt(d)
+
+
+def notch_kernels(r, t, w):
+    """The three strip-integration kernels (k1, k3, kt) of a notch."""
+    if r <= 0.0 or t <= 0.0 or w <= 0.0:
+        raise ValueError("notch geometry r, t, w must be positive")
+    # half profile alpha in [0, alpha_max]; the other half is its mirror image
+    edges = [0.0, math.atan(math.sqrt(2.0 * r / t))]
+    if t < w < t + 2.0 * r:
+        edges.insert(1, math.atan(math.sqrt(w / t - 1.0)))  # h = w: I_t kink
+    lo = np.array(edges[:-1])[:, None]
+    half = 0.5 * (np.array(edges[1:])[:, None] - lo)
+    alpha = (lo + half * (1.0 + _GL_X)).ravel()
+    weight = (half * _GL_W).ravel()
+
+    c2 = t / (4.0 * r)
+    tan2 = np.tan(alpha) ** 2
+    s2 = c2 * tan2  # sin^2(psi/2)
+    sec2 = 1.0 + tan2
+    h = t * sec2
+    # dx = 2 r c cos(psi) sec^2(alpha) / cos(psi/2) dalpha, doubled for both halves
+    dx = (4.0 * r * math.sqrt(c2)) * (1.0 - 2.0 * s2) * sec2 / np.sqrt(1.0 - s2) * weight
+
+    long_s = np.maximum(h, w)
+    short_s = np.minimum(h, w)
+    i_t = torsion_beta(long_s / short_s) * long_s * short_s**3
+    return float(dx @ (1.0 / h)), float(dx @ h**-3), float(dx @ (1.0 / i_t))
