@@ -11,7 +11,7 @@ import numpy as np
 
 from .elements import HingeGeometry
 from .errors import FlexmechError
-from .mechanism import Limb, Mechanism, analyze
+from .mechanism import AXIS_ROW, Limb, Mechanism, analyze
 from .spatial import FramePlacement
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
@@ -148,6 +148,12 @@ class SweepObjective:
     diag_stiffness_target: dict = None              # axis -> N/mm target
     weights: dict = field(default_factory=dict)     # term name -> weight
 
+    def __post_init__(self):
+        for axis in self.diag_stiffness_target or {}:
+            if axis not in AXIS_ROW:
+                raise ValueError(f"unknown stiffness axis {axis!r}; "
+                                 f"expected one of {', '.join(AXIS_ROW)}")
+
     def weight(self, name):
         return float(self.weights.get(name, 1.0))
 
@@ -232,10 +238,9 @@ def _score(objective: SweepObjective, result):
         ratio = diag[:3].max() / diag[:3].min()
         score -= objective.weight("ratio") * ratio
     if objective.diag_stiffness_target:
-        axes = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
         term = 0.0
         for axis, target in objective.diag_stiffness_target.items():
-            term += abs(diag[axes[axis]] - target) / abs(target)
+            term += abs(diag[AXIS_ROW[axis]] - target) / abs(target)
         score += objective.weight("diag") * term
     return score
 

@@ -12,7 +12,8 @@ import sys
 from .analysis import fit_creep, run_sweep
 from .errors import FlexmechError, MechanismFileError, SingularMatrixError
 from .mechanism import analyze
-from .mechfile import parse_mechanism
+from .mechfile import (CREEP_COLUMNS, numeric_rows, parse_measured, parse_mechanism,
+                       read_lines, text_entries)
 from .report import build_report, creep_report, human_report, machine_report, sweep_table
 
 EXIT_OK = 0
@@ -29,27 +30,13 @@ def cmd_analyze(args):
     parsed = parse_mechanism(args.file)
     measured = parsed.measured
     if args.measured:
-        measured = parse_mechanism_measured(args.measured)
+        measured = parse_measured(text_entries(read_lines(args.measured)))
     result = analyze(parsed.mechanism)
     report = build_report(result, measured)
     sys.stdout.write(human_report(report, show_rcc=args.rcc))
     if args.out:
         _write_out(args.out, machine_report(report))
     return EXIT_OK
-
-
-def parse_mechanism_measured(path):
-    """Standalone measured-data file: 'measured <axis> <value> [<high>]' lines."""
-    from .mechfile import _parse_measured
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entries = [(i, line.split("#", 1)[0].strip())
-                       for i, line in enumerate(fh, start=1)
-                       if line.split("#", 1)[0].strip()]
-    except OSError as exc:
-        raise MechanismFileError(f"cannot read {path}: {exc.strerror}") from None
-    return _parse_measured(entries)
 
 
 def cmd_sweep(args):
@@ -65,23 +52,7 @@ def cmd_sweep(args):
 
 
 def cmd_creep(args):
-    try:
-        with open(args.samples, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise MechanismFileError(f"cannot read {args.samples}: {exc.strerror}") from None
-    samples = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MechanismFileError("expected two columns: time_s force_n", lineno)
-        try:
-            samples.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise MechanismFileError(f"not a number pair: {line!r}", lineno) from None
+    samples = numeric_rows(text_entries(read_lines(args.samples)), CREEP_COLUMNS)
     try:
         fit = fit_creep(samples)
     except ValueError as exc:

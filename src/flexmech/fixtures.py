@@ -7,13 +7,9 @@ from importlib import resources
 
 import numpy as np
 
-from .materials import load_joint_catalog, load_materials
-from .mechfile import parse_lines
+from .mechfile import (CREEP_COLUMNS, load_joint_catalog, load_materials, numeric_rows,
+                       parse_lines, read_lines, text_entries)
 from .spatial import SpatialMatrix6
-
-
-def _data_text(name):
-    return resources.files("flexmech.data").joinpath(name).read_text(encoding="utf-8")
 
 
 def data_path(name):
@@ -21,37 +17,32 @@ def data_path(name):
     return str(resources.files("flexmech.data").joinpath(name))
 
 
+def _data_lines(name):
+    return read_lines(data_path(name))
+
+
 def load_small_rcc():
     """The bundled small remote-center-of-compliance example mechanism."""
-    return parse_lines(_data_text("small_rcc.mech").splitlines())
+    return parse_lines(_data_lines("small_rcc.mech"))
 
 
 def load_reference_stiffness() -> SpatialMatrix6:
     """Published 6x6 stiffness of the small RCC; regression fixture."""
-    rows = []
-    for line in _data_text("reference_stiffness.dat").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append([float(tok) for tok in line.split()])
+    columns = tuple(f"column {j}" for j in range(1, 7))
+    rows = numeric_rows(text_entries(_data_lines("reference_stiffness.dat")), columns)
     return SpatialMatrix6(np.array(rows), "stiffness")
 
 
 def load_bundled_joint_catalog():
     """Measured two-joint hinge records (read-only comparison data)."""
-    return load_joint_catalog(_data_text("joint_catalog.dat").splitlines())
+    return load_joint_catalog(_data_lines("joint_catalog.dat"))
 
 
 def load_bundled_materials():
     """Default material catalog (user-editable data file, not code)."""
-    return load_materials(_data_text("materials.dat").splitlines(), "materials.dat")
+    return load_materials(_data_lines("materials.dat"), "materials.dat")
 
 
 def load_bundled_creep_samples():
     """Synthetic noiseless creep trace generated from (22 N, 19 N, 200 s)."""
-    samples = []
-    for line in _data_text("creep_22n.dat").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            t, f = line.split()
-            samples.append((float(t), float(f)))
-    return samples
+    return numeric_rows(text_entries(_data_lines("creep_22n.dat")), CREEP_COLUMNS)

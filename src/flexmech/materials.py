@@ -1,4 +1,5 @@
-"""Material properties and the measured single-joint catalog.
+"""Material properties and measured single-joint records (the data model;
+the catalog files are read by mechfile).
 
 Moduli in N/mm^2 (MPa).  The isotropy assumption behind the derived shear
 modulus is known to be shaky for FDM-printed parts; Material carries a
@@ -7,10 +8,7 @@ caveat string so reports can surface it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from .errors import MechanismFileError
 
 ISOTROPY_CAVEAT = (
     "shear modulus derived assuming isotropy; questionable for "
@@ -72,78 +70,3 @@ def stiffness_ratio(record: MeasuredJointRecord):
     if record.cross_stiffness is None:
         return None
     return record.cross_stiffness / record.joint_stiffness
-
-
-def _parse_number(token, lineno, fieldname):
-    try:
-        v = float(token)
-    except ValueError:
-        raise MechanismFileError(f"not a number: {token!r}", lineno, fieldname) from None
-    if not math.isfinite(v):
-        raise MechanismFileError(f"non-finite number: {token!r}", lineno, fieldname)
-    return v
-
-
-def load_materials(lines, source="<materials>"):
-    """Parse key=value material lines into a name -> Material dict.
-
-    Format, one material per line::
-
-        material <name> E=<N/mm^2> nu=<ratio> [G=<N/mm^2>]
-
-    Blank lines and '#' comments are ignored.
-    """
-    out = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "material" or len(parts) < 2:
-            raise MechanismFileError(
-                f"expected 'material <name> E=.. nu=..', got {raw.strip()!r}", lineno)
-        name = parts[1]
-        kv = {}
-        for tok in parts[2:]:
-            if "=" not in tok:
-                raise MechanismFileError(f"expected key=value, got {tok!r}", lineno, name)
-            key, val = tok.split("=", 1)
-            kv[key] = _parse_number(val, lineno, key)
-        if "E" not in kv or "nu" not in kv:
-            raise MechanismFileError("material needs E and nu", lineno, name)
-        if name in out:
-            raise MechanismFileError(f"duplicate material {name!r}", lineno, name)
-        out[name] = Material(name, kv["E"], kv["nu"], kv.get("G"))
-    if not out:
-        raise MechanismFileError(f"no materials found in {source}")
-    return out
-
-
-def load_joint_catalog(lines):
-    """Parse the measured joint catalog (read-only comparison data).
-
-    Format, one record per line::
-
-        joint <variant> cross=<Nm/rad|-> joint=<Nm/rad> max_load=<Nm>
-    """
-    records = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "joint" or len(parts) < 2:
-            raise MechanismFileError(
-                f"expected 'joint <variant> cross=.. joint=.. max_load=..', got {raw.strip()!r}",
-                lineno)
-        variant = parts[1]
-        kv = {}
-        for tok in parts[2:]:
-            key, _, val = tok.partition("=")
-            kv[key] = None if val == "-" else _parse_number(val, lineno, key)
-        try:
-            records.append(MeasuredJointRecord(variant, kv.get("cross"),
-                                               kv["joint"], kv["max_load"]))
-        except KeyError as exc:
-            raise MechanismFileError(f"missing field {exc}", lineno, variant) from None
-    return records

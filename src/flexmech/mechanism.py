@@ -18,8 +18,8 @@ from .elements import BeamGeometry, HingeGeometry, beam_compliance, hinge_compli
 from .spatial import (SpatialMatrix6, amplification_displacement,
                       amplification_force, invert)
 
-# deviation axis name -> diagonal index of the stiffness matrix (0-based)
-_AXIS_ROW = {"x": 0, "y": 1, "z": 2}
+# stiffness axis name -> diagonal index of the stiffness matrix (0-based)
+AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,9 @@ def deviation_report(k: SpatialMatrix6, measured):
         raise ValueError(f"deviation_report needs a stiffness matrix, got {k.kind}")
     out = []
     for axis, value in measured.items():
-        if axis not in _AXIS_ROW:
+        i = AXIS_ROW.get(axis)
+        if i is None or i > 2:  # measured data are translational, in N/mm
             raise ValueError(f"no analytic counterpart for direction {axis!r}")
-        i = _AXIS_ROW[axis]
         analytic = k.entry(i + 1, i + 1)
         lo, hi = (value if isinstance(value, (tuple, list)) else (value, value))
         if lo > hi:

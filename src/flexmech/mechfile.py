@@ -1,6 +1,12 @@
-"""Line-oriented mechanism file format: parsing and canonical serialization.
+"""Line-oriented text input: every data file flexmech reads, and the
+canonical serialization of mechanism files.
 
-Layout (units fixed to mm / degrees / N, declared in a mandatory header)::
+All files share one set of rules: '#' starts a comment, blank lines are
+skipped, tokens split on whitespace, options are key=value, numbers must be
+finite, and every error names its line and field (MechanismFileError).
+
+Mechanism file layout (units fixed to mm / degrees / N, declared in a
+mandatory header)::
 
     flexmech mechanism format 1
     units mm deg N
@@ -42,12 +48,13 @@ from dataclasses import dataclass
 from .analysis import SweepObjective, SweepSpec
 from .elements import BeamGeometry, HingeGeometry
 from .errors import MechanismFileError
-from .materials import load_materials
+from .materials import Material, MeasuredJointRecord
 from .mechanism import Limb, Mechanism
 from .spatial import FramePlacement
 
 FORMAT_HEADER = "flexmech mechanism format 1"
 UNITS_HEADER = "units mm deg N"
+CREEP_COLUMNS = ("time_s", "force_n")
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,21 @@ class ParsedMechanism:
     elements: dict
     sweep: SweepSpec | None
     measured: dict | None
+
+
+def read_lines(path):
+    """Lines of a text file; an unreadable file is an input error naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise MechanismFileError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def text_entries(lines):
+    """(line number, text) of every line left with content once comments are cut."""
+    cut = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(lines, start=1))
+    return [(lineno, text) for lineno, text in cut if text]
 
 
 def _num(token, lineno, field):
@@ -74,45 +96,107 @@ def _num(token, lineno, field):
 def _kv(tokens, lineno, context):
     out = {}
     for tok in tokens:
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq:
             raise MechanismFileError(f"expected key=value, got {tok!r}", lineno, context)
-        key, val = tok.split("=", 1)
-        out[key] = (val, lineno)
+        out[key] = val
     return out
+
+
+def numeric_rows(entries, columns):
+    """One tuple of finite numbers per entry; `columns` names the fixed columns."""
+    rows = []
+    for lineno, text in entries:
+        parts = text.split()
+        if len(parts) != len(columns):
+            raise MechanismFileError(
+                f"expected {len(columns)} columns: {' '.join(columns)}", lineno)
+        rows.append(tuple(_num(p, lineno, c) for p, c in zip(parts, columns)))
+    return rows
+
+
+def _parse_materials(entries, source="<materials>"):
+    out = {}
+    for lineno, line in entries:
+        parts = line.split()
+        if parts[0] != "material" or len(parts) < 2:
+            raise MechanismFileError(f"expected 'material <name> E=.. nu=..', got {line!r}",
+                                     lineno)
+        name = parts[1]
+        kv = {k: _num(v, lineno, k) for k, v in _kv(parts[2:], lineno, name).items()}
+        if "E" not in kv or "nu" not in kv:
+            raise MechanismFileError("material needs E and nu", lineno, name)
+        if name in out:
+            raise MechanismFileError(f"duplicate material {name!r}", lineno, name)
+        try:
+            out[name] = Material(name, kv["E"], kv["nu"], kv.get("G"))
+        except ValueError as exc:
+            raise MechanismFileError(str(exc), lineno, name) from None
+    if not out:
+        raise MechanismFileError(f"no materials found in {source}")
+    return out
+
+
+def load_materials(lines, source="<materials>"):
+    """Parse material lines into a name -> Material dict.
+
+    Format, one material per line::
+
+        material <name> E=<N/mm^2> nu=<ratio> [G=<N/mm^2>]
+    """
+    return _parse_materials(text_entries(lines), source)
+
+
+def load_joint_catalog(lines):
+    """Parse the measured joint catalog (read-only comparison data).
+
+    Format, one record per line::
+
+        joint <variant> cross=<Nm/rad|-> joint=<Nm/rad> max_load=<Nm>
+    """
+    records = []
+    for lineno, line in text_entries(lines):
+        parts = line.split()
+        if parts[0] != "joint" or len(parts) < 2:
+            raise MechanismFileError(
+                f"expected 'joint <variant> cross=.. joint=.. max_load=..', got {line!r}", lineno)
+        variant = parts[1]
+        kv = {k: None if v == "-" else _num(v, lineno, k)
+              for k, v in _kv(parts[2:], lineno, variant).items()}
+        try:
+            records.append(MeasuredJointRecord(variant, kv.get("cross"),
+                                               kv["joint"], kv["max_load"]))
+        except KeyError as exc:
+            raise MechanismFileError(f"missing field {exc}", lineno, variant) from None
+        except ValueError as exc:
+            raise MechanismFileError(str(exc), lineno, variant) from None
+    return records
 
 
 def _placement(kv, lineno, context):
     if "r" not in kv:
         raise MechanismFileError("missing displacement r=x,y,z", lineno, context)
-    rtxt, rline = kv["r"]
-    parts = rtxt.split(",")
+    parts = kv["r"].split(",")
     if len(parts) != 3:
-        raise MechanismFileError(f"r needs three components, got {rtxt!r}", rline, context)
-    r = tuple(_num(p, rline, "r") for p in parts)
-    theta = 0.0
-    if "theta" in kv:
-        ttxt, tline = kv["theta"]
-        theta = _num(ttxt, tline, "theta")
+        raise MechanismFileError(f"r needs three components, got {kv['r']!r}", lineno, context)
+    r = tuple(_num(p, lineno, "r") for p in parts)
+    theta = _num(kv["theta"], lineno, "theta") if "theta" in kv else 0.0
     return FramePlacement.from_degrees(theta, r)
 
 
-def _split_sections(lines):
+def _split_sections(entries):
     """Header check plus section splitting; keeps line numbers for errors."""
-    body = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            body.append((lineno, stripped))
-    if not body or body[0][1] != FORMAT_HEADER:
+    if not entries or entries[0][1] != FORMAT_HEADER:
         raise MechanismFileError(
-            f"first line must declare the format: {FORMAT_HEADER!r}", line=body[0][0] if body else 1)
-    if len(body) < 2 or body[1][1] != UNITS_HEADER:
+            f"first line must declare the format: {FORMAT_HEADER!r}",
+            line=entries[0][0] if entries else 1)
+    if len(entries) < 2 or entries[1][1] != UNITS_HEADER:
         raise MechanismFileError(
             f"unit header missing: second line must be {UNITS_HEADER!r}",
-            line=body[1][0] if len(body) > 1 else body[0][0])
+            line=entries[1][0] if len(entries) > 1 else entries[0][0])
     sections = []
     current = None
-    for lineno, line in body[2:]:
+    for lineno, line in entries[2:]:
         if line.startswith("[") and line.endswith("]"):
             current = (line[1:-1].strip(), lineno, [])
             sections.append(current)
@@ -133,13 +217,13 @@ def _parse_elements(entries, materials):
         kind, name = parts[0], parts[1]
         if name in elements:
             raise MechanismFileError(f"duplicate element {name!r}", lineno, name)
-        kv = {k: v for k, v in _kv(parts[2:], lineno, name).items()}
+        kv = _kv(parts[2:], lineno, name)
         if "material" not in kv:
             raise MechanismFileError("element needs material=<name>", lineno, name)
-        mat_name = kv.pop("material")[0]
+        mat_name = kv.pop("material")
         if mat_name not in materials:
             raise MechanismFileError(f"unknown material {mat_name!r}", lineno, name)
-        nums = {k: _num(v[0], v[1], k) for k, v in kv.items()}
+        nums = {k: _num(v, lineno, k) for k, v in kv.items()}
         try:
             if kind == "hinge":
                 elements[name] = HingeGeometry(nums["r"], nums["t"], nums["w"],
@@ -195,54 +279,52 @@ def _parse_mechanism_section(entries, limbs, section_line):
         raise MechanismFileError(str(exc), section_line) from None
 
 
-def _parse_sweep(entries):
+def _parse_sweep(entries, section_line):
     parameters = {}
     target_rcc = None
     ratio_max = False
     diag_targets = {}
     weights = {}
-
-    def weight_of(kv, lineno):
-        if "weight" in kv:
-            return _num(kv["weight"][0], lineno, "weight")
-        return None
-
     for lineno, line in entries:
         parts = line.split()
-        kv = _kv([p for p in parts if "=" in p], lineno, parts[0])
         bare = [p for p in parts if "=" not in p]
-        if bare[0] == "vary":
+        kv = _kv([p for p in parts if "=" in p], lineno, "sweep")
+        head = bare[0] if bare else None
+        if head == "vary":
             if len(bare) != 5:
                 raise MechanismFileError(f"expected 'vary <name> <lo> <hi> <n>', got {line!r}", lineno)
             name = bare[1]
-            lo, hi = _num(bare[2], lineno, name), _num(bare[3], lineno, name)
-            n = int(_num(bare[4], lineno, name))
-            parameters[name] = (lo, hi, n)
-        elif bare[0] == "target" and len(bare) >= 3 and bare[1] == "rcc_height":
+            lo, hi, n = (_num(tok, lineno, name) for tok in bare[2:])
+            if not n.is_integer():
+                raise MechanismFileError(f"grid count must be a whole number, got {bare[4]!r}",
+                                         lineno, name)
+            parameters[name] = (lo, hi, int(n))
+            continue
+        if head == "target" and len(bare) >= 3 and bare[1] == "rcc_height":
             target_rcc = _num(bare[2], lineno, "rcc_height")
-            w = weight_of(kv, lineno)
-            if w is not None:
-                weights["rcc"] = w
-        elif bare[0] == "maximize" and len(bare) >= 2 and bare[1] == "stiffness_ratio":
+            term = "rcc"
+        elif head == "maximize" and len(bare) >= 2 and bare[1] == "stiffness_ratio":
             ratio_max = True
-            w = weight_of(kv, lineno)
-            if w is not None:
-                weights["ratio"] = w
-        elif bare[0] == "target_k" and len(bare) >= 3:
+            term = "ratio"
+        elif head == "target_k" and len(bare) >= 3:
             diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
-            w = weight_of(kv, lineno)
-            if w is not None:
-                weights["diag"] = w
+            term = "diag"
         else:
             raise MechanismFileError(f"unexpected sweep line {line!r}", lineno)
+        if "weight" in kv:
+            weights[term] = _num(kv["weight"], lineno, "weight")
     try:
         return SweepSpec(parameters,
                          SweepObjective(target_rcc, ratio_max, diag_targets or None, weights))
     except ValueError as exc:
-        raise MechanismFileError(str(exc), entries[0][0] if entries else None) from None
+        raise MechanismFileError(str(exc), section_line) from None
 
 
-def _parse_measured(entries):
+def parse_measured(entries):
+    """Measured directional stiffnesses: 'measured <axis> <value> [<high>]' lines.
+
+    Reads a [measured] section or a standalone measured-data file.
+    """
     measured = {}
     for lineno, line in entries:
         parts = line.split()
@@ -259,7 +341,7 @@ def _parse_measured(entries):
 
 
 def parse_lines(lines) -> ParsedMechanism:
-    sections = _split_sections(lines)
+    sections = _split_sections(text_entries(lines))
     materials = {}
     elements = {}
     limbs = {}
@@ -268,7 +350,7 @@ def parse_lines(lines) -> ParsedMechanism:
     measured = None
     for name, lineno, entries in sections:
         if name == "materials":
-            materials = load_materials([e[1] for e in entries])
+            materials = _parse_materials(entries)
         elif name == "elements":
             elements = _parse_elements(entries, materials)
         elif name.startswith("limb"):
@@ -279,9 +361,9 @@ def parse_lines(lines) -> ParsedMechanism:
         elif name == "mechanism":
             mechanism = _parse_mechanism_section(entries, limbs, lineno)
         elif name == "sweep":
-            sweep = _parse_sweep(entries)
+            sweep = _parse_sweep(entries, lineno)
         elif name == "measured":
-            measured = _parse_measured(entries)
+            measured = parse_measured(entries)
         else:
             raise MechanismFileError(f"unknown section [{name}]", lineno)
     if mechanism is None:
@@ -291,12 +373,7 @@ def parse_lines(lines) -> ParsedMechanism:
 
 def parse_mechanism(path) -> ParsedMechanism:
     """Parse a mechanism file; every error names its line and field."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise MechanismFileError(f"cannot read {path}: {exc.strerror}") from None
-    return parse_lines(lines)
+    return parse_lines(read_lines(path))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,10 @@ class TestRunSweep:
         diags = np.array([p.k_diag for p in points])
         assert np.all(np.diff(diags, axis=0) > 0.0)
 
+    def test_unknown_target_axis_rejected(self):
+        with pytest.raises(ValueError, match="unknown stiffness axis 'q'"):
+            SweepObjective(diag_stiffness_target={"q": 5.0})
+
     def test_angle_moves_rcc_toward_target(self):
         # on the 16..30 deg branch the computed center height is monotone
         # increasing in the leg angle, so with a high target the ranking

@@ -40,6 +40,32 @@ limb right r=-2.5,-10.325,8.65
 """
 
 
+BAD_MATERIAL = SWEEP_FILE.format(extra="").replace("E=43.8", "E=oops")
+WEIGHT_ONLY_LINE = SWEEP_FILE.format(extra="[sweep]\nvary t 2.4 3.2 2\nweight=1\n")
+NAN_CREEP = "0 22\n30 nan\n60 21\n90 20.9\n120 20.6\n"
+
+
+def _line_of(text, needle):
+    return next(i for i, line in enumerate(text.splitlines(), start=1) if needle in line)
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("analyze", BAD_MATERIAL, f"error: line {_line_of(BAD_MATERIAL, 'E=oops')}, field 'E'"),
+    ("analyze", WEIGHT_ONLY_LINE,
+     f"error: line {_line_of(WEIGHT_ONLY_LINE, 'weight=1')}: unexpected sweep line"),
+    ("sweep", WEIGHT_ONLY_LINE,
+     f"error: line {_line_of(WEIGHT_ONLY_LINE, 'weight=1')}: unexpected sweep line"),
+    ("creep", NAN_CREEP, "error: line 2, field 'force_n': non-finite number"),
+], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "creep-nan"])
+def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert message in err
+    assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
+
+
 class TestAnalyze:
     def test_exit_ok_and_units_printed(self, capsys):
         assert main(["analyze", SMALL_RCC]) == 0
@@ -133,6 +159,14 @@ class TestSweep:
         assert len(rows) == 9
         scores = [float(r.split("\t")[4]) for r in rows if r.split("\t")[3] == "yes"]
         assert scores == sorted(scores)
+
+
+    @pytest.mark.parametrize("command", ["sweep", "analyze"])
+    def test_unknown_target_axis_exit_one(self, tmp_path, capsys, command):
+        path = tmp_path / "s.mech"
+        path.write_text(SWEEP_FILE.format(extra="[sweep]\nvary t 2.82 2.82 1\ntarget_k q 5\n"))
+        assert main([command, str(path)]) == 1
+        assert "unknown stiffness axis 'q'" in capsys.readouterr().err
 
 
 class TestCreep:

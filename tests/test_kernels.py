@@ -3,8 +3,10 @@ brute-force strip-sum oracle and the Paros-Weisbord closed form for the
 notch integrals, and the kernels' length-scaling laws."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,8 +135,10 @@ class TestGaussLegendre:
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         code = "import sys, flexmech; print('numpy.polynomial' in sys.modules)"
+        # the child imports the same flexmech as this process
+        env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
+                             text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
 
 

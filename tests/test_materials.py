@@ -6,7 +6,8 @@ import pytest
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import load_bundled_joint_catalog
 from flexmech.materials import (Material, MeasuredJointRecord, derive_shear_modulus,
-                                load_joint_catalog, load_materials, stiffness_ratio)
+                                stiffness_ratio)
+from flexmech.mechfile import load_joint_catalog, load_materials
 
 RNG = np.random.default_rng(42)
 

@@ -176,6 +176,12 @@ class TestSweepSection:
         assert spec.objective.diag_stiffness_target == {"z": 2.4}
         assert spec.objective.weights == {"rcc": 2.0, "ratio": 0.5}
 
+    def test_fractional_grid_count_names_line(self):
+        bad = [line.replace("vary t 2.0 4.0 3", "vary t 2.0 4.0 2.5") for line in lines(GOOD)]
+        lineno = bad.index("vary t 2.0 4.0 2.5") + 1
+        with pytest.raises(MechanismFileError, match=f"line {lineno}.*whole number"):
+            parse_lines(bad)
+
     def test_bad_sweep_line(self):
         bad = lines(GOOD) + ["[sweep]", "vary t 1 2"]
         with pytest.raises(MechanismFileError, match="vary"):
