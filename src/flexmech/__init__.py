@@ -15,9 +15,10 @@ from .errors import FlexmechError, MechanismFileError, SingularMatrixError
 from .kernels import torsion_beta
 from .materials import (Material, MeasuredJointRecord, derive_shear_modulus,
                         stiffness_ratio)
-from .mechanism import (Limb, Mechanism, RccResult, analyze, center_of_compliance,
-                        deviation_report, ideal_fourbar_center, limb_compliance,
-                        mechanism_stiffness, rotational_precision, static_deflection)
+from .mechanism import (Limb, Mechanism, RccResult, analyze, analyze_batch,
+                        center_of_compliance, deviation_report, ideal_fourbar_center,
+                        limb_compliance, mechanism_stiffness, rotational_precision,
+                        static_deflection)
 from .mechfile import ParsedMechanism, parse_mechanism, serialize
 from .spatial import (FramePlacement, SpatialMatrix6, amplification_displacement,
                       amplification_force, invert, rot_z, s_matrix,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .elements import HingeGeometry
 from .errors import FlexmechError
-from .mechanism import AXIS_ROW, Limb, Mechanism, analyze
+from .mechanism import AXIS_ROW, Limb, Mechanism, analyze_batch
 from .spatial import FramePlacement
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
@@ -137,6 +137,28 @@ class VerticalComplianceDatum:
 # parametric sweeps
 
 SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
+# grid points per analyze_batch call: every variant of a batch is alive at
+# once, so this bounds the memory of large grids; results do not depend on it
+SWEEP_BATCH = 4096
+
+
+def check_stiffness_axis(axis):
+    """Reject a diagonal-stiffness target axis that is not in AXIS_ROW."""
+    if axis not in AXIS_ROW:
+        raise ValueError(f"unknown stiffness axis {axis!r}; "
+                         f"expected one of {', '.join(AXIS_ROW)}")
+
+
+def check_sweep_range(name, lo, hi, n):
+    """Reject an unknown sweep parameter or a range it cannot take."""
+    if name not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {name!r}")
+    if n < 1 or lo > hi:
+        raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
+    if name in ("t", "r", "w") and lo <= 0.0:
+        raise ValueError(f"{name!r} range must stay positive")
+    if name == "angle" and not (0.0 < lo <= hi < 90.0):
+        raise ValueError("leg angle range must lie inside (0, 90) degrees")
 
 
 @dataclass(frozen=True)
@@ -150,9 +172,7 @@ class SweepObjective:
 
     def __post_init__(self):
         for axis in self.diag_stiffness_target or {}:
-            if axis not in AXIS_ROW:
-                raise ValueError(f"unknown stiffness axis {axis!r}; "
-                                 f"expected one of {', '.join(AXIS_ROW)}")
+            check_stiffness_axis(axis)
 
     def weight(self, name):
         return float(self.weights.get(name, 1.0))
@@ -169,14 +189,7 @@ class SweepSpec:
         if not self.parameters:
             raise ValueError("sweep needs at least one parameter range")
         for name, (lo, hi, n) in self.parameters.items():
-            if name not in SWEEP_PARAMETERS:
-                raise ValueError(f"unknown sweep parameter {name!r}")
-            if n < 1 or lo > hi:
-                raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
-            if name in ("t", "r", "w") and lo <= 0.0:
-                raise ValueError(f"{name!r} range must stay positive")
-            if name == "angle" and not (0.0 < lo <= hi < 90.0):
-                raise ValueError("leg angle range must lie inside (0, 90) degrees")
+            check_sweep_range(name, lo, hi, n)
 
     def grid(self):
         """Deterministic grid iteration: product in parameter insertion order."""
@@ -206,27 +219,35 @@ def apply_parameters(template: Mechanism, params) -> Mechanism:
 
     t/r/w retune every hinge, angle re-leans every rotated member
     (sign-preserving, degrees), y/z move the limb tip placements
-    (sign-preserving).
+    (sign-preserving).  Objects the template shares (a limb placed twice,
+    a hinge used by several members) stay shared in the variant.
     """
-    limbs = []
-    for limb, placement in template.limbs:
+    retune = {name: params[name] for name in ("t", "r", "w") if name in params}
+    hinges, limbs = {}, {}
+
+    def variant_limb(limb):
         members = []
         for geom, mp in limb.members:
-            if isinstance(geom, HingeGeometry):
-                geom = replace(geom,
-                               t=params.get("t", geom.t),
-                               r=params.get("r", geom.r),
-                               w=params.get("w", geom.w))
+            if retune and isinstance(geom, HingeGeometry):
+                if id(geom) not in hinges:
+                    hinges[id(geom)] = replace(geom, **retune)
+                geom = hinges[id(geom)]
             if "angle" in params and abs(mp.theta) > 0.0:
                 mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
             members.append((geom, mp))
+        return Limb(limb.name, tuple(members))
+
+    placed = []
+    for limb, placement in template.limbs:
+        if id(limb) not in limbs:
+            limbs[id(limb)] = variant_limb(limb)
         rx, ry, rz = placement.r
         if "y" in params and ry != 0.0:
             ry = math.copysign(params["y"], ry)
         if "z" in params and rz != 0.0:
             rz = math.copysign(params["z"], rz)
-        limbs.append((Limb(limb.name, tuple(members)), FramePlacement(placement.theta, (rx, ry, rz))))
-    return Mechanism(tuple(limbs), template.reference)
+        placed.append((limbs[id(limb)], FramePlacement(placement.theta, (rx, ry, rz))))
+    return Mechanism(tuple(placed), template.reference)
 
 
 def _score(objective: SweepObjective, result):
@@ -245,18 +266,32 @@ def _score(objective: SweepObjective, result):
     return score
 
 
-def _evaluate(spec: SweepSpec, template: Mechanism, params) -> SweepPoint:
-    key = tuple(params.items())
-    try:
-        variant = apply_parameters(template, params)
-        result = analyze(variant)
-    except (ValueError, FlexmechError) as exc:
-        return SweepPoint(key, False, math.inf, reason=str(exc))
-    return SweepPoint(key, True, _score(spec.objective, result),
-                      rcc_height=result.rcc_height,
-                      k_diag=tuple(float(v) for v in np.diag(result.k.m)))
+def _evaluate(spec: SweepSpec, template: Mechanism, grid):
+    """SweepPoints of a sequence of grid points, analyzed as one batch."""
+    points, keys, variants = [], [], []
+    for params in grid:
+        key = tuple(params.items())
+        try:
+            variants.append(apply_parameters(template, params))
+        except (ValueError, FlexmechError) as exc:
+            points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
+            continue
+        keys.append(key)
+    for key, result in zip(keys, analyze_batch(variants)):
+        if isinstance(result, Exception):
+            points.append(SweepPoint(key, False, math.inf, reason=str(result)))
+        else:
+            points.append(SweepPoint(key, True, _score(spec.objective, result),
+                                     rcc_height=result.rcc_height,
+                                     k_diag=tuple(float(v) for v in np.diag(result.k.m))))
+    return points
 
 
 def run_sweep(spec: SweepSpec, template: Mechanism):
-    """Evaluate the full grid and rank by score (infeasible points last)."""
-    return sorted((_evaluate(spec, template, p) for p in spec.grid()), key=SweepPoint.sort_key)
+    """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
+    score (infeasible points last, each with the reason its analysis failed)."""
+    grid = spec.grid()
+    points = []
+    while chunk := list(itertools.islice(grid, SWEEP_BATCH)):
+        points += _evaluate(spec, template, chunk)
+    return sorted(points, key=SweepPoint.sort_key)

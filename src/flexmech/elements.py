@@ -23,7 +23,8 @@ import numpy as np
 
 from . import kernels
 from .materials import Material
-from .spatial import FramePlacement, SpatialMatrix6, transform_compliance
+from .spatial import (SpatialMatrix6, congruence, displacement_transports, matrix_error,
+                      matrix_faults, symmetrize)
 
 SHEAR_ALPHA = 6.0 / 5.0  # rectangular-section shear correction factor
 
@@ -79,8 +80,7 @@ def notch_thickness(g: HingeGeometry, x):
     return kernels.notch_thickness(x, g.r, g.t)
 
 
-def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
-    """Tip compliance of a cantilevered rectangular beam (Timoshenko)."""
+def _beam_matrix(g: BeamGeometry):
     e, gs = g.material.e_modulus, g.material.g_modulus
     l, w, s = g.l, g.w, g.s
     it = kernels.rect_torsion_constant(w, s)
@@ -93,7 +93,55 @@ def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
     c[5, 5] = 12.0 * l / (e * w * s**3)
     c[1, 5] = c[5, 1] = 6.0 * l**2 / (e * w * s**3)
     c[2, 4] = c[4, 2] = -6.0 * l**2 / (e * w**3 * s)
-    return SpatialMatrix6(c, "compliance")
+    return c
+
+
+def _hinge_lump(g: HingeGeometry):
+    # lumped joint at the bending elastic center: the mid-plane of the
+    # symmetric circular profile, a lever r + h1 from the element frame
+    e, gs = g.material.e_modulus, g.material.g_modulus
+    w = g.w
+    k1, k3, kt = _notch_kernels_cached(g.r, g.t, g.w)
+    c = np.zeros((6, 6))
+    c[0, 0] = k1 / (e * w)
+    c[1, 1] = SHEAR_ALPHA * k1 / (gs * w)
+    c[2, 2] = SHEAR_ALPHA * k1 / (gs * w)
+    c[3, 3] = kt / gs
+    c[4, 4] = 12.0 * k1 / (e * w**3)
+    c[5, 5] = 12.0 * k3 / (e * w)
+    return c
+
+
+def element_compliances(geoms):
+    """Distal-frame compliances of a sequence of beams and hinges as one
+    (G, 6, 6) stack, plus the validation code of each (see
+    spatial.matrix_faults): a hinge's lumped matrix is checked before and
+    after its lever transport, as the scalar constructors check them."""
+    hinge = np.array([isinstance(g, HingeGeometry) for g in geoms], dtype=bool)
+    c = np.array([_hinge_lump(g) if h else _beam_matrix(g)
+                  for g, h in zip(geoms, hinge)]).reshape(-1, 6, 6)
+    faults = matrix_faults(c)
+    c = symmetrize(c)
+    lever = np.zeros((int(hinge.sum()), 3))
+    lever[:, 0] = [g.r + g.h1 for g, h in zip(geoms, hinge) if h]
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved = congruence(displacement_transports(np.zeros(len(lever)), lever), c[hinge])
+    faults[hinge] = np.where(faults[hinge] != 0, faults[hinge], matrix_faults(moved))
+    c[hinge] = symmetrize(moved)
+    return c, faults
+
+
+def element_compliance(g) -> SpatialMatrix6:
+    """Distal-frame compliance of one beam or hinge."""
+    c, faults = element_compliances((g,))
+    if faults[0]:
+        raise matrix_error(faults[0])
+    return SpatialMatrix6(c[0], "compliance")
+
+
+def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
+    """Tip compliance of a cantilevered rectangular beam (Timoshenko)."""
+    return element_compliance(g)
 
 
 def torsion_compliance_hinge(g: HingeGeometry):
@@ -104,19 +152,4 @@ def torsion_compliance_hinge(g: HingeGeometry):
 
 def hinge_compliance(g: HingeGeometry) -> SpatialMatrix6:
     """Distal-frame compliance of a circular notch hinge via strip integration."""
-    e, gs = g.material.e_modulus, g.material.g_modulus
-    w = g.w
-    k1, k3, kt = _notch_kernels_cached(g.r, g.t, g.w)
-
-    # lumped joint at the bending elastic center: the mid-plane of the
-    # symmetric circular profile, a lever r + h1 from the element frame
-    c = np.zeros((6, 6))
-    c[0, 0] = k1 / (e * w)
-    c[1, 1] = SHEAR_ALPHA * k1 / (gs * w)
-    c[2, 2] = SHEAR_ALPHA * k1 / (gs * w)
-    c[3, 3] = kt / gs
-    c[4, 4] = 12.0 * k1 / (e * w**3)
-    c[5, 5] = 12.0 * k3 / (e * w)
-    lump = SpatialMatrix6(c, "compliance")
-
-    return transform_compliance(lump, FramePlacement(0.0, (g.r + g.h1, 0.0, 0.0)))
+    return element_compliance(g)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import SweepObjective, SweepSpec
+from .analysis import SweepObjective, SweepSpec, check_stiffness_axis, check_sweep_range
 from .elements import BeamGeometry, HingeGeometry
 from .errors import MechanismFileError
 from .materials import Material, MeasuredJointRecord
@@ -153,6 +153,8 @@ def load_joint_catalog(lines):
     Format, one record per line::
 
         joint <variant> cross=<Nm/rad|-> joint=<Nm/rad> max_load=<Nm>
+
+    Only the cross stiffness may be '-' (not measured).
     """
     records = []
     for lineno, line in text_entries(lines):
@@ -161,8 +163,11 @@ def load_joint_catalog(lines):
             raise MechanismFileError(
                 f"expected 'joint <variant> cross=.. joint=.. max_load=..', got {line!r}", lineno)
         variant = parts[1]
-        kv = {k: None if v == "-" else _num(v, lineno, k)
-              for k, v in _kv(parts[2:], lineno, variant).items()}
+        kv = {}
+        for key, value in _kv(parts[2:], lineno, variant).items():
+            if value == "-" and key != "cross":
+                raise MechanismFileError("only cross may be '-' (unmeasured)", lineno, key)
+            kv[key] = None if value == "-" else _num(value, lineno, key)
         try:
             records.append(MeasuredJointRecord(variant, kv.get("cross"),
                                                kv["joint"], kv["max_load"]))
@@ -279,6 +284,19 @@ def _parse_mechanism_section(entries, limbs, section_line):
         raise MechanismFileError(str(exc), section_line) from None
 
 
+def _checked(check, lineno, field, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise MechanismFileError(str(exc), lineno, field) from None
+
+
+# objective lines: head -> (second token, weight term, token count)
+_OBJECTIVE_LINES = {"target": ("rcc_height", "rcc", 3),
+                    "maximize": ("stiffness_ratio", "ratio", 2),
+                    "target_k": (None, "diag", 3)}
+
+
 def _parse_sweep(entries, section_line):
     parameters = {}
     target_rcc = None
@@ -291,6 +309,9 @@ def _parse_sweep(entries, section_line):
         kv = _kv([p for p in parts if "=" in p], lineno, "sweep")
         head = bare[0] if bare else None
         if head == "vary":
+            if kv:
+                key = next(iter(kv))
+                raise MechanismFileError(f"'vary' takes no options, got {key}=", lineno, key)
             if len(bare) != 5:
                 raise MechanismFileError(f"expected 'vary <name> <lo> <hi> <n>', got {line!r}", lineno)
             name = bare[1]
@@ -298,19 +319,27 @@ def _parse_sweep(entries, section_line):
             if not n.is_integer():
                 raise MechanismFileError(f"grid count must be a whole number, got {bare[4]!r}",
                                          lineno, name)
+            _checked(check_sweep_range, lineno, name, name, lo, hi, int(n))
             parameters[name] = (lo, hi, int(n))
             continue
-        if head == "target" and len(bare) >= 3 and bare[1] == "rcc_height":
-            target_rcc = _num(bare[2], lineno, "rcc_height")
-            term = "rcc"
-        elif head == "maximize" and len(bare) >= 2 and bare[1] == "stiffness_ratio":
-            ratio_max = True
-            term = "ratio"
-        elif head == "target_k" and len(bare) >= 3:
-            diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
-            term = "diag"
-        else:
+        objective = _OBJECTIVE_LINES.get(head)
+        if objective is None or len(bare) < objective[2] or objective[0] not in (None, bare[1]):
             raise MechanismFileError(f"unexpected sweep line {line!r}", lineno)
+        _, term, count = objective
+        if len(bare) > count:
+            raise MechanismFileError(f"unexpected token {bare[count]!r} in {line!r}",
+                                     lineno, head)
+        for key in kv:
+            if key != "weight":
+                raise MechanismFileError(f"unknown option {key!r}; the only option is weight=",
+                                         lineno, key)
+        if head == "target":
+            target_rcc = _num(bare[2], lineno, "rcc_height")
+        elif head == "maximize":
+            ratio_max = True
+        else:
+            _checked(check_stiffness_axis, lineno, bare[1], bare[1])
+            diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
         if "weight" in kv:
             weights[term] = _num(kv["weight"], lineno, "weight")
     try:

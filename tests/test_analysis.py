@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from flexmech.analysis import (CreepModel, SweepObjective, SweepSpec,
-                               VerticalComplianceDatum, apply_parameters,
+import flexmech.analysis as analysis
+from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
+                               VerticalComplianceDatum, _score, apply_parameters,
                                creep_force, fit_creep, run_sweep)
 from flexmech.elements import BeamGeometry
-from flexmech.fixtures import load_small_rcc
+from flexmech.errors import FlexmechError
+from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechanism import Limb, Mechanism, analyze
+from flexmech.mechfile import parse_lines, read_lines
+from flexmech.report import sweep_table
 from flexmech.spatial import FramePlacement
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
@@ -221,3 +225,56 @@ class TestRunSweep:
         assert all(p.score == 0.0 for p in points)
         values = [dict(p.params)["t"] for p in points]
         assert values == sorted(values)
+
+    def test_infeasible_point_keeps_scalar_reason_and_spares_the_rest(self):
+        # t = 1e-9 makes every limb compliance numerically singular; the
+        # grid's other points must come out as if each ran alone
+        template = load_small_rcc().mechanism
+        spec = SweepSpec({"t": (1e-9, 3.0, 4)}, SweepObjective(rcc_height_target=28.6))
+        points = {dict(p.params)["t"]: p for p in run_sweep(spec, template)}
+        bad = points.pop(1e-9)
+        assert not bad.feasible
+        with pytest.raises(FlexmechError) as exc:
+            analyze(apply_parameters(template, {"t": 1e-9}))
+        assert bad.reason == str(exc.value)
+        assert len(points) == 3
+        for t, point in points.items():
+            (alone,) = run_sweep(SweepSpec({"t": (t, t, 1)}, spec.objective), template)
+            assert point == alone
+
+
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        template = load_small_rcc().mechanism
+        spec = SweepSpec({"angle": (15.0, 25.0, 3), "t": (1e-9, 3.2, 3)},
+                         SweepObjective(rcc_height_target=28.6))
+        whole = run_sweep(spec, template)
+        monkeypatch.setattr(analysis, "SWEEP_BATCH", 4)
+        assert run_sweep(spec, template) == whole
+
+
+def per_point_sweep(spec, template):
+    """Loop reference for run_sweep: one analyze and one _score per point."""
+    points = []
+    for params in spec.grid():
+        key = tuple(params.items())
+        try:
+            result = analyze(apply_parameters(template, params))
+        except (ValueError, FlexmechError) as exc:
+            points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
+            continue
+        points.append(SweepPoint(key, True, _score(spec.objective, result),
+                                 rcc_height=result.rcc_height,
+                                 k_diag=tuple(float(v) for v in np.diag(result.k.m))))
+    return sorted(points, key=SweepPoint.sort_key)
+
+
+@pytest.mark.parametrize("section", [
+    "vary angle 12 30 5\nvary y 8 13 4\ntarget rcc_height 28.6\nmaximize stiffness_ratio weight=0.1\n",
+    "vary t 1e-9 3.2 3\nvary r 1 2 2\ntarget_k z 2.4\ntarget_k tz 9000 weight=2\n",
+], ids=["placement", "geometry-with-singular-point"])
+def test_run_sweep_table_matches_per_point_analyze(section):
+    lines = read_lines(data_path("small_rcc.mech")) + ["[sweep]\n"] + section.splitlines(True)
+    parsed = parse_lines(lines)
+    batched = run_sweep(parsed.sweep, parsed.mechanism)
+    assert batched == per_point_sweep(parsed.sweep, parsed.mechanism)
+    assert sweep_table(batched) == sweep_table(per_point_sweep(parsed.sweep, parsed.mechanism))

@@ -42,6 +42,8 @@ limb right r=-2.5,-10.325,8.65
 
 BAD_MATERIAL = SWEEP_FILE.format(extra="").replace("E=43.8", "E=oops")
 WEIGHT_ONLY_LINE = SWEEP_FILE.format(extra="[sweep]\nvary t 2.4 3.2 2\nweight=1\n")
+MISSPELT_WEIGHT = SWEEP_FILE.format(
+    extra="[sweep]\nvary t 2.4 3.2 2\ntarget rcc_height 28 wieght=5\n")
 NAN_CREEP = "0 22\n30 nan\n60 21\n90 20.9\n120 20.6\n"
 
 
@@ -55,8 +57,11 @@ def _line_of(text, needle):
      f"error: line {_line_of(WEIGHT_ONLY_LINE, 'weight=1')}: unexpected sweep line"),
     ("sweep", WEIGHT_ONLY_LINE,
      f"error: line {_line_of(WEIGHT_ONLY_LINE, 'weight=1')}: unexpected sweep line"),
+    ("sweep", MISSPELT_WEIGHT,
+     f"error: line {_line_of(MISSPELT_WEIGHT, 'wieght')}, field 'wieght': unknown option"),
     ("creep", NAN_CREEP, "error: line 2, field 'force_n': non-finite number"),
-], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "creep-nan"])
+], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
+        "creep-nan"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

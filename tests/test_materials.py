@@ -113,3 +113,12 @@ class TestLoaders:
     def test_catalog_errors(self):
         with pytest.raises(MechanismFileError):
             load_joint_catalog(["joint x cross=1"])
+
+    @pytest.mark.parametrize("field", ["joint", "max_load"])
+    def test_only_cross_may_be_unmeasured(self, field):
+        # an unmeasured joint stiffness used to load and then break
+        # stiffness_ratio with a TypeError
+        values = {"cross": "5", "joint": "3", "max_load": "1", field: "-"}
+        line = "joint a " + " ".join(f"{k}={v}" for k, v in values.items())
+        with pytest.raises(MechanismFileError, match=f"line 2, field '{field}'"):
+            load_joint_catalog(["# catalog", line])

@@ -5,17 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flexmech.mechanism as mech
 from flexmech.elements import BeamGeometry, HingeGeometry
+from flexmech.errors import SingularMatrixError
 from flexmech.fixtures import load_reference_stiffness, load_small_rcc
 from flexmech.materials import Material
-from flexmech.mechanism import (Limb, Mechanism, analyze, center_of_compliance,
-                                deviation_report, ideal_fourbar_center,
-                                limb_compliance, mechanism_stiffness,
-                                rotational_precision, static_deflection)
-from flexmech.spatial import (FramePlacement, SpatialMatrix6, invert,
-                              transform_compliance)
+from flexmech.mechanism import (Limb, Mechanism, analyze, analyze_batch,
+                                center_of_compliance, deviation_report,
+                                ideal_fourbar_center, limb_compliance,
+                                mechanism_stiffness, rotational_precision,
+                                static_deflection)
+from flexmech.spatial import (FramePlacement, SpatialMatrix6, amplification_displacement,
+                              amplification_force, invert, transform_compliance)
 
 RNG = np.random.default_rng(99)
 MAT = Material("m", 43.8, 0.48)
@@ -34,6 +37,44 @@ def paper_limb(side=1.0):
 
 def small_rcc():
     return load_small_rcc().mechanism
+
+
+def long_limb(side=1.0, lean=20.0, hinge=HINGE):
+    """Five members: hinge, leaning beam, hinge, straight beam, hinge."""
+    return Limb("long", (
+        (hinge, FramePlacement(0.0, (53.25, side * 14.765, 0.0))),
+        (BEAM, FramePlacement.from_degrees(side * lean, (20.8, 0.0, 0.0))),
+        (hinge, FramePlacement(0.0, (19.55, 0.0, 0.0))),
+        (BEAM, FramePlacement(0.0, (9.15, 0.0, 0.0))),
+        (hinge, FramePlacement(0.0, (0.0, 0.0, 0.0))),
+    ))
+
+
+def design(pairs, long=(), lean=20.0, y=10.325, hinge=HINGE):
+    """Mirrored limb pairs spread along z; pair i uses long_limb when i is in `long`."""
+    limbs = []
+    for i, z in enumerate(np.linspace(-8.65, 8.65, pairs)):
+        for side in (1.0, -1.0):
+            limb = (long_limb(side, lean, hinge) if i in long else
+                    Limb("short", (
+                        (hinge, FramePlacement(0.0, (42.85, side * 14.765, 0.0))),
+                        (BEAM, FramePlacement.from_degrees(side * lean, (10.4, 0.0, 0.0))),
+                        (hinge, FramePlacement(0.0, (9.15, 0.0, 0.0))))))
+            limbs.append((limb, FramePlacement(0.0, (-2.5, side * y, float(z)))))
+    return Mechanism(tuple(limbs))
+
+
+def hand_stiffness(m):
+    """Loop reference: sum over limbs of J_F inv(sum of J C J^T) J_F^T."""
+    k = np.zeros((6, 6))
+    for limb, placement in m.limbs:
+        c = np.zeros((6, 6))
+        for geom, p in limb.members:
+            j = amplification_displacement(p)
+            c += j @ mech.element_compliance(geom).m @ j.T
+        jf = amplification_force(placement)
+        k += jf @ np.linalg.inv(c) @ jf.T
+    return k
 
 
 class TestLimb:
@@ -165,6 +206,15 @@ class TestMechanismStiffness:
             acc += invert(limb_compliance(limb)).m[:3, :3]
         np.testing.assert_allclose(k[:3, :3], acc,
                                    rtol=1e-9, atol=1e-9 * np.abs(acc).max())
+
+    def test_unequal_member_counts_match_loop_reference(self):
+        # limbs of 3 and 5 members share one padded member grid
+        m = design(2, long={1})
+        assert {len(limb.members) for limb, _ in m.limbs} == {3, 5}
+        want = hand_stiffness(m)
+        got = mechanism_stiffness(m).m
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_two_limbs_minimum(self):
         with pytest.raises(ValueError, match=">=2 limbs"):
@@ -311,3 +361,68 @@ class TestAnalyze:
     def test_rcc_height_between_platform_and_ideal(self):
         res = analyze(small_rcc())
         assert 0.0 < res.rcc_height < res.ideal_center
+
+
+DESIGNS = [design(1), design(1, long={0}), design(2), design(2, long={1}, lean=25.0),
+           design(4, y=9.0), design(4, long={0, 2}, lean=15.0)]
+
+
+class TestAnalyzeBatch:
+    def test_batch_equals_one_by_one_bitwise(self):
+        assert {len(m.limbs) for m in DESIGNS} == {2, 4, 8}
+        for batched, m in zip(analyze_batch(DESIGNS), DESIGNS):
+            (alone,) = analyze_batch([m])
+            assert np.array_equal(batched.k.m, alone.k.m)
+            assert np.array_equal(batched.c.m, alone.c.m)
+            assert (batched.rcc_height, batched.ideal_center, batched.rotational_precision) == \
+                (alone.rcc_height, alone.ideal_center, alone.rotational_precision)
+
+    def test_analyze_is_a_batch_of_one(self):
+        m = small_rcc()
+        (batched,) = analyze_batch([m])
+        assert np.array_equal(analyze(m).k.m, batched.k.m)
+        assert analyze_batch([]) == []
+
+    def test_failing_items_keep_their_error_and_spare_the_rest(self):
+        vertical = Limb("v", ((BEAM, FramePlacement(0.0, (5.0, 0.0, 0.0))),))
+        parallel = Mechanism(((vertical, FramePlacement(0.0, (0.0, -4.0, 0.0))),
+                              (vertical, FramePlacement(0.0, (0.0, 4.0, 0.0)))))
+        singular = design(2, hinge=HingeGeometry(1.25, 1e-9, 5.0, 0.0, MAT))
+        batch = [DESIGNS[2], parallel, singular, DESIGNS[5]]
+        results = analyze_batch(batch)
+        for i in (1, 2):
+            with pytest.raises(type(results[i])) as exc:
+                analyze(batch[i])
+            assert str(exc.value) == str(results[i])
+        assert isinstance(results[1], ValueError) and "center at infinity" in str(results[1])
+        assert isinstance(results[2], SingularMatrixError)
+        for i in (0, 3):
+            alone = analyze(batch[i])
+            assert np.array_equal(results[i].k.m, alone.k.m)
+            assert results[i].rcc_height == alone.rcc_height
+
+
+MECHANISMS = st.builds(
+    lambda pairs, long, lean, y, t: design(pairs, long, lean, y,
+                                           HingeGeometry(1.25, t, 5.0, 0.0, MAT)),
+    pairs=st.integers(1, 4), long=st.sets(st.integers(0, 3)),
+    lean=st.floats(5.0, 40.0), y=st.floats(5.0, 20.0), t=st.floats(1.5, 4.0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=MECHANISMS, data=st.data())
+def test_stiffness_invariant_under_limb_permutation(m, data):
+    order = data.draw(st.permutations(range(len(m.limbs))))
+    k = mechanism_stiffness(m).m
+    k_perm = mechanism_stiffness(Mechanism(tuple(m.limbs[i] for i in order))).m
+    scale = np.sqrt(np.outer(np.diag(k), np.diag(k)))
+    assert np.all(np.abs(k_perm - k) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(m=MECHANISMS)
+def test_stiffness_symmetric_positive_definite(m):
+    k = mechanism_stiffness(m).m
+    assert np.array_equal(k, k.T)
+    d = 1.0 / np.sqrt(np.diag(k))       # equilibrated, so the test is unit-free
+    assert np.linalg.eigvalsh(d[:, None] * k * d[None, :]).min() > 0.0

@@ -187,6 +187,28 @@ class TestSweepSection:
         with pytest.raises(MechanismFileError, match="vary"):
             parse_lines(bad)
 
+    @pytest.mark.parametrize("line, field, message", [
+        ("target rcc_height 28 wieght=5", "wieght", "unknown option 'wieght'"),
+        ("maximize stiffness_ratio scale=2", "scale", "unknown option 'scale'"),
+        ("target_k z 2.4 weight=1 w=2", "w", "unknown option 'w'"),
+        ("target rcc_height 28 29", "target", "unexpected token '29'"),
+        ("maximize stiffness_ratio now", "maximize", "unexpected token 'now'"),
+        ("target_k z 2.4 x", "target_k", "unexpected token 'x'"),
+        ("vary t 1 2 3 weight=2", "weight", "'vary' takes no options"),
+        ("vary q 1 2 3", "q", "unknown sweep parameter 'q'"),
+        ("vary t 3 2 3", "t", "bad range for 't'"),
+        ("vary angle 10 95 3", "angle", "leg angle range"),
+        ("target_k q 5", "q", "unknown stiffness axis 'q'"),
+    ])
+    def test_bad_line_names_its_line_and_key(self, line, field, message):
+        # the error names the offending line, not the [sweep] header above it
+        good = lines(GOOD)
+        at = good.index("target_k z 2.4")
+        bad = good[:at] + [line] + good[at + 1:]
+        with pytest.raises(MechanismFileError,
+                           match=f"^line {at + 1}, field '{field}': {message}"):
+            parse_lines(bad)
+
 
 def test_parse_from_installed_data_file():
     parsed = parse_mechanism(data_path("small_rcc.mech"))
