@@ -11,7 +11,7 @@ import numpy as np
 
 from .elements import HingeGeometry
 from .errors import FlexmechError
-from .mechanism import AXIS_ROW, Limb, Mechanism, analyze_batch
+from .mechanism import AXIS_ROW, Limb, Mechanism, _analyze_stacks
 from .spatial import FramePlacement
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
@@ -137,8 +137,8 @@ class VerticalComplianceDatum:
 # parametric sweeps
 
 SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
-# grid points per analyze_batch call: every variant of a batch is alive at
-# once, so this bounds the memory of large grids; results do not depend on it
+# grid points per engine call: a batch's variants and the limb variants they
+# share are alive at once, so this bounds memory; results do not depend on it
 SWEEP_BATCH = 4096
 
 
@@ -222,16 +222,23 @@ def apply_parameters(template: Mechanism, params) -> Mechanism:
     (sign-preserving).  Objects the template shares (a limb placed twice,
     a hinge used by several members) stay shared in the variant.
     """
+    return _variant(template, params, {}, {})
+
+
+def _variant(template: Mechanism, params, hinges, limbs):
+    """apply_parameters keeping the hinges and limbs it makes in two tables,
+    keyed by template object and the parameter values that shape them; a
+    sweep batch passes the same tables for every point, sharing its variants."""
     retune = {name: params[name] for name in ("t", "r", "w") if name in params}
-    hinges, limbs = {}, {}
 
     def variant_limb(limb):
         members = []
         for geom, mp in limb.members:
             if retune and isinstance(geom, HingeGeometry):
-                if id(geom) not in hinges:
-                    hinges[id(geom)] = replace(geom, **retune)
-                geom = hinges[id(geom)]
+                key = (id(geom), *retune.items())
+                if key not in hinges:
+                    hinges[key] = replace(geom, **retune)
+                geom = hinges[key]
             if "angle" in params and abs(mp.theta) > 0.0:
                 mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
             members.append((geom, mp))
@@ -239,51 +246,53 @@ def apply_parameters(template: Mechanism, params) -> Mechanism:
 
     placed = []
     for limb, placement in template.limbs:
-        if id(limb) not in limbs:
-            limbs[id(limb)] = variant_limb(limb)
+        key = (id(limb), *retune.items(), params.get("angle"))
+        if key not in limbs:
+            limbs[key] = variant_limb(limb)
         rx, ry, rz = placement.r
         if "y" in params and ry != 0.0:
             ry = math.copysign(params["y"], ry)
         if "z" in params and rz != 0.0:
             rz = math.copysign(params["z"], rz)
-        placed.append((limbs[id(limb)], FramePlacement(placement.theta, (rx, ry, rz))))
+        placed.append((limbs[key], FramePlacement(placement.theta, (rx, ry, rz))))
     return Mechanism(tuple(placed), template.reference)
 
 
-def _score(objective: SweepObjective, result):
+def _score(objective: SweepObjective, rcc_height, k_diag):
     score = 0.0
     if objective.rcc_height_target is not None:
-        score += objective.weight("rcc") * abs(result.rcc_height - objective.rcc_height_target)
-    diag = np.diag(result.k.m)
+        score += objective.weight("rcc") * abs(rcc_height - objective.rcc_height_target)
     if objective.stiffness_ratio_max:
-        ratio = diag[:3].max() / diag[:3].min()
+        ratio = k_diag[:3].max() / k_diag[:3].min()
         score -= objective.weight("ratio") * ratio
     if objective.diag_stiffness_target:
         term = 0.0
         for axis, target in objective.diag_stiffness_target.items():
-            term += abs(diag[AXIS_ROW[axis]] - target) / abs(target)
+            term += abs(k_diag[AXIS_ROW[axis]] - target) / abs(target)
         score += objective.weight("diag") * term
     return score
 
 
 def _evaluate(spec: SweepSpec, template: Mechanism, grid):
-    """SweepPoints of a sequence of grid points, analyzed as one batch."""
+    """SweepPoints of a sequence of grid points, analyzed as one batch and
+    scored from the engine's arrays."""
+    hinges, limbs = {}, {}
     points, keys, variants = [], [], []
     for params in grid:
         key = tuple(params.items())
         try:
-            variants.append(apply_parameters(template, params))
+            variants.append(_variant(template, params, hinges, limbs))
         except (ValueError, FlexmechError) as exc:
             points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
             continue
         keys.append(key)
-    for key, result in zip(keys, analyze_batch(variants)):
-        if isinstance(result, Exception):
-            points.append(SweepPoint(key, False, math.inf, reason=str(result)))
+    k, _, outcomes = _analyze_stacks(variants)
+    for key, k_diag, outcome in zip(keys, np.diagonal(k, axis1=1, axis2=2), outcomes):
+        if isinstance(outcome, Exception):
+            points.append(SweepPoint(key, False, math.inf, reason=str(outcome)))
         else:
-            points.append(SweepPoint(key, True, _score(spec.objective, result),
-                                     rcc_height=result.rcc_height,
-                                     k_diag=tuple(float(v) for v in np.diag(result.k.m))))
+            points.append(SweepPoint(key, True, _score(spec.objective, outcome[0], k_diag),
+                                     rcc_height=outcome[0], k_diag=tuple(k_diag.tolist())))
     return points
 
 

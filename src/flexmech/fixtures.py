@@ -7,8 +7,8 @@ from importlib import resources
 
 import numpy as np
 
-from .mechfile import (CREEP_COLUMNS, load_joint_catalog, load_materials, numeric_rows,
-                       parse_lines, read_lines, text_entries)
+from .mechfile import (load_joint_catalog, load_materials, numeric_rows, parse_lines,
+                       read_lines, text_entries)
 from .spatial import SpatialMatrix6
 
 
@@ -41,8 +41,3 @@ def load_bundled_joint_catalog():
 def load_bundled_materials():
     """Default material catalog (user-editable data file, not code)."""
     return load_materials(_data_lines("materials.dat"), "materials.dat")
-
-
-def load_bundled_creep_samples():
-    """Synthetic noiseless creep trace generated from (22 N, 19 N, 200 s)."""
-    return numeric_rows(text_entries(_data_lines("creep_22n.dat")), CREEP_COLUMNS)

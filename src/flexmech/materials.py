@@ -61,6 +61,8 @@ class MeasuredJointRecord:
     def __post_init__(self):
         for name in ("cross_stiffness", "joint_stiffness", "max_joint_load"):
             v = getattr(self, name)
+            if v is None and name != "cross_stiffness":
+                raise ValueError(f"{name} must be measured; only cross_stiffness may be None")
             if v is not None and v <= 0.0:
                 raise ValueError(f"{name} must be positive, got {v}")
 

@@ -8,9 +8,13 @@ tip to the common reference point (r_z may be nonzero).
 
 All assembly runs through one batched engine on stacked (..., 6, 6) arrays:
 analyze_batch evaluates any number of mechanisms at once, and analyze,
-mechanism_stiffness and limb_compliance are that engine applied to one item.  Every check of the pipeline is a per-item mask at its
-stage, and an item that fails gets the exception of its first failing check
-in the order a one-item run meets them, leaving the other items untouched.
+mechanism_stiffness and limb_compliance are that engine applied to one
+item.  The engine computes each distinct geometry object and each distinct
+limb object once, told apart by identity (callers share an object to have
+it computed once), and sums members and limbs in their given order.  Every
+check of the pipeline is a per-item mask at its stage, and an item that
+fails gets the exception of its first failing check in the order a one-item
+run meets them, leaving the other items untouched.
 """
 
 from __future__ import annotations
@@ -75,62 +79,59 @@ class RccResult:
     rotational_precision: float
 
 
-def _distinct(key, table):
-    """Index of `key` in the insertion-ordered `table`, added when new."""
-    return table.setdefault(key, len(table))
+def _by_identity(objects):
+    """The distinct objects among `objects`, told apart by identity, in
+    first-seen order, and the distinct index of each input object."""
+    first = {id(o): o for o in objects}
+    index = {key: d for d, key in enumerate(first)}
+    return list(first.values()), np.array([index[id(o)] for o in objects], dtype=np.intp)
+
+
+def _run_sums(terms, lengths):
+    """In-order sums of the consecutive runs of the given lengths in an
+    (M, 6, 6) stack, and the (R, P) grid of the runs' term indices, P the
+    longest run; shorter runs are padded with M, a zero that adds exact zeros."""
+    lengths = np.asarray(lengths)
+    slot = np.arange(lengths.max()) < lengths[:, None]
+    grid = np.full(slot.shape, len(terms))
+    grid[slot] = np.arange(len(terms))
+    terms = np.concatenate([terms, np.zeros((1, 6, 6))])
+    total = np.zeros((len(lengths), 6, 6))
+    for j in range(grid.shape[1]):
+        total += terms[grid[:, j]]
+    return total, grid
 
 
 def _limb_compliances(limbs):
-    """Tip compliances of the distinct limbs among `limbs`.
-
-    Returns the (D, 6, 6) stack, the first fault of each distinct limb (None
-    when valid) and the distinct index of each input limb.  Equal
-    geometries, equal (geometry, placement) members and equal member
-    sequences are computed once.  The distinct limbs' members sit in a
-    (D, P) grid, P the longest limb, shorter limbs padded with a zero
-    compliance that adds exact zeros to their sums.
-    """
-    geoms, members, distinct, by_id = {}, {}, {}, {}
-    limb_of = []
-    for limb in limbs:
-        d = by_id.get(id(limb))
-        if d is None:
-            key = tuple(_distinct((_distinct(geom, geoms), placement), members)
-                        for geom, placement in limb.members)
-            d = by_id[id(limb)] = _distinct(key, distinct)
-        limb_of.append(d)
-    rows = list(distinct)
-    grid = np.full((len(rows), max(map(len, rows))), len(members))
-    for d, key in enumerate(rows):
-        grid[d, :len(key)] = key
-    elements, element_faults = element_compliances(list(geoms))
-    member_geom = np.array([g for g, _ in members], dtype=np.intp)
-    theta = np.array([p.theta for _, p in members])
-    r = np.array([p.r for _, p in members])
+    """Tip compliances of the distinct limb objects among `limbs`: the
+    (D, 6, 6) stack, the first fault of each (None when valid) and the
+    distinct index of each input limb."""
+    distinct, limb_of = _by_identity(limbs)
+    members = [member for limb in distinct for member in limb.members]
+    geoms, geom_of = _by_identity([geom for geom, _ in members])
+    elements, element_faults = element_compliances(geoms)
+    transports = displacement_transports(np.array([p.theta for _, p in members]),
+                                         np.array([p.r for _, p in members]))
     # a faulty element may be non-finite; its limb is reported, not warned about
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = congruence(displacement_transports(theta, r), elements[member_geom])
-        terms = np.concatenate([terms, np.zeros((1, 6, 6))])
-        total = np.zeros((len(rows), 6, 6))
-        for j in range(grid.shape[1]):       # member order, as a serial sum
-            total += terms[grid[:, j]]
-    member_faults = np.append(element_faults[member_geom], 0)[grid]
+        terms = congruence(transports, elements[geom_of])
+        total, grid = _run_sums(terms, [len(limb.members) for limb in distinct])
+    member_faults = np.append(element_faults[geom_of], 0)[grid]
     limb_faults = matrix_faults(total)
-    faults = [None] * len(rows)
+    faults = [None] * len(distinct)
     for d in np.flatnonzero(member_faults.any(axis=1) | (limb_faults != 0)):
         first = member_faults[d][member_faults[d] != 0]
         faults[d] = matrix_error(first[0] if first.size else limb_faults[d])
-    return symmetrize(total), faults, np.array(limb_of, dtype=np.intp)
+    return symmetrize(total), faults, limb_of
 
 
 def _stiffnesses(mechanisms):
     """Reference-point stiffnesses of a sequence of mechanisms as an
     (N, 6, 6) stack, plus the first fault of each (None when valid).
 
-    Limbs sit in an (N, L) grid, L the most limbs, padded with a zero
-    stiffness.  A faulty limb is inverted as the identity, so every
-    stiffness stays finite; a mechanism's faults after its first are never
-    looked at.
+    Each mechanism sums its limbs' J_F K J_F^T in their given order.  A
+    faulty limb is inverted as the identity, so every stiffness stays
+    finite; a mechanism's faults after its first are never looked at.
     """
     flat = [pair for m in mechanisms for pair in m.limbs]
     c_limb, faults, limb_of = _limb_compliances([limb for limb, _ in flat])
@@ -140,27 +141,16 @@ def _stiffnesses(mechanisms):
     for d in np.flatnonzero(ok & (refused | (inv_faults != 0))):
         faults[d] = (singular_error("compliance", cond[d]) if refused[d]
                      else matrix_error(inv_faults[d]))
-    counts = [len(m.limbs) for m in mechanisms]
-    slot = np.arange(max(counts)) < np.array(counts)[:, None]
-    grid = np.full(slot.shape, len(faults))
-    grid[slot] = limb_of
-    places = {}
-    place_grid = np.zeros(slot.shape, dtype=np.intp)
-    place_grid[slot] = [_distinct(p, places) for _, p in flat]
-    bad = np.append([f is not None for f in faults], False)[grid]
-    first = [None] * len(mechanisms)
-    for n in np.flatnonzero(bad.any(axis=1)):
-        first[n] = faults[grid[n, np.argmax(bad[n])]]
-    transports = force_transports(np.array([p.theta for p in places]),
-                                  np.array([p.r for p in places]))
-    k_limb = np.concatenate([symmetrize(k_limb), np.zeros((1, 6, 6))])
-    total = np.zeros((len(mechanisms), 6, 6))
-    for i in range(grid.shape[1]):           # limb order, as a parallel sum
-        total += congruence(transports[place_grid[:, i]], k_limb[grid[:, i]])
+    transports = force_transports(np.array([p.theta for _, p in flat]),
+                                  np.array([p.r for _, p in flat]))
+    total, grid = _run_sums(congruence(transports, symmetrize(k_limb)[limb_of]),
+                            [len(m.limbs) for m in mechanisms])
+    bad = np.append([faults[d] is not None for d in limb_of], False)[grid]
     k_faults = matrix_faults(total)
-    for n in np.flatnonzero(k_faults):
-        if first[n] is None:
-            first[n] = matrix_error(k_faults[n])
+    first = [None] * len(mechanisms)
+    for n in np.flatnonzero(bad.any(axis=1) | (k_faults != 0)):
+        first[n] = (faults[limb_of[grid[n, np.argmax(bad[n])]]] if bad[n].any()
+                    else matrix_error(k_faults[n]))
     return symmetrize(total), first
 
 
@@ -282,40 +272,43 @@ def deviation_report(k: SpatialMatrix6, measured):
     return out
 
 
+def _analyze_stacks(mechanisms):
+    """The batched engine without result boxing: the (N, 6, 6) K and C
+    stacks of a list of mechanisms and, per mechanism, its (rcc height,
+    ideal center, rotational precision) or the exception analyze raises
+    for it.  A failed item's rows hold whatever its stages left."""
+    if not mechanisms:
+        return np.empty((0, 6, 6)), np.empty((0, 6, 6)), []
+    k, outcomes = _stiffnesses(mechanisms)     # a fault per item, or None
+    ok = np.array([o is None for o in outcomes])
+    c, cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
+    c_faults = matrix_faults(c)
+    c = symmetrize(c)
+    heights, decoupled = _center_heights(c)
+    for n in np.flatnonzero(ok & (refused | (c_faults != 0) | decoupled)):
+        outcomes[n] = (singular_error("stiffness", cond[n]) if refused[n]
+                       else matrix_error(c_faults[n]) if c_faults[n] else ValueError(_NO_CENTER))
+    for n in np.flatnonzero(ok):
+        if outcomes[n] is None:
+            rcc = float(heights[n])
+            try:
+                ideal = ideal_fourbar_center(mechanisms[n])
+                outcomes[n] = (rcc, ideal, rotational_precision(rcc, ideal))
+            except ValueError as exc:
+                outcomes[n] = exc
+    return k, c, outcomes
+
+
 def analyze_batch(mechanisms) -> list:
     """analyze for a sequence of mechanisms in one pass of the batched engine.
 
     Returns one entry per mechanism, in order: its RccResult, or the
     exception analyze raises for it (ValueError or SingularMatrixError).
     """
-    mechanisms = list(mechanisms)
-    if not mechanisms:
-        return []
-    k, faults = _stiffnesses(mechanisms)
-    ok = np.array([f is None for f in faults])
-    c, cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
-    c_faults = matrix_faults(c)
-    c = symmetrize(c)
-    heights, decoupled = _center_heights(c)
-    results = []
-    for n, m in enumerate(mechanisms):
-        if faults[n] is None:
-            faults[n] = (singular_error("stiffness", cond[n]) if refused[n]
-                         else matrix_error(c_faults[n]) if c_faults[n]
-                         else ValueError(_NO_CENTER) if decoupled[n] else None)
-        if faults[n] is not None:
-            results.append(faults[n])
-            continue
-        rcc = float(heights[n])
-        try:
-            ideal = ideal_fourbar_center(m)
-            precision = rotational_precision(rcc, ideal)
-        except ValueError as exc:
-            results.append(exc)
-            continue
-        results.append(RccResult(SpatialMatrix6(k[n], "stiffness"),
-                                 SpatialMatrix6(c[n], "compliance"), rcc, ideal, precision))
-    return results
+    k, c, outcomes = _analyze_stacks(list(mechanisms))
+    return [o if isinstance(o, Exception) else
+            RccResult(SpatialMatrix6(k[n], "stiffness"), SpatialMatrix6(c[n], "compliance"), *o)
+            for n, o in enumerate(outcomes)]
 
 
 def analyze(m: Mechanism) -> RccResult:

@@ -129,10 +129,6 @@ class SpatialMatrix6:
         object.__setattr__(self, "m", symmetrize(m))
         self.m.flags.writeable = False
 
-    @property
-    def is_compliance(self):
-        return self.kind == "compliance"
-
     def entry(self, i, j):
         """1-based entry access, matching the usual matrix subscripts."""
         return float(self.m[i - 1, j - 1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flexmech.analysis as analysis
+import flexmech.mechanism as mechanism
 from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
                                VerticalComplianceDatum, _score, apply_parameters,
                                creep_force, fit_creep, run_sweep)
@@ -15,7 +16,7 @@ from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
 from flexmech.report import sweep_table
-from flexmech.spatial import FramePlacement
+from flexmech.spatial import FramePlacement, SpatialMatrix6
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
 
@@ -252,6 +253,42 @@ class TestRunSweep:
         assert run_sweep(spec, template) == whole
 
 
+class TestSweepSharing:
+    """A 16 angle x 16 y sweep of the bundled design: two template limbs
+    re-leaned at 16 angles, 256 points."""
+
+    SPEC = SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 13.0, 16)},
+                     SweepObjective(rcc_height_target=28.6, stiffness_ratio_max=True))
+
+    def test_sweep_builds_no_spatial_matrix(self, monkeypatch):
+        template = load_small_rcc().mechanism
+        built = []
+        post_init = SpatialMatrix6.__post_init__
+
+        def counted(self):
+            built.append(self.kind)
+            post_init(self)
+
+        monkeypatch.setattr(SpatialMatrix6, "__post_init__", counted)
+        points = run_sweep(self.SPEC, template)
+        assert len(points) == 256 and all(p.feasible for p in points)
+        assert built == []
+
+    def test_limb_variants_computed_once_across_the_grid(self, monkeypatch):
+        template = load_small_rcc().mechanism
+        computed = []
+        limb_compliances = mechanism._limb_compliances
+
+        def counted(limbs):
+            out = limb_compliances(limbs)
+            computed.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(mechanism, "_limb_compliances", counted)
+        run_sweep(self.SPEC, template)
+        assert computed == [32]
+
+
 def per_point_sweep(spec, template):
     """Loop reference for run_sweep: one analyze and one _score per point."""
     points = []
@@ -262,7 +299,8 @@ def per_point_sweep(spec, template):
         except (ValueError, FlexmechError) as exc:
             points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
             continue
-        points.append(SweepPoint(key, True, _score(spec.objective, result),
+        points.append(SweepPoint(key, True,
+                                 _score(spec.objective, result.rcc_height, np.diag(result.k.m)),
                                  rcc_height=result.rcc_height,
                                  k_diag=tuple(float(v) for v in np.diag(result.k.m))))
     return sorted(points, key=SweepPoint.sort_key)

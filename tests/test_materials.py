@@ -81,6 +81,16 @@ class TestStiffnessRatio:
         with pytest.raises(ValueError):
             MeasuredJointRecord("bad", None, 0.0, 1.0)
 
+    @pytest.mark.parametrize("field", ["joint_stiffness", "max_joint_load"])
+    def test_only_cross_may_be_none(self, field):
+        # a record built directly with an unmeasured joint stiffness used to
+        # pass and then break stiffness_ratio with a TypeError
+        values = {"cross_stiffness": 5.0, "joint_stiffness": 3.0, "max_joint_load": 1.0,
+                  field: None}
+        with pytest.raises(ValueError, match=f"{field} must be measured"):
+            MeasuredJointRecord("a", **values)
+        assert stiffness_ratio(MeasuredJointRecord("a", None, 3.0, 1.0)) is None
+
 
 class TestLoaders:
     def test_bundled_catalog_complete(self):

@@ -402,6 +402,46 @@ class TestAnalyzeBatch:
             assert results[i].rcc_height == alone.rcc_height
 
 
+def repeated_design(fresh):
+    """The small RCC's four leaning limbs plus an unleaned middle limb placed
+    at y = 0 on both sides of z = 0.  fresh=False makes every hinge, beam,
+    placement and limb the design repeats one shared object; fresh=True
+    builds an equal new object for each use, and places one middle limb at
+    r_y = -0.0."""
+    shared = {}
+
+    def one(cls, *args):
+        return cls(*args) if fresh else shared.setdefault((cls, args), cls(*args))
+
+    def limb(side, lean):
+        return one(Limb, "leg", (
+            (one(HingeGeometry, 1.25, 2.82, 5.0, 0.0, MAT),
+             one(FramePlacement, 0.0, (42.85, side * 14.765, 0.0))),
+            (one(BeamGeometry, 10.4, 5.0, 5.32, MAT),
+             one(FramePlacement, math.radians(side * lean), (10.4, 0.0, 0.0))),
+            (one(HingeGeometry, 1.25, 2.82, 5.0, 0.0, MAT),
+             one(FramePlacement, 0.0, (9.15, 0.0, 0.0)))))
+
+    limbs = [(limb(side, 20.0), one(FramePlacement, 0.0, (-2.5, side * 10.325, z)))
+             for side in (1.0, -1.0) for z in (-8.65, 8.65)]
+    limbs += [(limb(0.0, 0.0), one(FramePlacement, 0.0, (-2.5, y, z)))
+              for y, z in ((0.0, -8.65), (-0.0 if fresh else 0.0, 8.65))]
+    return Mechanism(tuple(limbs))
+
+
+class TestIdentitySharing:
+    def test_equal_distinct_objects_match_shared_ones_bitwise(self):
+        shared, fresh = repeated_design(False), repeated_design(True)
+        assert len({id(limb) for limb, _ in shared.limbs}) == 3
+        assert len({id(limb) for limb, _ in fresh.limbs}) == 6
+        assert math.copysign(1.0, fresh.limbs[-1][1].r[1]) == -1.0
+        reference = analyze(shared)
+        for result in (analyze(fresh), *analyze_batch([fresh, shared])):
+            assert np.array_equal(result.k.m, reference.k.m)
+            assert np.array_equal(result.c.m, reference.c.m)
+            assert result.rcc_height == reference.rcc_height
+
+
 MECHANISMS = st.builds(
     lambda pairs, long, lean, y, t: design(pairs, long, lean, y,
                                            HingeGeometry(1.25, t, 5.0, 0.0, MAT)),
