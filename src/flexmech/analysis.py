@@ -222,23 +222,23 @@ def apply_parameters(template: Mechanism, params) -> Mechanism:
     (sign-preserving).  Objects the template shares (a limb placed twice,
     a hinge used by several members) stay shared in the variant.
     """
-    return _variant(template, params, {}, {})
+    return _variant(template, params, {})
 
 
-def _variant(template: Mechanism, params, hinges, limbs):
-    """apply_parameters keeping the hinges and limbs it makes in two tables,
-    keyed by template object and the parameter values that shape them; a
-    sweep batch passes the same tables for every point, sharing its variants."""
+def _variant(template: Mechanism, params, limbs):
+    """apply_parameters keeping the limbs it makes in a table keyed by template
+    limb and the parameter values that shape it; a sweep batch passes the same
+    table for every point, sharing its limb variants."""
     retune = {name: params[name] for name in ("t", "r", "w") if name in params}
+    hinges = {}
 
     def variant_limb(limb):
         members = []
         for geom, mp in limb.members:
             if retune and isinstance(geom, HingeGeometry):
-                key = (id(geom), *retune.items())
-                if key not in hinges:
-                    hinges[key] = replace(geom, **retune)
-                geom = hinges[key]
+                if id(geom) not in hinges:
+                    hinges[id(geom)] = replace(geom, **retune)
+                geom = hinges[id(geom)]
             if "angle" in params and abs(mp.theta) > 0.0:
                 mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
             members.append((geom, mp))
@@ -276,12 +276,12 @@ def _score(objective: SweepObjective, rcc_height, k_diag):
 def _evaluate(spec: SweepSpec, template: Mechanism, grid):
     """SweepPoints of a sequence of grid points, analyzed as one batch and
     scored from the engine's arrays."""
-    hinges, limbs = {}, {}
+    limbs = {}
     points, keys, variants = [], [], []
     for params in grid:
         key = tuple(params.items())
         try:
-            variants.append(_variant(template, params, hinges, limbs))
+            variants.append(_variant(template, params, limbs))
         except (ValueError, FlexmechError) as exc:
             points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
             continue
