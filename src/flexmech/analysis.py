@@ -9,9 +9,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import mechanism
 from .elements import HingeGeometry
 from .errors import FlexmechError
-from .mechanism import AXIS_ROW, Limb, Mechanism, _analyze_stacks
+from .mechanism import AXIS_ROW, Limb, Mechanism
 from .spatial import FramePlacement
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
@@ -137,8 +138,9 @@ class VerticalComplianceDatum:
 # parametric sweeps
 
 SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
-# grid points per engine call: a batch's variants and the limb variants they
-# share are alive at once, so this bounds memory; results do not depend on it
+LIMB_PARAMETERS = ("t", "r", "w", "angle")     # the ones that reshape limbs
+# grid points per engine call: a batch's arrays and limb variants are alive
+# at once, so this bounds memory; results do not depend on it
 SWEEP_BATCH = 4096
 
 
@@ -191,12 +193,16 @@ class SweepSpec:
         for name, (lo, hi, n) in self.parameters.items():
             check_sweep_range(name, lo, hi, n)
 
+    def grid_values(self):
+        """Deterministic grid iteration: one tuple of values per point, the
+        product of the ranges in parameter insertion order."""
+        return itertools.product(*(np.linspace(lo, hi, n).tolist()
+                                   for lo, hi, n in self.parameters.values()))
+
     def grid(self):
-        """Deterministic grid iteration: product in parameter insertion order."""
-        names = list(self.parameters)
-        axes = [np.linspace(lo, hi, n) for lo, hi, n in self.parameters.values()]
-        for values in itertools.product(*axes):
-            yield dict(zip(names, (float(v) for v in values)))
+        """The grid as one name -> value dict per point, in grid_values() order."""
+        for values in self.grid_values():
+            yield dict(zip(self.parameters, values))
 
 
 @dataclass(frozen=True)
@@ -222,85 +228,133 @@ def apply_parameters(template: Mechanism, params) -> Mechanism:
     (sign-preserving).  Objects the template shares (a limb placed twice,
     a hinge used by several members) stay shared in the variant.
     """
-    return _variant(template, params, {})
-
-
-def _variant(template: Mechanism, params, limbs):
-    """apply_parameters keeping the limbs it makes in a table keyed by template
-    limb and the parameter values that shape it; a sweep batch passes the same
-    table for every point, sharing its limb variants."""
-    retune = {name: params[name] for name in ("t", "r", "w") if name in params}
-    hinges = {}
-
-    def variant_limb(limb):
-        members = []
-        for geom, mp in limb.members:
-            if retune and isinstance(geom, HingeGeometry):
-                if id(geom) not in hinges:
-                    hinges[id(geom)] = replace(geom, **retune)
-                geom = hinges[id(geom)]
-            if "angle" in params and abs(mp.theta) > 0.0:
-                mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
-            members.append((geom, mp))
-        return Limb(limb.name, tuple(members))
-
-    placed = []
+    hinges, limbs, placed = {}, {}, []
     for limb, placement in template.limbs:
-        key = (id(limb), *retune.items(), params.get("angle"))
-        if key not in limbs:
-            limbs[key] = variant_limb(limb)
+        if id(limb) not in limbs:
+            limbs[id(limb)] = _limb_variant(limb, params, hinges)
         rx, ry, rz = placement.r
         if "y" in params and ry != 0.0:
             ry = math.copysign(params["y"], ry)
         if "z" in params and rz != 0.0:
             rz = math.copysign(params["z"], rz)
-        placed.append((limbs[key], FramePlacement(placement.theta, (rx, ry, rz))))
+        placed.append((limbs[id(limb)], FramePlacement(placement.theta, (rx, ry, rz))))
     return Mechanism(tuple(placed), template.reference)
 
 
+def _limb_variant(limb: Limb, params, hinges):
+    """`limb` with the t/r/w/angle values of `params` substituted.  Each
+    retuned hinge is kept in `hinges` under the template hinge's identity, so
+    the limbs of one variant share it as the template limbs share theirs."""
+    retune = {name: params[name] for name in ("t", "r", "w") if name in params}
+    members = []
+    for geom, mp in limb.members:
+        if retune and isinstance(geom, HingeGeometry):
+            if id(geom) not in hinges:
+                hinges[id(geom)] = replace(geom, **retune)
+            geom = hinges[id(geom)]
+        if "angle" in params and abs(mp.theta) > 0.0:
+            mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
+        members.append((geom, mp))
+    return Limb(limb.name, tuple(members))
+
+
 def _score(objective: SweepObjective, rcc_height, k_diag):
+    """Objective of one point, or of N points from (N,) rcc heights and
+    (N, 6) stiffness diagonals (elementwise, so both round alike)."""
     score = 0.0
     if objective.rcc_height_target is not None:
         score += objective.weight("rcc") * abs(rcc_height - objective.rcc_height_target)
     if objective.stiffness_ratio_max:
-        ratio = k_diag[:3].max() / k_diag[:3].min()
+        ratio = k_diag[..., :3].max(axis=-1) / k_diag[..., :3].min(axis=-1)
         score -= objective.weight("ratio") * ratio
     if objective.diag_stiffness_target:
         term = 0.0
         for axis, target in objective.diag_stiffness_target.items():
-            term += abs(k_diag[AXIS_ROW[axis]] - target) / abs(target)
+            term += abs(k_diag[..., AXIS_ROW[axis]] - target) / abs(target)
         score += objective.weight("diag") * term
     return score
 
 
-def _evaluate(spec: SweepSpec, template: Mechanism, grid):
-    """SweepPoints of a sequence of grid points, analyzed as one batch and
-    scored from the engine's arrays."""
-    limbs = {}
-    points, keys, variants = [], [], []
-    for params in grid:
-        key = tuple(params.items())
-        try:
-            variants.append(_variant(template, params, limbs))
-        except (ValueError, FlexmechError) as exc:
-            points.append(SweepPoint(key, False, math.inf, reason=str(exc)))
-            continue
-        keys.append(key)
-    k, _, outcomes = _analyze_stacks(variants)
-    for key, k_diag, outcome in zip(keys, np.diagonal(k, axis1=1, axis2=2), outcomes):
-        if isinstance(outcome, Exception):
-            points.append(SweepPoint(key, False, math.inf, reason=str(outcome)))
-        else:
-            points.append(SweepPoint(key, True, _score(spec.objective, outcome[0], k_diag),
-                                     rcc_height=outcome[0], k_diag=tuple(k_diag.tolist())))
+def _evaluate(spec: SweepSpec, template, chunk):
+    """SweepPoints of a sequence of grid value tuples, evaluated as array
+    edits of the compiled template (see run_sweep) in one engine call."""
+    limbs, limb_of, theta, r = template
+    names = list(spec.parameters)
+    values = np.array(chunk)
+    keys = [tuple(zip(names, v)) for v in chunk]
+    # limb variants: one per template limb and distinct t/r/w/angle row
+    shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
+    rows = {}
+    row_of = np.array([rows.setdefault(tuple(v[j] for j in shaping), len(rows)) for v in chunk])
+    variants, refused = [], {}
+    index = np.full((len(rows), len(limbs)), -1)
+    for i, row in enumerate(rows):
+        params, hinges = {names[j]: v for j, v in zip(shaping, row)}, {}
+        for d, limb in enumerate(limbs):
+            try:
+                variant = _limb_variant(limb, params, hinges)
+            except (ValueError, FlexmechError) as exc:
+                refused[i, d] = exc
+                continue
+            index[i, d] = len(variants)
+            variants.append(variant)
+    slot_limb = index[row_of][:, limb_of]                      # (N, L)
+    # y/z move every off-plane limb tip, keeping its side
+    r = np.repeat(r[None], len(chunk), axis=0)                  # (N, L, 3)
+    for axis, name in ((1, "y"), (2, "z")):
+        if name in names:
+            moved = r[0, :, axis] != 0.0
+            r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
+                                            r[0, moved, axis])
+    # a point fails at its first limb slot whose variant or placement does
+    failed = (slot_limb < 0) | ~np.isfinite(r).all(axis=2)
+    points = []
+    for n in np.flatnonzero(failed.any(axis=1)):
+        slot = np.argmax(failed[n])
+        exc = refused.get((row_of[n], limb_of[slot]))
+        if exc is None:
+            try:
+                FramePlacement(theta[slot], tuple(r[n, slot]))
+            except ValueError as raised:
+                exc = raised
+        points.append(SweepPoint(keys[n], False, math.inf, reason=str(exc)))
+    ok = np.flatnonzero(~failed.any(axis=1))
+    if not ok.size:
+        return points
+    c_limb, faults, _ = mechanism._limb_compliances(variants)
+    leg = np.array([variant.leg_angle() for variant in variants])
+    slots = slot_limb[ok].ravel()
+    k, _, outcomes = mechanism._assemble(c_limb, faults, slots, np.tile(theta, len(ok)),
+                                         r[ok].reshape(-1, 3), [len(limb_of)] * len(ok),
+                                         leg[slots])
+    good = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
+    rcc = np.array([outcomes[i][0] for i in good])
+    k_diag = np.diagonal(k[good], axis1=1, axis2=2)
+    scores = np.broadcast_to(_score(spec.objective, rcc, k_diag), rcc.shape).tolist()
+    for i, score, diag in zip(good, scores, k_diag.tolist()):
+        points.append(SweepPoint(keys[ok[i]], True, score, rcc_height=outcomes[i][0],
+                                 k_diag=tuple(diag)))
+    for i, o in enumerate(outcomes):
+        if isinstance(o, Exception):
+            points.append(SweepPoint(keys[ok[i]], False, math.inf, reason=str(o)))
     return points
 
 
 def run_sweep(spec: SweepSpec, template: Mechanism):
     """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
-    score (infeasible points last, each with the reason its analysis failed)."""
-    grid = spec.grid()
+    score (infeasible points last, each with the reason its analysis failed).
+
+    The template is compiled once into arrays: its distinct limb objects,
+    the distinct limb of each limb slot and the slots' placements.  A grid
+    point is then an edit of those arrays: t/r/w/angle pick a limb variant,
+    made once per distinct row of their values, and y/z overwrite the
+    slots' displacements.  No Mechanism is built per point.
+    """
+    limbs, limb_of = mechanism._by_identity([limb for limb, _ in template.limbs])
+    compiled = (limbs, limb_of, np.array([p.theta for _, p in template.limbs]),
+                np.array([p.r for _, p in template.limbs]))
+    grid = spec.grid_values()
     points = []
     while chunk := list(itertools.islice(grid, SWEEP_BATCH)):
-        points += _evaluate(spec, template, chunk)
+        points += _evaluate(spec, compiled, chunk)
     return sorted(points, key=SweepPoint.sort_key)

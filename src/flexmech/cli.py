@@ -7,6 +7,7 @@ Subcommands: analyze, sweep, creep, validate.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import fit_creep, run_sweep
@@ -73,7 +74,9 @@ def cmd_validate(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="flexmech",
         description="Spatial stiffness analysis of compound flexure mechanisms")

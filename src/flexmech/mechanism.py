@@ -6,15 +6,21 @@ from the member frame to the limb tip (in-plane, r_z = 0).  A mechanism is
 a parallel set of limbs, each with a placement whose r points from the limb
 tip to the common reference point (r_z may be nonzero).
 
-All assembly runs through one batched engine on stacked (..., 6, 6) arrays:
-analyze_batch evaluates any number of mechanisms at once, and analyze,
-mechanism_stiffness and limb_compliance are that engine applied to one
-item.  The engine computes each distinct geometry object and each distinct
-limb object once, told apart by identity (callers share an object to have
-it computed once), and sums members and limbs in their given order.  Every
-check of the pipeline is a per-item mask at its stage, and an item that
-fails gets the exception of its first failing check in the order a one-item
-run meets them, leaving the other items untouched.
+All assembly runs through one batched engine on stacked (..., 6, 6) arrays.
+Its object-flattening front (_flatten) turns mechanisms into arrays: the
+compliances of the distinct limb objects, told apart by identity (callers
+share an object to have it computed once), the distinct limb of each limb
+slot, the slots' placement angles and displacements, their leg angles and
+the number of slots of each mechanism.  Its array core (_assemble) takes
+those arrays and sums members and limbs in their given order, inverts, and
+extracts the remote-center summary, with the ideal four-bar centers from
+one stack function (fourbar_centers).  analyze_batch is front plus core;
+analyze, mechanism_stiffness and limb_compliance are the engine applied to
+one item; sweeps (analysis.run_sweep) build the arrays by editing a
+template's and call the same core.  Every check of the pipeline is a
+per-item mask at its stage, and an item that fails gets the exception of
+its first failing check in the order a one-item run meets them, leaving the
+other items untouched.
 """
 
 from __future__ import annotations
@@ -125,33 +131,45 @@ def _limb_compliances(limbs):
     return symmetrize(total), faults, limb_of
 
 
-def _stiffnesses(mechanisms):
-    """Reference-point stiffnesses of a sequence of mechanisms as an
-    (N, 6, 6) stack, plus the first fault of each (None when valid).
-
-    Each mechanism sums its limbs' J_F K J_F^T in their given order.  A
-    faulty limb is inverted as the identity, so every stiffness stays
-    finite; a mechanism's faults after its first are never looked at.
-    """
+def _flatten(mechanisms):
+    """The object-flattening front of the engine: the arguments of _assemble
+    for a sequence of mechanisms."""
     flat = [pair for m in mechanisms for pair in m.limbs]
     c_limb, faults, limb_of = _limb_compliances([limb for limb, _ in flat])
+    return (c_limb, faults, limb_of,
+            np.array([p.theta for _, p in flat]), np.array([p.r for _, p in flat]),
+            [len(m.limbs) for m in mechanisms], np.array([limb.leg_angle() for limb, _ in flat]))
+
+
+def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
+    """Reference-point stiffnesses of N mechanisms as an (N, 6, 6) stack, the
+    first fault of each (None when valid) and the (N, P) grid of their limb
+    slots (see _run_sums).
+
+    `c_limb` and `faults` are the compliances and first faults of D distinct
+    limbs (see _limb_compliances), `limb_of` the distinct limb of each of S
+    limb slots, `theta` (S) and `r` (S, 3) the slots' placements, and
+    `lengths` the number of consecutive slots of each mechanism.  Each
+    mechanism sums its limbs' J_F K J_F^T in slot order.  A faulty limb is
+    inverted as the identity, so every stiffness stays finite; a mechanism's
+    faults after its first are never looked at.
+    """
+    faults = list(faults)
     ok = np.array([f is None for f in faults])
     k_limb, cond, refused = invert_stack(np.where(ok[:, None, None], c_limb, np.eye(6)))
     inv_faults = matrix_faults(k_limb)
     for d in np.flatnonzero(ok & (refused | (inv_faults != 0))):
         faults[d] = (singular_error("compliance", cond[d]) if refused[d]
                      else matrix_error(inv_faults[d]))
-    transports = force_transports(np.array([p.theta for _, p in flat]),
-                                  np.array([p.r for _, p in flat]))
-    total, grid = _run_sums(congruence(transports, symmetrize(k_limb)[limb_of]),
-                            [len(m.limbs) for m in mechanisms])
+    total, grid = _run_sums(congruence(force_transports(theta, r), symmetrize(k_limb)[limb_of]),
+                            lengths)
     bad = np.append([faults[d] is not None for d in limb_of], False)[grid]
     k_faults = matrix_faults(total)
-    first = [None] * len(mechanisms)
+    first = [None] * len(lengths)
     for n in np.flatnonzero(bad.any(axis=1) | (k_faults != 0)):
         first[n] = (faults[limb_of[grid[n, np.argmax(bad[n])]]] if bad[n].any()
                     else matrix_error(k_faults[n]))
-    return symmetrize(total), first
+    return symmetrize(total), first, grid
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
@@ -164,7 +182,7 @@ def limb_compliance(limb: Limb) -> SpatialMatrix6:
 
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
-    k, (fault,) = _stiffnesses((m,))
+    k, (fault,), _ = _stiffness_stack(*_flatten((m,))[:6])
     if fault is not None:
         raise fault
     return SpatialMatrix6(k[0], "stiffness")
@@ -197,6 +215,32 @@ def center_of_compliance(c: SpatialMatrix6):
     return float(height)
 
 
+def fourbar_centers(legs):
+    """ideal_fourbar_center of N mechanisms from an (N, L, 3) array of their
+    legs' (x, y, angle): tip position in reference coordinates and leg angle
+    (rad).  A leg with y = 0 or NaN (padding) is on neither side.  Returns
+    a list of the N heights, NaN where a mechanism has none, and per
+    mechanism None or the ValueError of the scalar function."""
+    rows = np.arange(len(legs))
+    pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
+    sided = (pos.any(axis=1) & neg.any(axis=1)).tolist()
+    pairs = np.concatenate([legs[rows, pos.argmax(axis=1)], legs[rows, neg.argmax(axis=1)]],
+                           axis=1)
+    heights, errors = [math.nan] * len(legs), [None] * len(legs)
+    # the first leg of each side, in scalar floats and math.sin/math.cos
+    for n, (x1, y1, a1, x2, y2, a2) in enumerate(pairs.tolist()):
+        if not sided[n]:
+            errors[n] = ValueError(
+                "ideal four-bar center needs limbs on both sides of the mid-plane")
+        elif abs(math.sin(a2 - a1)) < 1e-12:
+            errors[n] = ValueError("center at infinity: leg axes are parallel")
+        else:
+            # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
+            s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / math.sin(a2 - a1)
+            heights[n] = x1 + s1 * math.cos(a1)
+    return heights, errors
+
+
 def ideal_fourbar_center(m: Mechanism):
     """Height (mm, above the reference) where the two leg axes intersect.
 
@@ -204,21 +248,11 @@ def ideal_fourbar_center(m: Mechanism):
     tips along the net member angle.  Requires a pair of limbs with
     opposite lateral offsets and mirrored lean.
     """
-    legs = []
-    for limb, placement in m.limbs:
-        # tip position in reference coordinates
-        legs.append((-placement.r[0], -placement.r[1], limb.leg_angle()))
-    pos = [leg for leg in legs if leg[1] > 0.0]
-    neg = [leg for leg in legs if leg[1] < 0.0]
-    if not pos or not neg:
-        raise ValueError("ideal four-bar center needs limbs on both sides of the mid-plane")
-    x1, y1, a1 = pos[0]
-    x2, y2, a2 = neg[0]
-    if abs(math.sin(a2 - a1)) < 1e-12:
-        raise ValueError("center at infinity: leg axes are parallel")
-    # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
-    s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / math.sin(a2 - a1)
-    return x1 + s1 * math.cos(a1)
+    (height,), (error,) = fourbar_centers(
+        np.array([[(-p.r[0], -p.r[1], limb.leg_angle()) for limb, p in m.limbs]]))
+    if error is not None:
+        raise error
+    return height
 
 
 def rotational_precision(rcc_height, ideal_center):
@@ -272,14 +306,13 @@ def deviation_report(k: SpatialMatrix6, measured):
     return out
 
 
-def _analyze_stacks(mechanisms):
-    """The batched engine without result boxing: the (N, 6, 6) K and C
-    stacks of a list of mechanisms and, per mechanism, its (rcc height,
-    ideal center, rotational precision) or the exception analyze raises
-    for it.  A failed item's rows hold whatever its stages left."""
-    if not mechanisms:
-        return np.empty((0, 6, 6)), np.empty((0, 6, 6)), []
-    k, outcomes = _stiffnesses(mechanisms)     # a fault per item, or None
+def _assemble(c_limb, faults, limb_of, theta, r, lengths, leg):
+    """The array core of the engine: the (N, 6, 6) K and C stacks of N >= 1
+    mechanisms and, per mechanism, its (rcc height, ideal center, rotational
+    precision) or the exception analyze raises for it.  The arguments are
+    those of _stiffness_stack plus `leg`, the leg angle of each limb slot.
+    A failed item's rows hold whatever its stages left."""
+    k, outcomes, grid = _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths)
     ok = np.array([o is None for o in outcomes])
     c, cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
     c_faults = matrix_faults(c)
@@ -288,15 +321,24 @@ def _analyze_stacks(mechanisms):
     for n in np.flatnonzero(ok & (refused | (c_faults != 0) | decoupled)):
         outcomes[n] = (singular_error("stiffness", cond[n]) if refused[n]
                        else matrix_error(c_faults[n]) if c_faults[n] else ValueError(_NO_CENTER))
+    # legs (x, y, angle), tips in reference coordinates; padding gets NaN
+    legs = np.column_stack([-r[:, :2], leg])
+    ideal, ideal_errors = fourbar_centers(np.append(legs, np.full((1, 3), np.nan), axis=0)[grid])
+    heights = heights.tolist()
     for n in np.flatnonzero(ok):
         if outcomes[n] is None:
-            rcc = float(heights[n])
-            try:
-                ideal = ideal_fourbar_center(mechanisms[n])
-                outcomes[n] = (rcc, ideal, rotational_precision(rcc, ideal))
-            except ValueError as exc:
-                outcomes[n] = exc
+            outcomes[n] = (ideal_errors[n] if ideal_errors[n] is not None
+                           else _summary(heights[n], ideal[n]))
     return k, c, outcomes
+
+
+def _summary(rcc, ideal):
+    """(rcc height, ideal center, rotational precision), or the ValueError
+    of rotational_precision."""
+    try:
+        return rcc, ideal, rotational_precision(rcc, ideal)
+    except ValueError as exc:
+        return exc
 
 
 def analyze_batch(mechanisms) -> list:
@@ -305,7 +347,10 @@ def analyze_batch(mechanisms) -> list:
     Returns one entry per mechanism, in order: its RccResult, or the
     exception analyze raises for it (ValueError or SingularMatrixError).
     """
-    k, c, outcomes = _analyze_stacks(list(mechanisms))
+    mechanisms = list(mechanisms)
+    if not mechanisms:
+        return []
+    k, c, outcomes = _assemble(*_flatten(mechanisms))
     return [o if isinstance(o, Exception) else
             RccResult(SpatialMatrix6(k[n], "stiffness"), SpatialMatrix6(c[n], "compliance"), *o)
             for n, o in enumerate(outcomes)]

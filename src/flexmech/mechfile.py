@@ -303,6 +303,7 @@ def _parse_sweep(entries, section_line):
     ratio_max = False
     diag_targets = {}
     weights = {}
+    objectives = set()
     for lineno, line in entries:
         parts = line.split()
         bare = [p for p in parts if "=" not in p]
@@ -320,6 +321,8 @@ def _parse_sweep(entries, section_line):
                 raise MechanismFileError(f"grid count must be a whole number, got {bare[4]!r}",
                                          lineno, name)
             _checked(check_sweep_range, lineno, name, name, lo, hi, int(n))
+            if name in parameters:
+                raise MechanismFileError(f"duplicate sweep parameter {name!r}", lineno, name)
             parameters[name] = (lo, hi, int(n))
             continue
         objective = _OBJECTIVE_LINES.get(head)
@@ -333,6 +336,9 @@ def _parse_sweep(entries, section_line):
             if key != "weight":
                 raise MechanismFileError(f"unknown option {key!r}; the only option is weight=",
                                          lineno, key)
+        if (head, bare[1]) in objectives:
+            raise MechanismFileError(f"duplicate objective '{head} {bare[1]}'", lineno, bare[1])
+        objectives.add((head, bare[1]))
         if head == "target":
             target_rcc = _num(bare[2], lineno, "rcc_height")
         elif head == "maximize":
@@ -361,6 +367,8 @@ def parse_measured(entries):
             raise MechanismFileError(
                 f"expected 'measured <axis> <value> [<high>]', got {line!r}", lineno)
         axis = parts[1]
+        if axis in measured:
+            raise MechanismFileError(f"duplicate measured axis {axis!r}", lineno, axis)
         lo = _num(parts[2], lineno, axis)
         if len(parts) == 4:
             measured[axis] = (lo, _num(parts[3], lineno, axis))
@@ -377,6 +385,7 @@ def parse_lines(lines) -> ParsedMechanism:
     mechanism = None
     sweep = None
     measured = None
+    seen = set()
     for name, lineno, entries in sections:
         if name == "materials":
             materials = _parse_materials(entries)
@@ -395,6 +404,10 @@ def parse_lines(lines) -> ParsedMechanism:
             measured = parse_measured(entries)
         else:
             raise MechanismFileError(f"unknown section [{name}]", lineno)
+        # a repeat would replace the earlier section; its own lines are checked first
+        if name in seen:
+            raise MechanismFileError(f"duplicate section [{name}]", lineno, name)
+        seen.add(name)
     if mechanism is None:
         raise MechanismFileError("file has no [mechanism] section")
     return ParsedMechanism(mechanism, materials, elements, sweep, measured)

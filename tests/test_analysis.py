@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flexmech.analysis as analysis
 import flexmech.mechanism as mechanism
@@ -252,6 +253,23 @@ class TestRunSweep:
         monkeypatch.setattr(analysis, "SWEEP_BATCH", 4)
         assert run_sweep(spec, template) == whole
 
+    def test_refused_variant_or_placement_keeps_the_scalar_reason(self):
+        # a validated SweepSpec reaches neither: its edited ranges retune the
+        # hinge to t <= 0 and move a limb tip to y = NaN (linspace of an
+        # infinite range), so the table, not ==, compares the points
+        template = load_small_rcc().mechanism
+        spec = SweepSpec({"t": (1.0, 2.0, 3), "y": (8.0, 9.0, 2)},
+                         SweepObjective(rcc_height_target=28.6))
+        spec.parameters.update(t=(-1.0, 1.0, 3), y=(math.inf, math.inf, 1))
+        with np.errstate(invalid="ignore"):
+            points, reference = run_sweep(spec, template), per_point_sweep(spec, template)
+        assert sweep_table(points) == sweep_table(reference)
+        assert [(p.params[0], p.reason) for p in points] == \
+            [(p.params[0], p.reason) for p in reference]
+        assert len(points) == 3 and not any(p.feasible for p in points)
+        assert {p.reason for p in points if not p.feasible} == {
+            "hinge dimension t must be positive", "placement displacement must be finite"}
+
 
 class TestSweepSharing:
     """A 16 angle x 16 y sweep of the bundled design: two template limbs
@@ -288,6 +306,28 @@ class TestSweepSharing:
         run_sweep(self.SPEC, template)
         assert computed == [32]
 
+    def test_sweep_builds_no_mechanism_and_no_placement_per_point(self, monkeypatch):
+        template = load_small_rcc().mechanism
+        built = []
+
+        def counting(cls):
+            post_init = cls.__post_init__
+
+            def counted(self):
+                built.append(cls.__name__)
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        counting(Mechanism)
+        counting(FramePlacement)
+        run_sweep(self.SPEC, template)
+        wide = list(built)
+        built.clear()
+        run_sweep(SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 8.0, 1)},
+                            self.SPEC.objective), template)
+        assert "Mechanism" not in wide + built
+        assert wide.count("FramePlacement") == built.count("FramePlacement") > 0
+
 
 def per_point_sweep(spec, template):
     """Loop reference for run_sweep: one analyze and one _score per point."""
@@ -306,13 +346,49 @@ def per_point_sweep(spec, template):
     return sorted(points, key=SweepPoint.sort_key)
 
 
-@pytest.mark.parametrize("section", [
-    "vary angle 12 30 5\nvary y 8 13 4\ntarget rcc_height 28.6\nmaximize stiffness_ratio weight=0.1\n",
-    "vary t 1e-9 3.2 3\nvary r 1 2 2\ntarget_k z 2.4\ntarget_k tz 9000 weight=2\n",
-], ids=["placement", "geometry-with-singular-point"])
-def test_run_sweep_table_matches_per_point_analyze(section):
+@pytest.mark.parametrize("section, reasons", [
+    ("vary angle 12 30 5\nvary y 8 13 4\ntarget rcc_height 28.6\nmaximize stiffness_ratio weight=0.1\n",
+     set()),
+    ("vary t 1e-9 3.2 3\nvary r 1 2 2\ntarget_k z 2.4\ntarget_k tz 9000 weight=2\n",
+     {"compliance matrix is numerically singular"}),
+    ("vary w 3 8 4\ntarget rcc_height 28.6\ntarget_k x 150\n", set()),
+    ("vary z -9 9 4\nmaximize stiffness_ratio\n", set()),
+    ("vary y -4 4 3\ntarget rcc_height 28.6\n",
+     {"ideal four-bar center needs limbs on both sides of the mid-plane"}),
+    ("vary t 1e-9 3 3\nvary angle 10 30 3\ntarget rcc_height 28.6\n",
+     {"compliance matrix is numerically singular"}),
+], ids=["placement", "geometry-with-singular-point", "w", "z", "y-through-mid-plane",
+        "t-x-angle-with-singular-t"])
+def test_run_sweep_table_matches_per_point_analyze(section, reasons):
     lines = read_lines(data_path("small_rcc.mech")) + ["[sweep]\n"] + section.splitlines(True)
     parsed = parse_lines(lines)
     batched = run_sweep(parsed.sweep, parsed.mechanism)
     assert batched == per_point_sweep(parsed.sweep, parsed.mechanism)
     assert sweep_table(batched) == sweep_table(per_point_sweep(parsed.sweep, parsed.mechanism))
+    # a singular refusal ends with its condition estimate, cut off here
+    assert {p.reason.split(" (")[0] for p in batched if not p.feasible} == reasons
+
+
+def _sweep_range(name):
+    """A (lo, hi, n) strategy for one sweep parameter on the bundled design;
+    y and z ranges may cross 0, where a limb tip stays on the mid-plane."""
+    bounds = {"t": (0.5, 5.0), "r": (0.3, 3.0), "w": (1.0, 10.0), "angle": (1.0, 89.0),
+              "y": (-15.0, 15.0), "z": (-12.0, 12.0)}[name]
+    value = st.floats(*bounds)
+    return st.tuples(value, value, st.integers(1, 4)).map(
+        lambda v: (min(v[0], v[1]), max(v[0], v[1]), v[2]))
+
+
+@st.composite
+def _sweep_specs(draw):
+    names = draw(st.permutations(analysis.SWEEP_PARAMETERS))[:draw(st.integers(1, 3))]
+    return SweepSpec({name: draw(_sweep_range(name)) for name in names},
+                     SweepObjective(rcc_height_target=28.6, stiffness_ratio_max=True,
+                                    diag_stiffness_target={"z": 2.4}, weights={"ratio": 0.1}))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(spec=_sweep_specs())
+def test_run_sweep_equals_per_point_sweep(spec):
+    template = load_small_rcc().mechanism
+    assert run_sweep(spec, template) == per_point_sweep(spec, template)

@@ -1,7 +1,13 @@
 """CLI behavior: subcommands, exit codes, determinism of machine output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import flexmech
 from flexmech.cli import main
 from flexmech.fixtures import data_path
 
@@ -45,10 +51,18 @@ WEIGHT_ONLY_LINE = SWEEP_FILE.format(extra="[sweep]\nvary t 2.4 3.2 2\nweight=1\
 MISSPELT_WEIGHT = SWEEP_FILE.format(
     extra="[sweep]\nvary t 2.4 3.2 2\ntarget rcc_height 28 wieght=5\n")
 NAN_CREEP = "0 22\n30 nan\n60 21\n90 20.9\n120 20.6\n"
+REPEATED_VARY = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\nvary t 2.5 2.5 1\n")
+REPEATED_TARGET = SWEEP_FILE.format(
+    extra="[sweep]\nvary t 2 3 2\ntarget rcc_height 28\ntarget rcc_height 40 weight=3\n")
+REPEATED_MEASURED = SWEEP_FILE.format(extra="[measured]\nmeasured z 2.5\nmeasured z 2.6\n")
+REPEATED_SWEEP = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\n[sweep]\nvary r 1 2 2\n")
+REPEATED_MECHANISM = SWEEP_FILE.format(
+    extra="[mechanism]\nlimb left r=-2.5,10.325,0\nlimb right r=-2.5,-10.325,0\n")
 
 
 def _line_of(text, needle):
-    return next(i for i, line in enumerate(text.splitlines(), start=1) if needle in line)
+    """Number of the last line of `text` that contains `needle`."""
+    return max(i for i, line in enumerate(text.splitlines(), start=1) if needle in line)
 
 
 @pytest.mark.parametrize("command, text, message", [
@@ -60,8 +74,21 @@ def _line_of(text, needle):
     ("sweep", MISSPELT_WEIGHT,
      f"error: line {_line_of(MISSPELT_WEIGHT, 'wieght')}, field 'wieght': unknown option"),
     ("creep", NAN_CREEP, "error: line 2, field 'force_n': non-finite number"),
+    ("sweep", REPEATED_VARY, f"error: line {_line_of(REPEATED_VARY, 'vary t')}, field 't': "
+                             "duplicate sweep parameter 't'"),
+    ("sweep", REPEATED_TARGET,
+     f"error: line {_line_of(REPEATED_TARGET, 'target')}, field 'rcc_height': "
+     "duplicate objective 'target rcc_height'"),
+    ("analyze", REPEATED_MEASURED,
+     f"error: line {_line_of(REPEATED_MEASURED, 'measured z')}, field 'z': "
+     "duplicate measured axis 'z'"),
+    ("sweep", REPEATED_SWEEP, f"error: line {_line_of(REPEATED_SWEEP, '[sweep]')}, "
+                              "field 'sweep': duplicate section [sweep]"),
+    ("analyze", REPEATED_MECHANISM, f"error: line {_line_of(REPEATED_MECHANISM, '[mechanism]')}, "
+                                    "field 'mechanism': duplicate section [mechanism]"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
-        "creep-nan"])
+        "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
+        "repeated-mechanism"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -69,6 +96,27 @@ def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     out, err = capfd.readouterr()
     assert message in err
     assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
+
+
+def test_parser_reuse_keeps_output(tmp_path, capsys):
+    # main builds its parser once per process: an argparse error and an
+    # input error on the way leave a later call's output as in a fresh process
+    with pytest.raises(SystemExit):
+        main(["analyze", SMALL_RCC, "--no-such-flag"])
+    assert main(["analyze", str(tmp_path / "missing.mech")]) == 1
+    capsys.readouterr()
+    out = tmp_path / "reused.txt"
+    assert main(["analyze", SMALL_RCC, "--rcc", "--out", str(out)]) == 0
+    reused = capsys.readouterr().out
+    fresh_out = tmp_path / "fresh.txt"
+    src = str(Path(flexmech.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "flexmech.cli", "analyze", SMALL_RCC, "--rcc",
+                            "--out", str(fresh_out)], env=env, capture_output=True, text=True,
+                           check=True)
+    assert reused == fresh.stdout
+    assert out.read_bytes() == fresh_out.read_bytes()
 
 
 class TestAnalyze:

@@ -249,6 +249,40 @@ class TestCenterOfCompliance:
         assert center_of_compliance(c) == pytest.approx(-12.0)
 
 
+def crossing_at_45(a):
+    """Tips at (0, +-a) with legs at 45 deg, converging at x = a."""
+    limb_l = Limb("l", ((BEAM, FramePlacement.from_degrees(-45.0, (5.0, 0.0, 0.0))),))
+    limb_r = Limb("r", ((BEAM, FramePlacement.from_degrees(45.0, (5.0, 0.0, 0.0))),))
+    return Mechanism(((limb_l, FramePlacement(0.0, (0.0, -a, 0.0))),
+                      (limb_r, FramePlacement(0.0, (0.0, a, 0.0)))))
+
+
+def parallel_legs():
+    limb = Limb("v", ((BEAM, FramePlacement(0.0, (5.0, 0.0, 0.0))),))
+    return Mechanism(((limb, FramePlacement(0.0, (0.0, -4.0, 0.0))),
+                      (limb, FramePlacement(0.0, (0.0, 4.0, 0.0)))))
+
+
+def one_sided():
+    limb = paper_limb()
+    return Mechanism(((limb, FramePlacement(0.0, (0.0, 4.0, 0.0))),
+                      (limb, FramePlacement(0.0, (0.0, 5.0, 0.0)))))
+
+
+def scalar_fourbar_center(m):
+    """Loop reference: the leg-axis intersection in scalar float arithmetic."""
+    legs = [(-p.r[0], -p.r[1], limb.leg_angle()) for limb, p in m.limbs]
+    pos = [leg for leg in legs if leg[1] > 0.0]
+    neg = [leg for leg in legs if leg[1] < 0.0]
+    if not pos or not neg:
+        raise ValueError("ideal four-bar center needs limbs on both sides of the mid-plane")
+    (x1, y1, a1), (x2, y2, a2) = pos[0], neg[0]
+    if abs(math.sin(a2 - a1)) < 1e-12:
+        raise ValueError("center at infinity: leg axes are parallel")
+    s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / math.sin(a2 - a1)
+    return x1 + s1 * math.cos(a1)
+
+
 class TestIdealFourbar:
     def test_paper_geometry(self):
         # tips sit 2.5 above the reference with +-10.325 lateral offset and
@@ -259,25 +293,36 @@ class TestIdealFourbar:
     def test_crossing_at_45_degrees(self):
         # hand geometry: tips at (0, +-a), legs at 45 deg converge at x = a
         a = 6.0
-        limb_l = Limb("l", ((BEAM, FramePlacement.from_degrees(-45.0, (5.0, 0.0, 0.0))),))
-        limb_r = Limb("r", ((BEAM, FramePlacement.from_degrees(45.0, (5.0, 0.0, 0.0))),))
-        m = Mechanism(((limb_l, FramePlacement(0.0, (0.0, -a, 0.0))),
-                       (limb_r, FramePlacement(0.0, (0.0, a, 0.0)))))
-        assert ideal_fourbar_center(m) == pytest.approx(a, rel=1e-12)
+        assert ideal_fourbar_center(crossing_at_45(a)) == pytest.approx(a, rel=1e-12)
 
     def test_parallel_legs_at_infinity(self):
-        limb = Limb("v", ((BEAM, FramePlacement(0.0, (5.0, 0.0, 0.0))),))
-        m = Mechanism(((limb, FramePlacement(0.0, (0.0, -4.0, 0.0))),
-                       (limb, FramePlacement(0.0, (0.0, 4.0, 0.0)))))
         with pytest.raises(ValueError, match="center at infinity"):
-            ideal_fourbar_center(m)
+            ideal_fourbar_center(parallel_legs())
 
     def test_needs_both_sides(self):
-        limb = paper_limb()
-        m = Mechanism(((limb, FramePlacement(0.0, (0.0, 4.0, 0.0))),
-                       (limb, FramePlacement(0.0, (0.0, 5.0, 0.0)))))
         with pytest.raises(ValueError, match="both sides"):
-            ideal_fourbar_center(m)
+            ideal_fourbar_center(one_sided())
+
+    def test_stack_function_equals_scalar_formula(self):
+        # the cases above as one stack, padded with y = NaN to the longest
+        # design; each height or message equals the scalar formula's
+        cases = [small_rcc(), crossing_at_45(6.0), parallel_legs(), one_sided(), design(4)]
+        width = max(len(m.limbs) for m in cases)
+        legs = np.full((len(cases), width, 3), np.nan)
+        for n, m in enumerate(cases):
+            for i, (limb, p) in enumerate(m.limbs):
+                legs[n, i] = -p.r[0], -p.r[1], limb.leg_angle()
+        heights, errors = mech.fourbar_centers(legs)
+        for m, height, error in zip(cases, heights, errors):
+            try:
+                want = scalar_fourbar_center(m)
+            except ValueError as exc:
+                assert type(error) is ValueError and str(error) == str(exc)
+                with pytest.raises(ValueError) as alone:
+                    ideal_fourbar_center(m)
+                assert str(alone.value) == str(exc)
+            else:
+                assert error is None and height == want == ideal_fourbar_center(m)
 
 
 class TestRotationalPrecision:

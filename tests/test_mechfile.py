@@ -209,6 +209,44 @@ class TestSweepSection:
                            match=f"^line {at + 1}, field '{field}': {message}"):
             parse_lines(bad)
 
+    @pytest.mark.parametrize("after, line, field, message", [
+        ("vary angle 15 25 3", "vary t 2.5 2.5 1", "t", "duplicate sweep parameter 't'"),
+        ("target_k z 2.4", "target rcc_height 40 weight=3", "rcc_height",
+         "duplicate objective 'target rcc_height'"),
+        ("target_k z 2.4", "maximize stiffness_ratio", "stiffness_ratio",
+         "duplicate objective 'maximize stiffness_ratio'"),
+        ("target_k z 2.4", "target_k z 3", "z", "duplicate objective 'target_k z'"),
+        ("measured y 8.3 10", "measured z 2.6", "z", "duplicate measured axis 'z'"),
+    ])
+    def test_repeated_line_names_its_line(self, after, line, field, message):
+        good = lines(GOOD)
+        at = good.index(after) + 1
+        bad = good[:at] + [line] + good[at:]
+        with pytest.raises(MechanismFileError,
+                           match=f"^line {at + 1}, field '{field}': {message}"):
+            parse_lines(bad)
+
+    def test_distinct_target_k_axes_are_not_repeats(self):
+        good = lines(GOOD)
+        at = good.index("target_k z 2.4") + 1
+        parsed = parse_lines(good[:at] + ["target_k x 150"] + good[at:])
+        assert parsed.sweep.objective.diag_stiffness_target == {"z": 2.4, "x": 150.0}
+
+
+@pytest.mark.parametrize("section, body", [
+    ("sweep", ["vary t 2 3 2"]),
+    ("measured", ["measured x 150"]),
+    ("mechanism", ["limb left r=-2.5,10.325,8.65", "limb right r=-2.5,-10.325,8.65"]),
+    ("materials", ["material hard E=900 nu=0.3"]),
+    ("elements", ["beam other material=soft l=5 w=5 s=5"]),
+])
+def test_repeated_section_names_its_header(section, body):
+    good = lines(GOOD)
+    with pytest.raises(MechanismFileError,
+                       match=fr"^line {len(good) + 1}, field '{section}': "
+                             fr"duplicate section \[{section}\]"):
+        parse_lines(good + [f"[{section}]"] + body)
+
 
 def test_parse_from_installed_data_file():
     parsed = parse_mechanism(data_path("small_rcc.mech"))
