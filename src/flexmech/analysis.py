@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from . import mechanism
 from .elements import HingeGeometry
-from .errors import FlexmechError
+from .errors import fault_error
 from .mechanism import AXIS_ROW, Limb, Mechanism
 from .spatial import FramePlacement
 
@@ -155,7 +157,8 @@ def check_sweep_range(name, lo, hi, n):
     """Reject an unknown sweep parameter or a range it cannot take."""
     if name not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {name!r}")
-    if n < 1 or lo > hi:
+    # a finite span keeps every grid value finite
+    if n < 1 or not lo <= hi or not math.isfinite(hi - lo):
         raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
     if name in ("t", "r", "w") and lo <= 0.0:
         raise ValueError(f"{name!r} range must stay positive")
@@ -175,6 +178,9 @@ class SweepObjective:
     def __post_init__(self):
         for axis in self.diag_stiffness_target or {}:
             check_stiffness_axis(axis)
+        targets = [*(self.diag_stiffness_target or {}).values(), self.rcc_height_target or 0.0]
+        if not all(math.isfinite(v) for v in targets + list(self.weights.values())):
+            raise ValueError("sweep targets and weights must be finite")
 
     def weight(self, name):
         return float(self.weights.get(name, 1.0))
@@ -182,9 +188,10 @@ class SweepObjective:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Named parameter ranges (lo, hi, npoints) plus the objective."""
+    """Named parameter ranges (lo, hi, npoints) plus the objective.  The
+    ranges are checked once and kept as a read-only copy."""
 
-    parameters: dict
+    parameters: Mapping
     objective: SweepObjective
 
     def __post_init__(self):
@@ -192,6 +199,8 @@ class SweepSpec:
             raise ValueError("sweep needs at least one parameter range")
         for name, (lo, hi, n) in self.parameters.items():
             check_sweep_range(name, lo, hi, n)
+        object.__setattr__(self, "parameters", MappingProxyType(
+            {name: (lo, hi, n) for name, (lo, hi, n) in self.parameters.items()}))
 
     def grid_values(self):
         """Deterministic grid iteration: one tuple of values per point, the
@@ -281,24 +290,15 @@ def _evaluate(spec: SweepSpec, template, chunk):
     limbs, limb_of, theta, r = template
     names = list(spec.parameters)
     values = np.array(chunk)
-    keys = [tuple(zip(names, v)) for v in chunk]
     # limb variants: one per template limb and distinct t/r/w/angle row
     shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
     rows = {}
     row_of = np.array([rows.setdefault(tuple(v[j] for j in shaping), len(rows)) for v in chunk])
-    variants, refused = [], {}
-    index = np.full((len(rows), len(limbs)), -1)
-    for i, row in enumerate(rows):
+    variants = []
+    for row in rows:
         params, hinges = {names[j]: v for j, v in zip(shaping, row)}, {}
-        for d, limb in enumerate(limbs):
-            try:
-                variant = _limb_variant(limb, params, hinges)
-            except (ValueError, FlexmechError) as exc:
-                refused[i, d] = exc
-                continue
-            index[i, d] = len(variants)
-            variants.append(variant)
-    slot_limb = index[row_of][:, limb_of]                      # (N, L)
+        variants += [_limb_variant(limb, params, hinges) for limb in limbs]
+    slots = (row_of[:, None] * len(limbs) + limb_of).ravel()   # variant of each limb slot
     # y/z move every off-plane limb tip, keeping its side
     r = np.repeat(r[None], len(chunk), axis=0)                  # (N, L, 3)
     for axis, name in ((1, "y"), (2, "z")):
@@ -306,38 +306,22 @@ def _evaluate(spec: SweepSpec, template, chunk):
             moved = r[0, :, axis] != 0.0
             r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
                                             r[0, moved, axis])
-    # a point fails at its first limb slot whose variant or placement does
-    failed = (slot_limb < 0) | ~np.isfinite(r).all(axis=2)
-    points = []
-    for n in np.flatnonzero(failed.any(axis=1)):
-        slot = np.argmax(failed[n])
-        exc = refused.get((row_of[n], limb_of[slot]))
-        if exc is None:
-            try:
-                FramePlacement(theta[slot], tuple(r[n, slot]))
-            except ValueError as raised:
-                exc = raised
-        points.append(SweepPoint(keys[n], False, math.inf, reason=str(exc)))
-    ok = np.flatnonzero(~failed.any(axis=1))
-    if not ok.size:
-        return points
     c_limb, faults, _ = mechanism._limb_compliances(variants)
     leg = np.array([variant.leg_angle() for variant in variants])
-    slots = slot_limb[ok].ravel()
-    k, _, outcomes = mechanism._assemble(c_limb, faults, slots, np.tile(theta, len(ok)),
-                                         r[ok].reshape(-1, 3), [len(limb_of)] * len(ok),
-                                         leg[slots])
-    good = [i for i, o in enumerate(outcomes) if not isinstance(o, Exception)]
-    rcc = np.array([outcomes[i][0] for i in good])
-    k_diag = np.diagonal(k[good], axis1=1, axis2=2)
+    k, _, centers, faults, cond = mechanism._assemble(
+        c_limb, faults, slots, np.tile(theta, len(chunk)), r.reshape(-1, 3),
+        [len(limb_of)] * len(chunk), leg[slots])
+    keys = [tuple(zip(names, v)) for v in chunk]
+    ok = faults == 0
+    rcc = centers[ok, 0]
+    k_diag = np.diagonal(k[ok], axis1=1, axis2=2)
     scores = np.broadcast_to(_score(spec.objective, rcc, k_diag), rcc.shape).tolist()
-    for i, score, diag in zip(good, scores, k_diag.tolist()):
-        points.append(SweepPoint(keys[ok[i]], True, score, rcc_height=outcomes[i][0],
-                                 k_diag=tuple(diag)))
-    for i, o in enumerate(outcomes):
-        if isinstance(o, Exception):
-            points.append(SweepPoint(keys[ok[i]], False, math.inf, reason=str(o)))
-    return points
+    points = [SweepPoint(keys[n], True, score, rcc_height=height, k_diag=tuple(diag))
+              for n, score, height, diag in zip(np.flatnonzero(ok).tolist(), scores,
+                                                 rcc.tolist(), k_diag.tolist())]
+    return points + [SweepPoint(keys[n], False, math.inf, reason=str(fault_error(f, q)))
+                     for n, f, q in zip(np.flatnonzero(~ok).tolist(), faults[~ok].tolist(),
+                                        cond[~ok].tolist())]
 
 
 def run_sweep(spec: SweepSpec, template: Mechanism):

@@ -16,15 +16,17 @@ carries it to the distal face, producing the (r + h1) lever-arm couplings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
+from .errors import fault_error
 from .materials import Material
-from .spatial import (SpatialMatrix6, congruence, displacement_transports, matrix_error,
-                      matrix_faults, symmetrize)
+from .spatial import (SpatialMatrix6, congruence, displacement_transports, matrix_faults,
+                      symmetrize)
 
 SHEAR_ALPHA = 6.0 / 5.0  # rectangular-section shear correction factor
 
@@ -47,7 +49,7 @@ class BeamGeometry:
 
     def __post_init__(self):
         for name in ("l", "w", "s"):
-            if getattr(self, name) <= 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"beam dimension {name} must be positive")
 
 
@@ -64,8 +66,10 @@ class HingeGeometry:
 
     def __post_init__(self):
         for name in ("r", "t", "w"):
-            if getattr(self, name) <= 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"hinge dimension {name} must be positive")
+        if not math.isfinite(self.h1):
+            raise ValueError("hinge offset h1 must be finite")
 
     @property
     def s(self):
@@ -135,8 +139,8 @@ def element_compliance(g) -> SpatialMatrix6:
     """Distal-frame compliance of one beam or hinge."""
     c, faults = element_compliances((g,))
     if faults[0]:
-        raise matrix_error(faults[0])
-    return SpatialMatrix6(c[0], "compliance")
+        raise fault_error(faults[0])
+    return SpatialMatrix6._checked(c[0], "compliance")
 
 
 def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:

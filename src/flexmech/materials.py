@@ -8,6 +8,7 @@ caveat string so reports can surface it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 ISOTROPY_CAVEAT = (
@@ -18,7 +19,7 @@ ISOTROPY_CAVEAT = (
 
 def derive_shear_modulus(e_modulus, nu):
     """G = E / (2 (1 + nu)) for an isotropic material."""
-    if e_modulus <= 0.0:
+    if not 0.0 < e_modulus < math.inf:
         raise ValueError(f"Young's modulus must be positive, got {e_modulus}")
     if not -1.0 < nu < 0.5:
         raise ValueError(f"Poisson's ratio must lie in (-1, 0.5), got {nu}")
@@ -40,7 +41,7 @@ class Material:
             object.__setattr__(self, "g_modulus", derive_shear_modulus(self.e_modulus, self.nu))
         else:
             derive_shear_modulus(self.e_modulus, self.nu)  # range checks
-            if self.g_modulus <= 0.0:
+            if not 0.0 < self.g_modulus < math.inf:
                 raise ValueError("shear modulus must be positive")
 
     def scaled(self, factor):

@@ -18,9 +18,11 @@ one stack function (fourbar_centers).  analyze_batch is front plus core;
 analyze, mechanism_stiffness and limb_compliance are the engine applied to
 one item; sweeps (analysis.run_sweep) build the arrays by editing a
 template's and call the same core.  Every check of the pipeline is a
-per-item mask at its stage, and an item that fails gets the exception of
-its first failing check in the order a one-item run meets them, leaving the
-other items untouched.
+per-item mask at its stage.  The engine carries each item's first fault,
+in the order a one-item run meets the checks, as an integer code of
+errors.FAULTS, plus the condition number of a refused inversion; the
+exception is built from the code (errors.fault_error) only where the API
+returns or raises it.  A failed item leaves the other items untouched.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import BeamGeometry, HingeGeometry, element_compliance, element_compliances
+from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
+                     SINGULAR_STIFFNESS, fault_error)
 from .spatial import (SpatialMatrix6, congruence, displacement_transports, force_transports,
-                      invert, invert_stack, matrix_error, matrix_faults, singular_error,
-                      symmetrize)
+                      invert, invert_stack, matrix_faults, symmetrize)
 
 # stiffness axis name -> diagonal index of the stiffness matrix (0-based)
 AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
@@ -110,7 +113,7 @@ def _run_sums(terms, lengths):
 
 def _limb_compliances(limbs):
     """Tip compliances of the distinct limb objects among `limbs`: the
-    (D, 6, 6) stack, the first fault of each (None when valid) and the
+    (D, 6, 6) stack, the fault code of each (0 when valid) and the
     distinct index of each input limb."""
     distinct, limb_of = _by_identity(limbs)
     members = [member for limb in distinct for member in limb.members]
@@ -123,12 +126,8 @@ def _limb_compliances(limbs):
         terms = congruence(transports, elements[geom_of])
         total, grid = _run_sums(terms, [len(limb.members) for limb in distinct])
     member_faults = np.append(element_faults[geom_of], 0)[grid]
-    limb_faults = matrix_faults(total)
-    faults = [None] * len(distinct)
-    for d in np.flatnonzero(member_faults.any(axis=1) | (limb_faults != 0)):
-        first = member_faults[d][member_faults[d] != 0]
-        faults[d] = matrix_error(first[0] if first.size else limb_faults[d])
-    return symmetrize(total), faults, limb_of
+    first = member_faults[np.arange(len(grid)), np.argmax(member_faults != 0, axis=1)]
+    return symmetrize(total), np.where(first != 0, first, matrix_faults(total)), limb_of
 
 
 def _flatten(mechanisms):
@@ -143,49 +142,45 @@ def _flatten(mechanisms):
 
 def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
     """Reference-point stiffnesses of N mechanisms as an (N, 6, 6) stack, the
-    first fault of each (None when valid) and the (N, P) grid of their limb
-    slots (see _run_sums).
+    fault code of each (0 when valid) and its refused inversion's condition
+    number (NaN if none), and the (N, P) grid of their limb slots (_run_sums).
 
-    `c_limb` and `faults` are the compliances and first faults of D distinct
+    `c_limb` and `faults` are the compliances and fault codes of D distinct
     limbs (see _limb_compliances), `limb_of` the distinct limb of each of S
     limb slots, `theta` (S) and `r` (S, 3) the slots' placements, and
     `lengths` the number of consecutive slots of each mechanism.  Each
     mechanism sums its limbs' J_F K J_F^T in slot order.  A faulty limb is
-    inverted as the identity, so every stiffness stays finite; a mechanism's
-    faults after its first are never looked at.
+    inverted as the identity, so every stiffness stays finite; a mechanism
+    takes the fault of its first faulty limb slot, else its sum's.
     """
-    faults = list(faults)
-    ok = np.array([f is None for f in faults])
+    ok = faults == 0
     k_limb, cond, refused = invert_stack(np.where(ok[:, None, None], c_limb, np.eye(6)))
-    inv_faults = matrix_faults(k_limb)
-    for d in np.flatnonzero(ok & (refused | (inv_faults != 0))):
-        faults[d] = (singular_error("compliance", cond[d]) if refused[d]
-                     else matrix_error(inv_faults[d]))
+    faults = np.where(ok, np.where(refused, SINGULAR_COMPLIANCE, matrix_faults(k_limb)), faults)
+    cond = np.where(ok & refused, cond, np.nan)
     total, grid = _run_sums(congruence(force_transports(theta, r), symmetrize(k_limb)[limb_of]),
                             lengths)
-    bad = np.append([faults[d] is not None for d in limb_of], False)[grid]
-    k_faults = matrix_faults(total)
-    first = [None] * len(lengths)
-    for n in np.flatnonzero(bad.any(axis=1) | (k_faults != 0)):
-        first[n] = (faults[limb_of[grid[n, np.argmax(bad[n])]]] if bad[n].any()
-                    else matrix_error(k_faults[n]))
-    return symmetrize(total), first, grid
+    # the limb of each slot, padding pointing at an appended valid one
+    limbs = np.append(limb_of, len(faults))[grid]
+    faults, cond = np.append(faults, 0), np.append(cond, np.nan)
+    first = limbs[np.arange(len(grid)), np.argmax(faults[limbs] != 0, axis=1)]
+    return (symmetrize(total), np.where(faults[first] != 0, faults[first], matrix_faults(total)),
+            cond[first], grid)
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
     """Tip compliance of a serial chain: sum of J_i C_i J_i^T over members."""
     c, (fault,), _ = _limb_compliances((limb,))
-    if fault is not None:
-        raise fault
-    return SpatialMatrix6(c[0], "compliance")
+    if fault:
+        raise fault_error(fault)
+    return SpatialMatrix6._checked(c[0], "compliance")
 
 
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
-    k, (fault,), _ = _stiffness_stack(*_flatten((m,))[:6])
-    if fault is not None:
-        raise fault
-    return SpatialMatrix6(k[0], "stiffness")
+    k, (fault,), (cond,), _ = _stiffness_stack(*_flatten((m,))[:6])
+    if fault:
+        raise fault_error(fault, cond)
+    return SpatialMatrix6._checked(k[0], "stiffness")
 
 
 def _center_heights(c):
@@ -195,9 +190,6 @@ def _center_heights(c):
     scale = np.maximum(np.maximum(np.abs(c[..., 1, 1]), np.abs(c[..., 5, 5])), 1e-300)
     decoupled = np.abs(coupling) < 1e-12 * scale
     return -c[..., 1, 1] / np.where(decoupled, 1.0, coupling), decoupled
-
-
-_NO_CENTER = "no finite rotation center: lateral/rotation coupling is zero"
 
 
 def center_of_compliance(c: SpatialMatrix6):
@@ -211,7 +203,7 @@ def center_of_compliance(c: SpatialMatrix6):
         raise ValueError(f"center_of_compliance needs a compliance matrix, got {c.kind}")
     height, decoupled = _center_heights(c.m)
     if decoupled:
-        raise ValueError(_NO_CENTER)
+        raise fault_error(NO_CENTER)
     return float(height)
 
 
@@ -219,26 +211,24 @@ def fourbar_centers(legs):
     """ideal_fourbar_center of N mechanisms from an (N, L, 3) array of their
     legs' (x, y, angle): tip position in reference coordinates and leg angle
     (rad).  A leg with y = 0 or NaN (padding) is on neither side.  Returns
-    a list of the N heights, NaN where a mechanism has none, and per
-    mechanism None or the ValueError of the scalar function."""
+    the (N,) heights, NaN where a mechanism has none, and the fault code of
+    each: 0, ONE_SIDED, or PARALLEL_LEGS."""
     rows = np.arange(len(legs))
     pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
-    sided = (pos.any(axis=1) & neg.any(axis=1)).tolist()
     pairs = np.concatenate([legs[rows, pos.argmax(axis=1)], legs[rows, neg.argmax(axis=1)]],
                            axis=1)
-    heights, errors = [math.nan] * len(legs), [None] * len(legs)
+    heights, parallel = [], []
     # the first leg of each side, in scalar floats and math.sin/math.cos
-    for n, (x1, y1, a1, x2, y2, a2) in enumerate(pairs.tolist()):
-        if not sided[n]:
-            errors[n] = ValueError(
-                "ideal four-bar center needs limbs on both sides of the mid-plane")
-        elif abs(math.sin(a2 - a1)) < 1e-12:
-            errors[n] = ValueError("center at infinity: leg axes are parallel")
-        else:
-            # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
-            s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / math.sin(a2 - a1)
-            heights[n] = x1 + s1 * math.cos(a1)
-    return heights, errors
+    for x1, y1, a1, x2, y2, a2 in pairs.tolist():
+        sin = math.sin(a2 - a1)
+        parallel.append(abs(sin) < 1e-12)
+        # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
+        # (a parallel pair's height is masked below; `or` spares sin = 0)
+        s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / (sin or math.nan)
+        heights.append(x1 + s1 * math.cos(a1))
+    faults = np.where(pos.any(axis=1) & neg.any(axis=1),
+                      np.where(parallel, PARALLEL_LEGS, 0), ONE_SIDED)
+    return np.where(faults == 0, heights, np.nan), faults
 
 
 def ideal_fourbar_center(m: Mechanism):
@@ -248,17 +238,17 @@ def ideal_fourbar_center(m: Mechanism):
     tips along the net member angle.  Requires a pair of limbs with
     opposite lateral offsets and mirrored lean.
     """
-    (height,), (error,) = fourbar_centers(
+    (height,), (fault,) = fourbar_centers(
         np.array([[(-p.r[0], -p.r[1], limb.leg_angle()) for limb, p in m.limbs]]))
-    if error is not None:
-        raise error
-    return height
+    if fault:
+        raise fault_error(fault)
+    return float(height)
 
 
 def rotational_precision(rcc_height, ideal_center):
     """Distance between the compliance center and the ideal four-bar center."""
     if not (math.isfinite(rcc_height) and math.isfinite(ideal_center)):
-        raise ValueError("both center heights must be finite")
+        raise fault_error(CENTERS_NOT_FINITE)
     return abs(rcc_height - ideal_center)
 
 
@@ -308,37 +298,26 @@ def deviation_report(k: SpatialMatrix6, measured):
 
 def _assemble(c_limb, faults, limb_of, theta, r, lengths, leg):
     """The array core of the engine: the (N, 6, 6) K and C stacks of N >= 1
-    mechanisms and, per mechanism, its (rcc height, ideal center, rotational
-    precision) or the exception analyze raises for it.  The arguments are
-    those of _stiffness_stack plus `leg`, the leg angle of each limb slot.
-    A failed item's rows hold whatever its stages left."""
-    k, outcomes, grid = _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths)
-    ok = np.array([o is None for o in outcomes])
-    c, cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
+    mechanisms, their (N, 3) rows of (rcc height, ideal center, rotational
+    precision), and their fault codes and condition numbers.  The arguments
+    are those of _stiffness_stack plus `leg`, the leg angle of each limb
+    slot.  A failed item's rows hold whatever its stages left."""
+    k, faults, cond, grid = _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths)
+    ok = faults == 0
+    c, c_cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
     c_faults = matrix_faults(c)
     c = symmetrize(c)
     heights, decoupled = _center_heights(c)
-    for n in np.flatnonzero(ok & (refused | (c_faults != 0) | decoupled)):
-        outcomes[n] = (singular_error("stiffness", cond[n]) if refused[n]
-                       else matrix_error(c_faults[n]) if c_faults[n] else ValueError(_NO_CENTER))
     # legs (x, y, angle), tips in reference coordinates; padding gets NaN
     legs = np.column_stack([-r[:, :2], leg])
-    ideal, ideal_errors = fourbar_centers(np.append(legs, np.full((1, 3), np.nan), axis=0)[grid])
-    heights = heights.tolist()
-    for n in np.flatnonzero(ok):
-        if outcomes[n] is None:
-            outcomes[n] = (ideal_errors[n] if ideal_errors[n] is not None
-                           else _summary(heights[n], ideal[n]))
-    return k, c, outcomes
-
-
-def _summary(rcc, ideal):
-    """(rcc height, ideal center, rotational precision), or the ValueError
-    of rotational_precision."""
-    try:
-        return rcc, ideal, rotational_precision(rcc, ideal)
-    except ValueError as exc:
-        return exc
+    ideal, ideal_faults = fourbar_centers(np.append(legs, np.full((1, 3), np.nan), axis=0)[grid])
+    # the first fault of the stages after the stiffness, in the order analyze meets them
+    later = np.where(refused, SINGULAR_STIFFNESS, np.where(
+        c_faults != 0, c_faults, np.where(decoupled, NO_CENTER, np.where(
+            ideal_faults != 0, ideal_faults,
+            np.where(np.isfinite(heights) & np.isfinite(ideal), 0, CENTERS_NOT_FINITE)))))
+    return (k, c, np.column_stack([heights, ideal, np.abs(heights - ideal)]),
+            np.where(ok, later, faults), np.where(ok & refused, c_cond, cond))
 
 
 def analyze_batch(mechanisms) -> list:
@@ -350,10 +329,11 @@ def analyze_batch(mechanisms) -> list:
     mechanisms = list(mechanisms)
     if not mechanisms:
         return []
-    k, c, outcomes = _assemble(*_flatten(mechanisms))
-    return [o if isinstance(o, Exception) else
-            RccResult(SpatialMatrix6(k[n], "stiffness"), SpatialMatrix6(c[n], "compliance"), *o)
-            for n, o in enumerate(outcomes)]
+    k, c, centers, faults, cond = _assemble(*_flatten(mechanisms))
+    return [fault_error(f, q) if f else
+            RccResult(SpatialMatrix6._checked(k[n], "stiffness"),
+                      SpatialMatrix6._checked(c[n], "compliance"), *row)
+            for n, (row, f, q) in enumerate(zip(centers.tolist(), faults.tolist(), cond.tolist()))]
 
 
 def analyze(m: Mechanism) -> RccResult:

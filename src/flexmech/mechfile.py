@@ -346,8 +346,15 @@ def _parse_sweep(entries, section_line):
         else:
             _checked(check_stiffness_axis, lineno, bare[1], bare[1])
             diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
+        weight = _num(kv["weight"], lineno, "weight") if "weight" in kv else 1.0
+        # the target_k lines share one weight term, so they must agree on it
+        shared = weights.get("diag", 1.0)
+        if head == "target_k" and len(diag_targets) > 1 and weight != shared:
+            raise MechanismFileError(f"target_k weight {weight:g} differs from the earlier "
+                                     f"target_k weight {shared:g}; one weight applies to all "
+                                     "target_k lines", lineno, "weight")
         if "weight" in kv:
-            weights[term] = _num(kv["weight"], lineno, "weight")
+            weights[term] = weight
     try:
         return SweepSpec(parameters,
                          SweepObjective(target_rcc, ratio_max, diag_targets or None, weights))

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import (NOT_FINITE, NOT_SYMMETRIC, SINGULAR_COMPLIANCE, SINGULAR_STIFFNESS,
+                     fault_error)
 
 COND_LIMIT = 1e12     # inversion refused above this condition number
 SYM_RTOL = 1e-9       # relative symmetry tolerance for spatial matrices
@@ -72,19 +73,13 @@ IDENTITY_PLACEMENT = FramePlacement(0.0, (0.0, 0.0, 0.0))
 _KINDS = ("compliance", "stiffness")
 
 
-NOT_FINITE = 1          # codes of matrix_faults; 0 is a valid matrix
-NOT_SYMMETRIC = 2
-MATRIX_ERRORS = {NOT_FINITE: "matrix entries must be finite",
-                 NOT_SYMMETRIC: "matrix is not symmetric within tolerance"}
-
-
 def _swap(m):
     """Transpose of each matrix in a (..., n, n) stack (a view)."""
     return np.swapaxes(m, -1, -2)
 
 
 def matrix_faults(m):
-    """Validation code of each matrix in a (..., 6, 6) stack: 0 valid,
+    """Fault code of each matrix in a (..., 6, 6) stack: 0 valid,
     NOT_FINITE, or NOT_SYMMETRIC (asymmetry beyond SYM_RTOL of the largest
     entry).  SpatialMatrix6 applies the same rule to one matrix."""
     finite = np.isfinite(m).all(axis=(-2, -1))
@@ -94,11 +89,6 @@ def matrix_faults(m):
     asym = np.abs(m - _swap(m)).max(axis=(-2, -1))
     skew = (scale > 0) & (asym > SYM_RTOL * scale)
     return np.where(finite, np.where(skew, NOT_SYMMETRIC, 0), NOT_FINITE)
-
-
-def matrix_error(fault):
-    """The ValueError for a nonzero code of matrix_faults."""
-    return ValueError(MATRIX_ERRORS[int(fault)])
 
 
 def symmetrize(m):
@@ -125,9 +115,17 @@ class SpatialMatrix6:
             raise ValueError(f"expected a 6x6 matrix, got shape {m.shape}")
         fault = matrix_faults(m)
         if fault:
-            raise matrix_error(fault)
+            raise fault_error(fault)
         object.__setattr__(self, "m", symmetrize(m))
         self.m.flags.writeable = False
+
+    @classmethod
+    def _checked(cls, m, kind):
+        """Box, without checking again, a matrix already checked and symmetrized."""
+        box = object.__new__(cls)
+        box.__dict__.update(m=m, kind=kind)
+        m.flags.writeable = False
+        return box
 
     def entry(self, i, j):
         """1-based entry access, matching the usual matrix subscripts."""
@@ -230,15 +228,10 @@ def invert_stack(m):
     return np.linalg.inv(np.where(refused[..., None, None], np.eye(6), m)), cond, refused
 
 
-def singular_error(kind, cond):
-    """The refusal invert raises for a `kind` matrix of condition number `cond`."""
-    return SingularMatrixError(f"{kind} matrix is numerically singular", cond)
-
-
 def invert(m: SpatialMatrix6) -> SpatialMatrix6:
     """Inverse with the kind flipped; refuses badly conditioned input."""
     inv, cond, refused = invert_stack(m.m)
+    compliance = m.kind == "compliance"
     if refused:
-        raise singular_error(m.kind, cond)
-    other = "stiffness" if m.kind == "compliance" else "compliance"
-    return SpatialMatrix6(inv, other)
+        raise fault_error(SINGULAR_COMPLIANCE if compliance else SINGULAR_STIFFNESS, cond)
+    return SpatialMatrix6(inv, "stiffness" if compliance else "compliance")

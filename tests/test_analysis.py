@@ -192,6 +192,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown stiffness axis 'q'"):
             SweepObjective(diag_stiffness_target={"q": 5.0})
 
+    @pytest.mark.parametrize("objective", [
+        {"rcc_height_target": math.nan}, {"diag_stiffness_target": {"z": math.inf}},
+        {"weights": {"ratio": math.nan}}, {"weights": {"rcc": -math.inf}}])
+    def test_non_finite_target_or_weight_rejected(self, objective):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepObjective(**objective)
+
     def test_angle_moves_rcc_toward_target(self):
         # on the 16..30 deg branch the computed center height is monotone
         # increasing in the leg angle, so with a high target the ranking
@@ -253,22 +260,21 @@ class TestRunSweep:
         monkeypatch.setattr(analysis, "SWEEP_BATCH", 4)
         assert run_sweep(spec, template) == whole
 
-    def test_refused_variant_or_placement_keeps_the_scalar_reason(self):
-        # a validated SweepSpec reaches neither: its edited ranges retune the
-        # hinge to t <= 0 and move a limb tip to y = NaN (linspace of an
-        # infinite range), so the table, not ==, compares the points
-        template = load_small_rcc().mechanism
-        spec = SweepSpec({"t": (1.0, 2.0, 3), "y": (8.0, 9.0, 2)},
-                         SweepObjective(rcc_height_target=28.6))
-        spec.parameters.update(t=(-1.0, 1.0, 3), y=(math.inf, math.inf, 1))
-        with np.errstate(invalid="ignore"):
-            points, reference = run_sweep(spec, template), per_point_sweep(spec, template)
-        assert sweep_table(points) == sweep_table(reference)
-        assert [(p.params[0], p.reason) for p in points] == \
-            [(p.params[0], p.reason) for p in reference]
-        assert len(points) == 3 and not any(p.feasible for p in points)
-        assert {p.reason for p in points if not p.feasible} == {
-            "hinge dimension t must be positive", "placement displacement must be finite"}
+    def test_spec_refuses_ranges_a_variant_or_placement_would_refuse(self):
+        # ranges that would retune the hinge to t <= 0 or move a limb tip to
+        # a non-finite y (linspace of an infinite range or span) are refused
+        # when the spec is made, and a made spec cannot be edited
+        ranges = {"t": (1.0, 2.0, 3), "y": (8.0, 9.0, 2)}
+        spec = SweepSpec(ranges, SweepObjective(rcc_height_target=28.6))
+        with pytest.raises(TypeError):
+            spec.parameters["t"] = (-1.0, 1.0, 3)
+        ranges["t"] = (-1.0, 1.0, 3)
+        assert spec.parameters == {"t": (1.0, 2.0, 3), "y": (8.0, 9.0, 2)}
+        for bad in ({"t": (-1.0, 1.0, 3)}, {"y": (math.inf, math.inf, 1)},
+                    {"y": (-math.inf, math.inf, 2)}, {"y": (-1e308, 1e308, 3)},
+                    {"t": (math.nan, math.nan, 1)}):
+            with pytest.raises(ValueError):
+                SweepSpec(bad, spec.objective)
 
 
 class TestSweepSharing:
@@ -349,7 +355,7 @@ def per_point_sweep(spec, template):
 @pytest.mark.parametrize("section, reasons", [
     ("vary angle 12 30 5\nvary y 8 13 4\ntarget rcc_height 28.6\nmaximize stiffness_ratio weight=0.1\n",
      set()),
-    ("vary t 1e-9 3.2 3\nvary r 1 2 2\ntarget_k z 2.4\ntarget_k tz 9000 weight=2\n",
+    ("vary t 1e-9 3.2 3\nvary r 1 2 2\ntarget_k z 2.4 weight=2\ntarget_k tz 9000 weight=2\n",
      {"compliance matrix is numerically singular"}),
     ("vary w 3 8 4\ntarget rcc_height 28.6\ntarget_k x 150\n", set()),
     ("vary z -9 9 4\nmaximize stiffness_ratio\n", set()),

@@ -58,6 +58,8 @@ REPEATED_MEASURED = SWEEP_FILE.format(extra="[measured]\nmeasured z 2.5\nmeasure
 REPEATED_SWEEP = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\n[sweep]\nvary r 1 2 2\n")
 REPEATED_MECHANISM = SWEEP_FILE.format(
     extra="[mechanism]\nlimb left r=-2.5,10.325,0\nlimb right r=-2.5,-10.325,0\n")
+MIXED_TARGET_K_WEIGHTS = SWEEP_FILE.format(
+    extra="[sweep]\nvary t 2 3 2\ntarget_k x 150 weight=2\ntarget_k z 2.4 weight=5\n")
 
 
 def _line_of(text, needle):
@@ -86,9 +88,12 @@ def _line_of(text, needle):
                               "field 'sweep': duplicate section [sweep]"),
     ("analyze", REPEATED_MECHANISM, f"error: line {_line_of(REPEATED_MECHANISM, '[mechanism]')}, "
                                     "field 'mechanism': duplicate section [mechanism]"),
+    ("sweep", MIXED_TARGET_K_WEIGHTS,
+     f"error: line {_line_of(MIXED_TARGET_K_WEIGHTS, 'target_k z')}, field 'weight': "
+     "target_k weight 5 differs from the earlier target_k weight 2"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
-        "repeated-mechanism"])
+        "repeated-mechanism", "mixed-target-k-weights"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

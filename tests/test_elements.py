@@ -1,6 +1,8 @@
 """Element compliance tests: beam closed form, hinge strip integration,
 limits and monotonicity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,25 @@ class TestHingeTorsion:
         g = paper_hinge()
         assert hinge_compliance(g).entry(4, 4) == pytest.approx(
             torsion_compliance_hinge(g), rel=1e-12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HingeGeometry(math.nan, 2.82, 5.0, 0.0, MAT), "hinge dimension r"),
+    (lambda: HingeGeometry(1.25, math.nan, 5.0, 0.0, MAT), "hinge dimension t"),
+    (lambda: HingeGeometry(1.25, math.inf, 5.0, 0.0, MAT), "hinge dimension t"),
+    (lambda: HingeGeometry(1.25, 2.82, math.inf, 0.0, MAT), "hinge dimension w"),
+    (lambda: HingeGeometry(1.25, 2.82, 5.0, math.nan, MAT), "hinge offset h1"),
+    (lambda: HingeGeometry(1.25, 2.82, 5.0, -math.inf, MAT), "hinge offset h1"),
+    (lambda: BeamGeometry(math.nan, 5.0, 5.32, MAT), "beam dimension l"),
+    (lambda: BeamGeometry(10.4, math.inf, 5.32, MAT), "beam dimension w"),
+    (lambda: BeamGeometry(10.4, 5.0, math.nan, MAT), "beam dimension s"),
+    (lambda: Material("b", math.nan, 0.3), "Young's modulus"),
+    (lambda: Material("b", math.inf, 0.3), "Young's modulus"),
+    (lambda: Material("b", 43.8, 0.3, math.nan), "shear modulus"),
+    (lambda: Material("b", 43.8, 0.3, math.inf), "shear modulus"),
+], ids=["hinge-r-nan", "hinge-t-nan", "hinge-t-inf", "hinge-w-inf", "hinge-h1-nan",
+        "hinge-h1-inf", "beam-l-nan", "beam-w-inf", "beam-s-nan", "material-e-nan",
+        "material-e-inf", "material-g-nan", "material-g-inf"])
+def test_non_finite_dimension_or_modulus_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

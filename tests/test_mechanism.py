@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmech.mechanism as mech
+import flexmech.spatial as spatial
 from flexmech.elements import BeamGeometry, HingeGeometry
-from flexmech.errors import SingularMatrixError
+from flexmech.errors import SingularMatrixError, fault_error
 from flexmech.fixtures import load_reference_stiffness, load_small_rcc
 from flexmech.materials import Material
 from flexmech.mechanism import (Limb, Mechanism, analyze, analyze_batch,
@@ -312,7 +313,8 @@ class TestIdealFourbar:
         for n, m in enumerate(cases):
             for i, (limb, p) in enumerate(m.limbs):
                 legs[n, i] = -p.r[0], -p.r[1], limb.leg_angle()
-        heights, errors = mech.fourbar_centers(legs)
+        heights, faults = mech.fourbar_centers(legs)
+        errors = [fault_error(f) if f else None for f in faults]
         for m, height, error in zip(cases, heights, errors):
             try:
                 want = scalar_fourbar_center(m)
@@ -422,6 +424,20 @@ class TestAnalyzeBatch:
             assert (batched.rcc_height, batched.ideal_center, batched.rotational_precision) == \
                 (alone.rcc_height, alone.ideal_center, alone.rotational_precision)
 
+    def test_results_are_boxed_without_checking_again(self, monkeypatch):
+        # the engine has checked and symmetrized K and C; boxing them for
+        # the result checks nothing again and stores what the checking
+        # constructor would
+        checked = []
+        faults = spatial.matrix_faults
+        monkeypatch.setattr(spatial, "matrix_faults", lambda m: checked.append(m) or faults(m))
+        result = analyze(small_rcc())
+        assert checked == []
+        assert (result.k.kind, result.c.kind) == ("stiffness", "compliance")
+        assert not result.k.m.flags.writeable and not result.c.m.flags.writeable
+        assert np.array_equal(SpatialMatrix6(result.k.m, "stiffness").m, result.k.m)
+        assert np.array_equal(SpatialMatrix6(result.c.m, "compliance").m, result.c.m)
+
     def test_analyze_is_a_batch_of_one(self):
         m = small_rcc()
         (batched,) = analyze_batch([m])
@@ -433,14 +449,18 @@ class TestAnalyzeBatch:
         parallel = Mechanism(((vertical, FramePlacement(0.0, (0.0, -4.0, 0.0))),
                               (vertical, FramePlacement(0.0, (0.0, 4.0, 0.0)))))
         singular = design(2, hinge=HingeGeometry(1.25, 1e-9, 5.0, 0.0, MAT))
-        batch = [DESIGNS[2], parallel, singular, DESIGNS[5]]
+        # a neck so thin its kernels overflow: reported, not warned about
+        vanishing = design(2, hinge=HingeGeometry(1.25, 1e-120, 5.0, 0.0, MAT))
+        batch = [DESIGNS[2], parallel, singular, DESIGNS[5], vanishing, one_sided()]
         results = analyze_batch(batch)
-        for i in (1, 2):
+        for i in (1, 2, 4, 5):
             with pytest.raises(type(results[i])) as exc:
                 analyze(batch[i])
             assert str(exc.value) == str(results[i])
         assert isinstance(results[1], ValueError) and "center at infinity" in str(results[1])
         assert isinstance(results[2], SingularMatrixError)
+        assert type(results[4]) is ValueError and str(results[4]) == "matrix entries must be finite"
+        assert type(results[5]) is ValueError and "both sides" in str(results[5])
         for i in (0, 3):
             alone = analyze(batch[i])
             assert np.array_equal(results[i].k.m, alone.k.m)

@@ -216,6 +216,8 @@ class TestSweepSection:
         ("target_k z 2.4", "maximize stiffness_ratio", "stiffness_ratio",
          "duplicate objective 'maximize stiffness_ratio'"),
         ("target_k z 2.4", "target_k z 3", "z", "duplicate objective 'target_k z'"),
+        ("target_k z 2.4", "target_k x 150 weight=2", "weight",
+         "target_k weight 2 differs from the earlier target_k weight 1"),
         ("measured y 8.3 10", "measured z 2.6", "z", "duplicate measured axis 'z'"),
     ])
     def test_repeated_line_names_its_line(self, after, line, field, message):
@@ -231,6 +233,14 @@ class TestSweepSection:
         at = good.index("target_k z 2.4") + 1
         parsed = parse_lines(good[:at] + ["target_k x 150"] + good[at:])
         assert parsed.sweep.objective.diag_stiffness_target == {"z": 2.4, "x": 150.0}
+
+    def test_target_k_lines_share_one_weight(self):
+        good = lines(GOOD)
+        at = good.index("target_k z 2.4")
+        first = parse_lines(good[:at] + ["target_k z 2.4 weight=3", "target_k x 150 weight=3"]
+                            + good[at + 1:])
+        assert first.sweep.objective.weights == {"rcc": 2.0, "ratio": 0.5, "diag": 3.0}
+        assert parse_lines(lines(serialize(first))).sweep == first.sweep
 
 
 @pytest.mark.parametrize("section, body", [
