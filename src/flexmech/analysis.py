@@ -12,10 +12,10 @@ from types import MappingProxyType
 import numpy as np
 
 from . import mechanism
-from .elements import HingeGeometry
+from .elements import HINGE, HingeGeometry, table_compliances
 from .errors import fault_error
 from .mechanism import AXIS_ROW, Limb, Mechanism
-from .spatial import FramePlacement
+from .spatial import FramePlacement, displacement_transports
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
 GN_MAX_ITER = 200
@@ -141,9 +141,10 @@ class VerticalComplianceDatum:
 
 SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
 LIMB_PARAMETERS = ("t", "r", "w", "angle")     # the ones that reshape limbs
-# grid points per engine call: a batch's arrays and limb variants are alive
-# at once, so this bounds memory; results do not depend on it
-SWEEP_BATCH = 4096
+# grid points per engine call: a batch's arrays are alive at once (the
+# notch kernels of 1024 fresh hinge geometries take about 20 MB), so this
+# bounds memory; results do not depend on it
+SWEEP_BATCH = 1024
 
 
 def check_stiffness_axis(axis):
@@ -153,10 +154,20 @@ def check_stiffness_axis(axis):
                          f"expected one of {', '.join(AXIS_ROW)}")
 
 
+def check_stiffness_target(axis, target):
+    """Reject a diagonal-stiffness target the score cannot divide by: one on
+    an axis not in AXIS_ROW, or a zero one."""
+    check_stiffness_axis(axis)
+    if target == 0.0:
+        raise ValueError(f"stiffness target for axis {axis!r} must be nonzero")
+
+
 def check_sweep_range(name, lo, hi, n):
     """Reject an unknown sweep parameter or a range it cannot take."""
     if name not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {name!r}")
+    if not float(n).is_integer():
+        raise ValueError(f"grid count must be a whole number, got {n!r}")
     # a finite span keeps every grid value finite
     if n < 1 or not lo <= hi or not math.isfinite(hi - lo):
         raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
@@ -176,8 +187,8 @@ class SweepObjective:
     weights: dict = field(default_factory=dict)     # term name -> weight
 
     def __post_init__(self):
-        for axis in self.diag_stiffness_target or {}:
-            check_stiffness_axis(axis)
+        for axis, target in (self.diag_stiffness_target or {}).items():
+            check_stiffness_target(axis, target)
         targets = [*(self.diag_stiffness_target or {}).values(), self.rcc_height_target or 0.0]
         if not all(math.isfinite(v) for v in targets + list(self.weights.values())):
             raise ValueError("sweep targets and weights must be finite")
@@ -200,7 +211,7 @@ class SweepSpec:
         for name, (lo, hi, n) in self.parameters.items():
             check_sweep_range(name, lo, hi, n)
         object.__setattr__(self, "parameters", MappingProxyType(
-            {name: (lo, hi, n) for name, (lo, hi, n) in self.parameters.items()}))
+            {name: (lo, hi, int(n)) for name, (lo, hi, n) in self.parameters.items()}))
 
     def grid_values(self):
         """Deterministic grid iteration: one tuple of values per point, the
@@ -284,33 +295,96 @@ def _score(objective: SweepObjective, rcc_height, k_diag):
     return score
 
 
-def _evaluate(spec: SweepSpec, template, chunk):
+@dataclass(frozen=True)
+class _Compiled:
+    """A template mechanism as the arrays a sweep edits."""
+
+    table: np.ndarray           # GEOMETRY rows of its distinct geometries, beams first
+    geom_of: np.ndarray         # (M,) table row of each member of its distinct limbs
+    theta: np.ndarray           # (M,) member placement angles
+    r: np.ndarray               # (M, 3) member displacements to the limb tip
+    transports: np.ndarray      # (M, 6, 6) member displacement transports
+    lengths: np.ndarray         # (D,) member count of each distinct limb
+    limb_of: np.ndarray         # (S,) distinct limb of each limb slot
+    slot_theta: np.ndarray      # (S,) limb slot placement angles
+    slot_r: np.ndarray          # (S, 3) limb tip displacements to the reference point
+
+
+def _compile(template: Mechanism) -> _Compiled:
+    limb_of, table, geom_of, theta, r, lengths = mechanism._limb_members(
+        [limb for limb, _ in template.limbs])
+    # beams first, so the hinge rows a sweep copies are the table's tail
+    order = np.argsort(table["kind"], kind="stable")
+    return _Compiled(table[order], np.argsort(order)[geom_of], theta, r,
+                     displacement_transports(theta, r), lengths, limb_of,
+                     np.array([p.theta for _, p in template.limbs]),
+                     np.array([p.r for _, p in template.limbs]))
+
+
+def _limb_rows(template: _Compiled, columns, rows):
+    """Tip compliances, fault codes and leg angles of the template's D
+    distinct limbs under each of `rows` rows of t/r/w/angle values, row by
+    row (`columns` maps each swept name to its (rows,) values): the edit
+    apply_parameters makes with objects, made on the template's arrays.
+
+    The checks the edited objects would run hold by SweepSpec's range
+    checks (check_sweep_range): a t/r/w range starts above 0 and has a
+    finite span, so every grid value is the finite positive dimension
+    HingeGeometry requires; an angle range lies inside (0, 90) degrees, so
+    a re-leaned member angle is finite and inside (-2 pi, 2 pi), where
+    FramePlacement's normalization leaves it as it is.
+    """
+    table, geom_of, theta = template.table, template.geom_of, template.theta
+    retune = [name for name in ("t", "r", "w") if name in columns]
+    if retune:
+        # every row retunes its own copy of the hinge rows, one per template
+        # hinge as in apply_parameters; the beams are shared
+        beams = int(np.count_nonzero(table["kind"] != HINGE))
+        hinges = np.tile(table[beams:], rows)
+        for name in retune:
+            hinges[name] = np.repeat(columns[name], len(table) - beams)
+        geom_of = geom_of + np.where(geom_of >= beams,
+                                     np.arange(rows)[:, None] * (len(table) - beams), 0)
+        table = np.concatenate([table[:beams], hinges])
+    if "angle" in columns:
+        # re-lean every rotated member, keeping its side
+        theta = np.where(theta != 0.0, np.copysign(np.radians(columns["angle"])[:, None], theta),
+                         theta)
+        transports = displacement_transports(theta,
+                                             np.broadcast_to(template.r, theta.shape + (3,)))
+    else:
+        transports = template.transports
+    members = (rows, len(template.theta))      # (row, member) of every member
+    lengths = np.tile(template.lengths, rows)
+    elements, element_faults = table_compliances(table)
+    c_limb, faults = mechanism._limb_stack(
+        elements, element_faults, np.broadcast_to(geom_of, members).ravel(),
+        np.broadcast_to(transports, members + (6, 6)).reshape(-1, 6, 6), lengths)
+    return c_limb, faults, mechanism._run_sums(np.broadcast_to(theta, members).ravel(), lengths)[0]
+
+
+def _evaluate(spec: SweepSpec, template: _Compiled, chunk):
     """SweepPoints of a sequence of grid value tuples, evaluated as array
     edits of the compiled template (see run_sweep) in one engine call."""
-    limbs, limb_of, theta, r = template
     names = list(spec.parameters)
     values = np.array(chunk)
-    # limb variants: one per template limb and distinct t/r/w/angle row
+    # the distinct rows of t/r/w/angle values; each reshapes the limbs once
     shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
     rows = {}
     row_of = np.array([rows.setdefault(tuple(v[j] for j in shaping), len(rows)) for v in chunk])
-    variants = []
-    for row in rows:
-        params, hinges = {names[j]: v for j, v in zip(shaping, row)}, {}
-        variants += [_limb_variant(limb, params, hinges) for limb in limbs]
-    slots = (row_of[:, None] * len(limbs) + limb_of).ravel()   # variant of each limb slot
+    columns = dict(zip([names[j] for j in shaping], np.array(list(rows)).reshape(len(rows), -1).T))
+    c_limb, faults, leg = _limb_rows(template, columns, len(rows))
+    slots = (row_of[:, None] * len(template.lengths) + template.limb_of).ravel()
     # y/z move every off-plane limb tip, keeping its side
-    r = np.repeat(r[None], len(chunk), axis=0)                  # (N, L, 3)
+    r = np.repeat(template.slot_r[None], len(chunk), axis=0)   # (N, S, 3)
     for axis, name in ((1, "y"), (2, "z")):
         if name in names:
             moved = r[0, :, axis] != 0.0
             r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
                                             r[0, moved, axis])
-    c_limb, faults, _ = mechanism._limb_compliances(variants)
-    leg = np.array([variant.leg_angle() for variant in variants])
     k, _, centers, faults, cond = mechanism._assemble(
-        c_limb, faults, slots, np.tile(theta, len(chunk)), r.reshape(-1, 3),
-        [len(limb_of)] * len(chunk), leg[slots])
+        c_limb, faults, slots, np.tile(template.slot_theta, len(chunk)), r.reshape(-1, 3),
+        [len(template.limb_of)] * len(chunk), leg[slots])
     keys = [tuple(zip(names, v)) for v in chunk]
     ok = faults == 0
     rcc = centers[ok, 0]
@@ -328,15 +402,16 @@ def run_sweep(spec: SweepSpec, template: Mechanism):
     """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
     score (infeasible points last, each with the reason its analysis failed).
 
-    The template is compiled once into arrays: its distinct limb objects,
-    the distinct limb of each limb slot and the slots' placements.  A grid
-    point is then an edit of those arrays: t/r/w/angle pick a limb variant,
-    made once per distinct row of their values, and y/z overwrite the
-    slots' displacements.  No Mechanism is built per point.
+    The template is compiled once into arrays (_Compiled): the geometry
+    table of its distinct geometries, its members' table rows, placements
+    and transports, and its limb slots' placements.  A grid point is then an
+    edit of those arrays: each distinct row of t/r/w/angle values overwrites
+    the r/t/w columns of a copy of the hinge rows and re-leans the rotated
+    members, and y/z overwrite the slots' displacements.  No geometry,
+    placement, limb or mechanism object is built, and each batch makes one
+    notch_kernels call at most.
     """
-    limbs, limb_of = mechanism._by_identity([limb for limb, _ in template.limbs])
-    compiled = (limbs, limb_of, np.array([p.theta for _, p in template.limbs]),
-                np.array([p.r for _, p in template.limbs]))
+    compiled = _compile(template)
     grid = spec.grid_values()
     points = []
     while chunk := list(itertools.islice(grid, SWEEP_BATCH)):

@@ -12,13 +12,23 @@ built by strip integration of the notch profile h(x): the three kernels
 compliances lumped at the notch's elastic center.  The circular profile is
 symmetric, so that center is the mid-plane x = r, and the frame transform
 carries it to the distal face, producing the (r + h1) lever-arm couplings.
+
+element_compliances has an object front and an array core.  The front
+(geometry_table) reads the geometry objects into a table with one row per
+element and the columns of GEOMETRY; the core (table_compliances) takes
+the notch kernels of all its hinge rows from one _cached_kernels call,
+which calls notch_kernels once for the distinct (r, t, w) triples not in
+the kernel cache, and the torsion coefficients of all its beam rows from
+one torsion_beta call, and checks and transports the whole stack at once.
+Sweeps (analysis.run_sweep) edit the table's columns instead of building
+geometry objects.  The cache is bounded: past KERNEL_CACHE_SIZE triples,
+the oldest go first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,12 +40,16 @@ from .spatial import (SpatialMatrix6, congruence, displacement_transports, matri
 
 SHEAR_ALPHA = 6.0 / 5.0  # rectangular-section shear correction factor
 
+# the geometry table: one row per element; a beam leaves r, t and h1 at 0,
+# a hinge leaves l and s at 0; e and g are the material's moduli
+BEAM, HINGE = 0, 1
+GEOMETRY = np.dtype([("kind", np.int8), ("r", float), ("t", float), ("w", float),
+                     ("h1", float), ("l", float), ("s", float), ("e", float), ("g", float)])
 
-@lru_cache(maxsize=512)
-def _notch_kernels_cached(r, t, w):
-    # sweeps and multi-hinge limbs reuse geometries; the integrals are the
-    # expensive part, so memoize on the exact dimension triple
-    return kernels.notch_kernels(r, t, w)
+# designs and sweeps reuse hinge geometries, and the integrals are the
+# expensive part, so the kernels are kept by exact (r, t, w), oldest first
+KERNEL_CACHE_SIZE = 512
+_kernel_cache = {}
 
 
 @dataclass(frozen=True)
@@ -84,55 +98,94 @@ def notch_thickness(g: HingeGeometry, x):
     return kernels.notch_thickness(x, g.r, g.t)
 
 
-def _beam_matrix(g: BeamGeometry):
-    e, gs = g.material.e_modulus, g.material.g_modulus
-    l, w, s = g.l, g.w, g.s
-    it = kernels.rect_torsion_constant(w, s)
-    c = np.zeros((6, 6))
-    c[0, 0] = l / (e * w * s)
-    c[1, 1] = SHEAR_ALPHA * l / (gs * w * s) + 4.0 * l**3 / (e * w * s**3)
-    c[2, 2] = SHEAR_ALPHA * l / (gs * w * s) + 4.0 * l**3 / (e * w**3 * s)
-    c[3, 3] = l / (gs * it)
-    c[4, 4] = 12.0 * l / (e * w**3 * s)
-    c[5, 5] = 12.0 * l / (e * w * s**3)
-    c[1, 5] = c[5, 1] = 6.0 * l**2 / (e * w * s**3)
-    c[2, 4] = c[4, 2] = -6.0 * l**2 / (e * w**3 * s)
-    return c
+def geometry_table(geoms):
+    """The front of element_compliances: the GEOMETRY table of a sequence of
+    BeamGeometry and HingeGeometry objects, one row each, in order."""
+    return np.array([(HINGE, g.r, g.t, g.w, g.h1, 0.0, 0.0, g.material.e_modulus,
+                      g.material.g_modulus) if isinstance(g, HingeGeometry) else
+                     (BEAM, 0.0, 0.0, g.w, 0.0, g.l, g.s, g.material.e_modulus,
+                      g.material.g_modulus) for g in geoms], dtype=GEOMETRY)
 
 
-def _hinge_lump(g: HingeGeometry):
+def _cached_kernels(notches):
+    """(k1, k3, kt) of a sequence of (r, t, w) triples as an (H, 3) array:
+    one notch_kernels call for the distinct triples not in the cache."""
+    fresh = [key for key in dict.fromkeys(notches) if key not in _kernel_cache]
+    if fresh:
+        _kernel_cache.update(zip(fresh, kernels.notch_kernels(*np.array(fresh).T).tolist()))
+    values = np.array([_kernel_cache[key] for key in notches]).reshape(-1, 3)
+    while len(_kernel_cache) > KERNEL_CACHE_SIZE:   # the oldest go first
+        del _kernel_cache[next(iter(_kernel_cache))]
+    return values
+
+
+# flat (row, column) indices of the entries the element formulas give, in
+# their order: the diagonal, then the couplings twice
+_ENTRIES = np.array([0, 7, 14, 21, 28, 35, 11, 31, 16, 26])
+
+
+def _beam_entries(l, w, s, e, gs, beta):
+    # Timoshenko cantilever; beta is the torsion coefficient of the w-by-s section
+    it = beta * max(w, s) * min(w, s)**3
+    shear = SHEAR_ALPHA * l / (gs * w * s)
+    c26, c35 = 6.0 * l**2 / (e * w * s**3), -6.0 * l**2 / (e * w**3 * s)
+    return (l / (e * w * s), shear + 4.0 * l**3 / (e * w * s**3),
+            shear + 4.0 * l**3 / (e * w**3 * s), l / (gs * it), 12.0 * l / (e * w**3 * s),
+            12.0 * l / (e * w * s**3), c26, c26, c35, c35)
+
+
+def _hinge_entries(w, e, gs, k1, k3, kt):
     # lumped joint at the bending elastic center: the mid-plane of the
     # symmetric circular profile, a lever r + h1 from the element frame
-    e, gs = g.material.e_modulus, g.material.g_modulus
-    w = g.w
-    k1, k3, kt = _notch_kernels_cached(g.r, g.t, g.w)
-    c = np.zeros((6, 6))
-    c[0, 0] = k1 / (e * w)
-    c[1, 1] = SHEAR_ALPHA * k1 / (gs * w)
-    c[2, 2] = SHEAR_ALPHA * k1 / (gs * w)
-    c[3, 3] = kt / gs
-    c[4, 4] = 12.0 * k1 / (e * w**3)
-    c[5, 5] = 12.0 * k3 / (e * w)
-    return c
+    shear = SHEAR_ALPHA * k1 / (gs * w)
+    return (k1 / (e * w), shear, shear, kt / gs, 12.0 * k1 / (e * w**3), 12.0 * k3 / (e * w),
+            0.0, 0.0, 0.0, 0.0)
+
+
+def table_compliances(table):
+    """The array core of element_compliances: the distal-frame compliances
+    of the rows of a GEOMETRY table as one (G, 6, 6) stack, plus the
+    validation code of each (see spatial.matrix_faults): a hinge's lumped
+    matrix is checked before and after its lever transport, as the scalar
+    constructors check them.
+
+    The notch kernels of all hinge rows come from one _cached_kernels call
+    and the torsion coefficients of all beam rows from one torsion_beta
+    call.  Each row's entries are then a few float operations, done in
+    Python floats: at the few rows of a design that costs less than array
+    operations, and C pow rounds x**3 as it always has, which numpy's
+    vectorized power does not.
+    """
+    rows = table.tolist()
+    k = iter(_cached_kernels([row[1:4] for row in rows if row[0] == HINGE]).tolist())
+    # one (1, 20) series row per beam: the dot a scalar aspect ratio gets
+    beta = iter(kernels.torsion_beta(np.array(
+        [max(w, s) / min(w, s) for kind, _, _, w, _, _, s, _, _ in rows if kind != HINGE]
+    )[:, None]).ravel().tolist())
+    c = np.zeros((len(rows), 36))
+    c[:, _ENTRIES] = np.array([
+        _hinge_entries(w, e, gs, *next(k)) if kind == HINGE else
+        _beam_entries(l, w, s, e, gs, next(beta)) for kind, _, _, w, _, l, s, e, gs in rows]
+    ).reshape(-1, len(_ENTRIES))
+    c = c.reshape(-1, 6, 6)
+    hinge = table["kind"] == HINGE
+    faults = matrix_faults(c)
+    c = symmetrize(c)
+    lever = np.zeros((int(hinge.sum()), 3))
+    lever[:, 0] = table["r"][hinge] + table["h1"][hinge]
+    with np.errstate(invalid="ignore", over="ignore"):
+        moved = congruence(displacement_transports(np.zeros(len(lever)), lever), c[hinge])
+    lumped = faults[hinge]
+    faults[hinge] = np.where(lumped != 0, lumped, matrix_faults(moved))
+    c[hinge] = symmetrize(moved)
+    return c, faults
 
 
 def element_compliances(geoms):
     """Distal-frame compliances of a sequence of beams and hinges as one
-    (G, 6, 6) stack, plus the validation code of each (see
-    spatial.matrix_faults): a hinge's lumped matrix is checked before and
-    after its lever transport, as the scalar constructors check them."""
-    hinge = np.array([isinstance(g, HingeGeometry) for g in geoms], dtype=bool)
-    c = np.array([_hinge_lump(g) if h else _beam_matrix(g)
-                  for g, h in zip(geoms, hinge)]).reshape(-1, 6, 6)
-    faults = matrix_faults(c)
-    c = symmetrize(c)
-    lever = np.zeros((int(hinge.sum()), 3))
-    lever[:, 0] = [g.r + g.h1 for g, h in zip(geoms, hinge) if h]
-    with np.errstate(invalid="ignore", over="ignore"):
-        moved = congruence(displacement_transports(np.zeros(len(lever)), lever), c[hinge])
-    faults[hinge] = np.where(faults[hinge] != 0, faults[hinge], matrix_faults(moved))
-    c[hinge] = symmetrize(moved)
-    return c, faults
+    (G, 6, 6) stack, plus the validation code of each: table_compliances of
+    their geometry_table."""
+    return table_compliances(geometry_table(geoms))
 
 
 def element_compliance(g) -> SpatialMatrix6:
@@ -150,7 +203,7 @@ def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
 
 def torsion_compliance_hinge(g: HingeGeometry):
     """C_{tx-Mx} = int dx / (G I_t(x)) with the per-strip long/short side rule."""
-    _, _, kt = _notch_kernels_cached(g.r, g.t, g.w)
+    (_, _, kt), = _cached_kernels([(g.r, g.t, g.w)]).tolist()
     return kt / g.material.g_modulus
 
 

@@ -11,13 +11,18 @@ Its object-flattening front (_flatten) turns mechanisms into arrays: the
 compliances of the distinct limb objects, told apart by identity (callers
 share an object to have it computed once), the distinct limb of each limb
 slot, the slots' placement angles and displacements, their leg angles and
-the number of slots of each mechanism.  Its array core (_assemble) takes
-those arrays and sums members and limbs in their given order, inverts, and
-extracts the remote-center summary, with the ideal four-bar centers from
-one stack function (fourbar_centers).  analyze_batch is front plus core;
-analyze, mechanism_stiffness and limb_compliance are the engine applied to
-one item; sweeps (analysis.run_sweep) build the arrays by editing a
-template's and call the same core.  Every check of the pipeline is a
+the number of slots of each mechanism.  The limb compliances come from a
+front and core of their own: _limb_members reads the limbs' members into
+a geometry table (elements.geometry_table), the table row of each member
+and the members' placements, and _limb_stack sums each limb's members from
+their element stack and transports.  The engine's array core (_assemble) takes the
+limb arrays and sums limbs in their given order, inverts, and extracts the
+remote-center summary, with the ideal four-bar centers from one stack
+function (fourbar_centers).  analyze_batch is front plus core; analyze,
+mechanism_stiffness and limb_compliance are the engine applied to one item;
+sweeps (analysis.run_sweep) build the arrays by editing a template's
+geometry table and member and slot arrays and call the two cores,
+_limb_stack and _assemble.  Every check of the pipeline is a
 per-item mask at its stage.  The engine carries each item's first fault,
 in the order a one-item run meets the checks, as an integer code of
 errors.FAULTS, plus the condition number of a refused inversion; the
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import BeamGeometry, HingeGeometry, element_compliance, element_compliances
+from .elements import (BeamGeometry, HingeGeometry, element_compliance, geometry_table,
+                       table_compliances)
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
 from .spatial import (SpatialMatrix6, congruence, displacement_transports, force_transports,
@@ -98,36 +104,62 @@ def _by_identity(objects):
 
 def _run_sums(terms, lengths):
     """In-order sums of the consecutive runs of the given lengths in an
-    (M, 6, 6) stack, and the (R, P) grid of the runs' term indices, P the
+    (M, ...) stack, and the (R, P) grid of the runs' term indices, P the
     longest run; shorter runs are padded with M, a zero that adds exact zeros."""
     lengths = np.asarray(lengths)
     slot = np.arange(lengths.max()) < lengths[:, None]
     grid = np.full(slot.shape, len(terms))
     grid[slot] = np.arange(len(terms))
-    terms = np.concatenate([terms, np.zeros((1, 6, 6))])
-    total = np.zeros((len(lengths), 6, 6))
+    terms = np.concatenate([terms, np.zeros((1,) + terms.shape[1:])])
+    total = np.zeros((len(lengths),) + terms.shape[1:])
     for j in range(grid.shape[1]):
         total += terms[grid[:, j]]
     return total, grid
+
+
+def _limb_members(limbs):
+    """The object front of limb assembly, as arrays: the distinct index of
+    each of `limbs`, the geometry table (elements.geometry_table) of the
+    distinct geometry objects of the distinct limbs' members, the table row,
+    placement angle and displacement of each of those M members, and the
+    member count of each distinct limb."""
+    distinct, limb_of = _by_identity(limbs)
+    members = [member for limb in distinct for member in limb.members]
+    geoms, geom_of = _by_identity([geom for geom, _ in members])
+    return (limb_of, geometry_table(geoms), geom_of, np.array([p.theta for _, p in members]),
+            np.array([p.r for _, p in members]),
+            np.array([len(limb.members) for limb in distinct]))
 
 
 def _limb_compliances(limbs):
     """Tip compliances of the distinct limb objects among `limbs`: the
     (D, 6, 6) stack, the fault code of each (0 when valid) and the
     distinct index of each input limb."""
-    distinct, limb_of = _by_identity(limbs)
-    members = [member for limb in distinct for member in limb.members]
-    geoms, geom_of = _by_identity([geom for geom, _ in members])
-    elements, element_faults = element_compliances(geoms)
-    transports = displacement_transports(np.array([p.theta for _, p in members]),
-                                         np.array([p.r for _, p in members]))
+    limb_of, table, geom_of, theta, r, lengths = _limb_members(limbs)
+    elements, element_faults = table_compliances(table)
+    c, faults = _limb_stack(elements, element_faults, geom_of,
+                            displacement_transports(theta, r), lengths)
+    return c, faults, limb_of
+
+
+def _limb_stack(elements, element_faults, geom_of, transports, lengths):
+    """The array core of limb assembly: the (D, 6, 6) tip compliances of D
+    limbs and the fault code of each (0 when valid).
+
+    `elements` and `element_faults` are an element stack and its fault
+    codes (elements.table_compliances), `geom_of` the element of each of M
+    members, `transports` their (M, 6, 6) displacement transports to the
+    limb tip and `lengths` the number of consecutive members of each limb.
+    Each limb sums its members' J C J^T in member order and takes the fault
+    of its first faulty member, else its sum's.
+    """
     # a faulty element may be non-finite; its limb is reported, not warned about
     with np.errstate(invalid="ignore", over="ignore"):
         terms = congruence(transports, elements[geom_of])
-        total, grid = _run_sums(terms, [len(limb.members) for limb in distinct])
+        total, grid = _run_sums(terms, lengths)
     member_faults = np.append(element_faults[geom_of], 0)[grid]
     first = member_faults[np.arange(len(grid)), np.argmax(member_faults != 0, axis=1)]
-    return symmetrize(total), np.where(first != 0, first, matrix_faults(total)), limb_of
+    return symmetrize(total), np.where(first != 0, first, matrix_faults(total))
 
 
 def _flatten(mechanisms):

@@ -45,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import SweepObjective, SweepSpec, check_stiffness_axis, check_sweep_range
+from .analysis import (SweepObjective, SweepSpec, check_stiffness_axis, check_stiffness_target,
+                       check_sweep_range)
 from .elements import BeamGeometry, HingeGeometry
 from .errors import MechanismFileError
 from .materials import Material, MeasuredJointRecord
@@ -317,13 +318,10 @@ def _parse_sweep(entries, section_line):
                 raise MechanismFileError(f"expected 'vary <name> <lo> <hi> <n>', got {line!r}", lineno)
             name = bare[1]
             lo, hi, n = (_num(tok, lineno, name) for tok in bare[2:])
-            if not n.is_integer():
-                raise MechanismFileError(f"grid count must be a whole number, got {bare[4]!r}",
-                                         lineno, name)
-            _checked(check_sweep_range, lineno, name, name, lo, hi, int(n))
+            _checked(check_sweep_range, lineno, name, name, lo, hi, n)
             if name in parameters:
                 raise MechanismFileError(f"duplicate sweep parameter {name!r}", lineno, name)
-            parameters[name] = (lo, hi, int(n))
+            parameters[name] = (lo, hi, n)
             continue
         objective = _OBJECTIVE_LINES.get(head)
         if objective is None or len(bare) < objective[2] or objective[0] not in (None, bare[1]):
@@ -346,6 +344,7 @@ def _parse_sweep(entries, section_line):
         else:
             _checked(check_stiffness_axis, lineno, bare[1], bare[1])
             diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
+            _checked(check_stiffness_target, lineno, bare[1], bare[1], diag_targets[bare[1]])
         weight = _num(kv["weight"], lineno, "weight") if "weight" in kv else 1.0
         # the target_k lines share one weight term, so they must agree on it
         shared = weights.get("diag", 1.0)

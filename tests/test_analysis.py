@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmech.analysis as analysis
+import flexmech.kernels as kernels
 import flexmech.mechanism as mechanism
 from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
                                VerticalComplianceDatum, _score, apply_parameters,
                                creep_force, fit_creep, run_sweep)
-from flexmech.elements import BeamGeometry
+from flexmech.elements import BeamGeometry, HingeGeometry
 from flexmech.errors import FlexmechError
 from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechanism import Limb, Mechanism, analyze
@@ -199,6 +200,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="must be finite"):
             SweepObjective(**objective)
 
+    @pytest.mark.parametrize("target", [0.0, -0.0])
+    def test_zero_stiffness_target_rejected(self, target):
+        # the score divides by each stiffness target
+        with pytest.raises(ValueError, match="stiffness target for axis 'x' must be nonzero"):
+            SweepObjective(diag_stiffness_target={"z": 2.4, "x": target})
+
     def test_angle_moves_rcc_toward_target(self):
         # on the 16..30 deg branch the computed center height is monotone
         # increasing in the leg angle, so with a high target the ranking
@@ -272,9 +279,14 @@ class TestRunSweep:
         assert spec.parameters == {"t": (1.0, 2.0, 3), "y": (8.0, 9.0, 2)}
         for bad in ({"t": (-1.0, 1.0, 3)}, {"y": (math.inf, math.inf, 1)},
                     {"y": (-math.inf, math.inf, 2)}, {"y": (-1e308, 1e308, 3)},
-                    {"t": (math.nan, math.nan, 1)}):
+                    {"t": (math.nan, math.nan, 1)}, {"t": (1.0, 2.0, 2.5)},
+                    {"t": (1.0, 2.0, math.nan)}):
             with pytest.raises(ValueError):
                 SweepSpec(bad, spec.objective)
+        # a whole count given as a float is kept as an int, so the grid is made
+        whole = SweepSpec({"t": (1.0, 2.0, 3.0)}, spec.objective)
+        assert whole.parameters["t"] == (1.0, 2.0, 3) and type(whole.parameters["t"][2]) is int
+        assert len(run_sweep(whole, load_small_rcc().mechanism)) == 3
 
 
 class TestSweepSharing:
@@ -301,14 +313,14 @@ class TestSweepSharing:
     def test_limb_variants_computed_once_across_the_grid(self, monkeypatch):
         template = load_small_rcc().mechanism
         computed = []
-        limb_compliances = mechanism._limb_compliances
+        limb_stack = mechanism._limb_stack
 
-        def counted(limbs):
-            out = limb_compliances(limbs)
+        def counted(*args):
+            out = limb_stack(*args)
             computed.append(len(out[0]))
             return out
 
-        monkeypatch.setattr(mechanism, "_limb_compliances", counted)
+        monkeypatch.setattr(mechanism, "_limb_stack", counted)
         run_sweep(self.SPEC, template)
         assert computed == [32]
 
@@ -324,15 +336,36 @@ class TestSweepSharing:
                 post_init(self)
             monkeypatch.setattr(cls, "__post_init__", counted)
 
-        counting(Mechanism)
-        counting(FramePlacement)
-        run_sweep(self.SPEC, template)
-        wide = list(built)
-        built.clear()
-        run_sweep(SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 8.0, 1)},
+        for cls in (Mechanism, FramePlacement, Limb, HingeGeometry):
+            counting(cls)
+        geometry = SweepSpec({"t": (2.0, 3.0, 8), "r": (1.0, 1.5, 8)}, self.SPEC.objective)
+        for spec in (self.SPEC, geometry):
+            run_sweep(spec, template)
+        assert built == []
+        # the control: the object path builds every kind the sweep avoids
+        apply_parameters(template, {"t": 2.0, "angle": 20.0, "y": 9.0})
+        assert {"Mechanism", "FramePlacement", "Limb", "HingeGeometry"} <= set(built)
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        template = load_small_rcc().mechanism
+        calls = []
+        notch_kernels = kernels.notch_kernels
+
+        def counted(r, t, w):
+            calls.append(len(r))
+            return notch_kernels(r, t, w)
+
+        monkeypatch.setattr(kernels, "notch_kernels", counted)
+        # fresh geometries, so no grid point hits the kernel cache
+        spec = SweepSpec({"t": (2.01234, 3.01234, 8), "r": (1.01234, 1.51234, 8)},
+                         self.SPEC.objective)
+        run_sweep(spec, template)
+        assert calls == [64]
+        calls.clear()
+        monkeypatch.setattr(analysis, "SWEEP_BATCH", 20)
+        run_sweep(SweepSpec({"t": (2.11234, 3.11234, 8), "r": (1.11234, 1.61234, 8)},
                             self.SPEC.objective), template)
-        assert "Mechanism" not in wide + built
-        assert wide.count("FramePlacement") == built.count("FramePlacement") > 0
+        assert calls == [20, 20, 20, 4]
 
 
 def per_point_sweep(spec, template):

@@ -60,6 +60,7 @@ REPEATED_MECHANISM = SWEEP_FILE.format(
     extra="[mechanism]\nlimb left r=-2.5,10.325,0\nlimb right r=-2.5,-10.325,0\n")
 MIXED_TARGET_K_WEIGHTS = SWEEP_FILE.format(
     extra="[sweep]\nvary t 2 3 2\ntarget_k x 150 weight=2\ntarget_k z 2.4 weight=5\n")
+ZERO_TARGET_K = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\ntarget_k x 150\ntarget_k y 0\n")
 
 
 def _line_of(text, needle):
@@ -91,9 +92,11 @@ def _line_of(text, needle):
     ("sweep", MIXED_TARGET_K_WEIGHTS,
      f"error: line {_line_of(MIXED_TARGET_K_WEIGHTS, 'target_k z')}, field 'weight': "
      "target_k weight 5 differs from the earlier target_k weight 2"),
+    ("sweep", ZERO_TARGET_K, f"error: line {_line_of(ZERO_TARGET_K, 'target_k y')}, field 'y': "
+                             "stiffness target for axis 'y' must be nonzero"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
-        "repeated-mechanism", "mixed-target-k-weights"])
+        "repeated-mechanism", "mixed-target-k-weights", "zero-target-k"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)

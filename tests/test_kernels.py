@@ -6,15 +6,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flexmech import kernels
+from flexmech import elements, kernels
+from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
+from flexmech.elements import HingeGeometry, element_compliances
+from flexmech.fixtures import load_small_rcc
 from flexmech.kernels import (notch_kernels, notch_thickness, rect_torsion_constant,
                               torsion_beta)
+from flexmech.materials import Material
 
 # paper-scale notch plus off-nominal geometries
 GEOMETRIES = [
@@ -179,3 +184,89 @@ class TestNotchKernels:
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             notch_kernels(0.0, 1.0, 1.0)
+
+
+def scalar_notch_kernels(r, t, w):
+    """One notch at a time, with its own one- or two-panel rule: the scalar
+    formula the batched notch_kernels must reproduce bit for bit."""
+    edges = [0.0, math.atan(math.sqrt(2.0 * r / t))]
+    if t < w < t + 2.0 * r:
+        edges.insert(1, math.atan(math.sqrt(w / t - 1.0)))
+    lo = np.array(edges[:-1])[:, None]
+    half = 0.5 * (np.array(edges[1:])[:, None] - lo)
+    alpha = (lo + half * (1.0 + kernels._GL_X)).ravel()
+    weight = (half * kernels._GL_W).ravel()
+    c2 = t / (4.0 * r)
+    tan2 = np.tan(alpha) ** 2
+    s2 = c2 * tan2
+    sec2 = 1.0 + tan2
+    h = t * sec2
+    dx = (4.0 * r * math.sqrt(c2)) * (1.0 - 2.0 * s2) * sec2 / np.sqrt(1.0 - s2) * weight
+    long_s = np.maximum(h, w)
+    short_s = np.minimum(h, w)
+    i_t = torsion_beta(long_s / short_s) * long_s * short_s**3
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(dx @ (1.0 / h)), float(dx @ h**-3), float(dx @ (1.0 / i_t))
+
+
+def _notches(rng, n, split):
+    """n notches with r/t log-uniform in [0.05, 30]; the width crosses the
+    profile (split rule) where `split` is True and misses it elsewhere."""
+    t = rng.uniform(0.3, 5.0, n)
+    r = t * np.exp(rng.uniform(math.log(0.05), math.log(30.0), n))
+    inside = t + rng.uniform(0.05, 0.95, n) * 2.0 * r
+    outside = np.where(rng.random(n) < 0.5, t * rng.uniform(0.2, 0.99, n),
+                       (t + 2.0 * r) * rng.uniform(1.01, 3.0, n))
+    return r, t, np.where(split, inside, outside)
+
+
+class TestNotchKernelBatch:
+    @pytest.mark.parametrize("layout", ["split", "unsplit", "mixed"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_batch_equals_scalar_formula_bit_for_bit(self, layout, scale):
+        rng = np.random.default_rng([len(layout), int(math.log10(scale)) + 3])
+        split = {"split": np.ones(48, bool), "unsplit": np.zeros(48, bool),
+                 "mixed": rng.random(48) < 0.5}[layout]
+        r, t, w = (scale * v for v in _notches(rng, 48, split))
+        assert ((t < w) & (w < t + 2.0 * r) == split).all()
+        batch = notch_kernels(r, t, w)
+        assert batch.shape == (48, 3)
+        expected = [scalar_notch_kernels(*g) for g in zip(r.tolist(), t.tolist(), w.tolist())]
+        assert np.array_equal(batch, np.array(expected))
+
+    def test_batch_of_one_equals_scalar_call(self):
+        for r, t, w in GEOMETRIES + [(10.0, 0.5, 3.0), (0.05, 4.0, 1.0)]:
+            one = notch_kernels(np.array([r]), np.array([t]), np.array([w]))
+            scalar = notch_kernels(r, t, w)
+            assert isinstance(scalar, tuple) and all(type(k) is float for k in scalar)
+            assert one.shape == (1, 3) and one[0].tolist() == list(scalar)
+
+    def test_vanishing_neck_is_reported_without_warnings(self):
+        # the padded panel of an unsplit notch sits where the profile is
+        # thickest, so a t = 1e-120 neck gives inf kernels, never 0 * inf
+        r, t, w = np.array([1.25, 1.25]), np.array([2.82, 1e-120]), np.array([5.0, 5.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = notch_kernels(r, t, w)
+            _, faults = element_compliances(
+                [HingeGeometry(1.25, 1e-120, 5.0, 0.0, Material("m", 43.8, 0.48))])
+        assert np.isfinite(k[0]).all() and np.isfinite(k[1, 0]) and np.isinf(k[1, 1:]).all()
+        assert k[0].tolist() == list(notch_kernels(1.25, 2.82, 5.0))
+        assert faults.tolist() == [1]   # errors.NOT_FINITE: "matrix entries must be finite"
+
+    def test_invalid_geometry_in_a_batch(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            notch_kernels(np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+
+    def test_cache_stays_bounded_over_fresh_geometry_sweeps(self):
+        template = load_small_rcc().mechanism
+        objective = SweepObjective(rcc_height_target=28.6)
+        for n in range(10):
+            # 64 hinge geometries no earlier sweep made
+            lo = 2.0 + 0.0123456 * n
+            run_sweep(SweepSpec({"t": (lo, lo + 0.8, 8), "r": (1.0 + lo / 100, 1.4, 8)},
+                                objective), template)
+            assert len(elements._kernel_cache) <= elements.KERNEL_CACHE_SIZE == 512
+        assert len(elements._kernel_cache) == 512
+        # the latest sweep's geometries are the ones kept
+        assert (1.4, lo + 0.8, 5.0) in elements._kernel_cache   # (r, t, w)

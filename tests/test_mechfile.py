@@ -199,6 +199,7 @@ class TestSweepSection:
         ("vary t 3 2 3", "t", "bad range for 't'"),
         ("vary angle 10 95 3", "angle", "leg angle range"),
         ("target_k q 5", "q", "unknown stiffness axis 'q'"),
+        ("target_k z 0", "z", "stiffness target for axis 'z' must be nonzero"),
     ])
     def test_bad_line_names_its_line_and_key(self, line, field, message):
         # the error names the offending line, not the [sweep] header above it
