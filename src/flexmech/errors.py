@@ -10,7 +10,9 @@ class SingularMatrixError(FlexmechError):
     """Matrix inversion refused: condition number above the trust threshold.
 
     Attributes:
-        cond: estimated condition number.
+        cond: the 1-norm condition number of the diagonally equilibrated
+            matrix (spatial.invert_stack); inf for an exact zero pivot or a
+            non-positive diagonal entry.
     """
 
     def __init__(self, message, cond):

@@ -217,10 +217,12 @@ def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
 
 def _center_heights(c):
     """-C22/C62 of each compliance in a stack, and the mask of those without
-    a finite center (|C62| below 1e-12 of the larger of |C22| and |C66|)."""
+    a finite center: |C62| at most 1e-12 of sqrt(|C22 C66|), the scale that
+    has C62's units."""
     coupling = c[..., 5, 1]
-    scale = np.maximum(np.maximum(np.abs(c[..., 1, 1]), np.abs(c[..., 5, 5])), 1e-300)
-    decoupled = np.abs(coupling) < 1e-12 * scale
+    # the square roots one by one, so the product cannot overflow
+    scale = np.sqrt(np.abs(c[..., 1, 1])) * np.sqrt(np.abs(c[..., 5, 5]))
+    decoupled = np.abs(coupling) <= 1e-12 * scale
     return -c[..., 1, 1] / np.where(decoupled, 1.0, coupling), decoupled
 
 

@@ -4,6 +4,9 @@ The array functions (rot_z, s_matrix, the *_transports, congruence,
 matrix_faults, symmetrize, invert_stack) take one matrix or a stack
 (..., 6, 6), so the batched assembly engine and the single-matrix API
 share one implementation; SpatialMatrix6 wraps one checked matrix.
+invert_stack refuses a matrix on the 1-norm condition number of its
+diagonally equilibrated form, read off the inverse it computes anyway; the
+figure is the same in any units.
 
 Conventions (fixed package-wide):
   - units N, mm, rad; wrench = (Fx, Fy, Fz, Mx, My, Mz), twist = (dx, dy, dz,
@@ -26,7 +29,16 @@ import numpy as np
 from .errors import (NOT_FINITE, NOT_SYMMETRIC, SINGULAR_COMPLIANCE, SINGULAR_STIFFNESS,
                      fault_error)
 
-COND_LIMIT = 1e12     # inversion refused above this condition number
+# inversion refused above this condition number: the 1-norm one of the
+# equilibrated matrix D M D, D = diag(M)^-1/2 (invert_stack).  For symmetric
+# M, kappa_2(DMD) <= kappa_1(DMD) <= n kappa_2(DMD), and for SPD M the Jacobi
+# D is within a factor n of the best diagonal scaling (van der Sluis 1969),
+# so the figure lies between the best diagonally scaled kappa_2 and n^2 = 36
+# times it, and at most 36 kappa_2(M).  An accepted matrix thus has kappa_2 <=
+# 1e12 once equilibrated (about 4 of 16 digits trusted) whatever its units,
+# and a change of units (mm against rad) can no longer move a matrix across
+# the limit; a near-dependence is refused in any units (a t=1e-9 neck: 4.8e16).
+COND_LIMIT = 1e12
 SYM_RTOL = 1e-9       # relative symmetry tolerance for spatial matrices
 
 Vec3 = tuple[float, float, float]
@@ -219,13 +231,34 @@ def transform_stiffness(k: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6:
 
 
 def invert_stack(m):
-    """Inverses of a (..., 6, 6) stack of finite matrices, with the 2-norm
-    condition number of each and the mask of refused ones (condition number
-    not finite or above COND_LIMIT).  A refused matrix is inverted as the
-    identity, so one singular matrix leaves the rest of the stack intact."""
-    cond = np.linalg.cond(m)
+    """Inverses of a (..., 6, 6) stack of finite matrices, with the condition
+    number of each and the mask of refused ones (condition number not finite
+    or above COND_LIMIT).
+
+    The condition number is the 1-norm one of the equilibrated matrix D M D,
+    D = diag(M)^-1/2: ||D M D||_1 ||D^-1 M^-1 D^-1||_1, read off the inverse,
+    so it does not depend on units.  A matrix with a non-positive diagonal
+    entry or an exact zero pivot gets inf.  A refused matrix is inverted as
+    the identity, so one singular matrix leaves the rest of the stack intact.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        # an exact zero pivot fails the whole stack; such a matrix gets an
+        # infinite inverse, which the figure below refuses
+        exact = (np.linalg.slogdet(m)[0] == 0)[..., None, None]
+        inv = np.where(exact, np.inf, np.linalg.inv(np.where(exact, np.eye(6), m)))
+    # a non-positive diagonal makes the scaling, and so the figure, NaN or inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = 1.0 / np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
+        scale = d[..., :, None] * d[..., None, :]
+        cond = (np.abs(m * scale).sum(axis=-2).max(axis=-1)
+                * np.abs(inv / scale).sum(axis=-2).max(axis=-1))
     refused = ~(cond <= COND_LIMIT)
-    return np.linalg.inv(np.where(refused[..., None, None], np.eye(6), m)), cond, refused
+    if refused.any():
+        cond = np.where(np.isnan(cond), np.inf, cond)
+        inv = np.where(refused[..., None, None], np.eye(6), inv)
+    return inv, cond, refused
 
 
 def invert(m: SpatialMatrix6) -> SpatialMatrix6:
@@ -233,5 +266,5 @@ def invert(m: SpatialMatrix6) -> SpatialMatrix6:
     inv, cond, refused = invert_stack(m.m)
     compliance = m.kind == "compliance"
     if refused:
-        raise fault_error(SINGULAR_COMPLIANCE if compliance else SINGULAR_STIFFNESS, cond)
+        raise fault_error(SINGULAR_COMPLIANCE if compliance else SINGULAR_STIFFNESS, float(cond))
     return SpatialMatrix6(inv, "stiffness" if compliance else "compliance")

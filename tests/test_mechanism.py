@@ -234,6 +234,15 @@ class TestCenterOfCompliance:
         with pytest.raises(ValueError, match="no finite rotation center"):
             center_of_compliance(c)
 
+    def test_coupling_threshold_is_unit_consistent(self):
+        # |C62| is compared with sqrt(C22 C66), which has its units: a
+        # coupling tiny against C66 but strong against C22 has a center
+        m = np.eye(6)
+        m[1, 1], m[5, 5] = 1e-10, 1e10
+        m[1, 5] = m[5, 1] = 1e-3
+        c = SpatialMatrix6(m, "compliance")
+        assert center_of_compliance(c) == pytest.approx(-1e-7, rel=1e-15)
+
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="compliance"):
             center_of_compliance(load_reference_stiffness())

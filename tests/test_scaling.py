@@ -52,21 +52,34 @@ BASE_RCC = analyze(BASE).rcc_height
 
 
 @settings(max_examples=40, deadline=None, database=None)
-@given(scale=st.floats(1e-3, 1e3))
+@given(scale=st.floats(1e-5, 1e5))
+@example(scale=1e-5)
 @example(scale=1e-3)
 @example(scale=1e-2)
 @example(scale=1e2)
 @example(scale=1e3)
+@example(scale=1e4)
+@example(scale=1e5)
 def test_rcc_height_scales_with_length(scale):
     result = analyze(scale_mechanism(BASE, scale))
     assert result.rcc_height / scale == pytest.approx(BASE_RCC, rel=1e-9)
 
 
-def test_cli_analyze_scaled_design_exits_zero(tmp_path, capsys):
+def analyze_scaled_design(tmp_path, capsys, scale):
     text = Path(SMALL_RCC).read_text(encoding="utf-8")
-    path = tmp_path / "small_rcc_x0.01.mech"
-    path.write_text(scale_mech_text(text, 0.01), encoding="utf-8")
+    path = tmp_path / f"small_rcc_x{scale}.mech"
+    path.write_text(scale_mech_text(text, scale), encoding="utf-8")
     assert main(["analyze", str(path), "--rcc"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert f"center of compliance: {0.01 * BASE_RCC:.6g} mm above reference" in captured.out
+    assert f"center of compliance: {scale * BASE_RCC:.6g} mm above reference" in captured.out
+
+
+def test_cli_analyze_scaled_design_exits_zero(tmp_path, capsys):
+    analyze_scaled_design(tmp_path, capsys, 0.01)
+
+
+def test_cli_analyze_scaled_up_design_exits_zero(tmp_path, capsys):
+    # the 2-norm condition number of this design's K is above COND_LIMIT,
+    # which only its units cause: the equilibrated one is that of x1
+    analyze_scaled_design(tmp_path, capsys, 1e4)

@@ -8,8 +8,8 @@ import pytest
 
 from flexmech.errors import SingularMatrixError
 from flexmech.spatial import (FramePlacement, IDENTITY_PLACEMENT, SpatialMatrix6,
-                              amplification_displacement, amplification_force,
-                              invert, rot_z, s_matrix, transform_compliance,
+                              COND_LIMIT, amplification_displacement, amplification_force,
+                              invert, invert_stack, rot_z, s_matrix, transform_compliance,
                               transform_stiffness)
 
 RNG = np.random.default_rng(20260810)
@@ -244,8 +244,41 @@ class TestInvert:
         assert ratio == pytest.approx(-21900.0 / 52.0, rel=1e-9)
 
     def test_singular_raises_with_condition(self):
+        # a badly scaled diagonal is perfectly conditioned once equilibrated,
+        # so it inverts; a near-dependence that no diagonal scaling removes
+        # (two nearly parallel columns of A in A A^T) is refused
         m = np.eye(6)
         m[5, 5] = 1e-14
+        expected = np.eye(6)
+        expected[5, 5] = 1e14
+        np.testing.assert_allclose(invert(SpatialMatrix6(m, "stiffness")).m, expected,
+                                   rtol=1e-15)
+        a = RNG.normal(size=(6, 6))
+        a[:, 1] = a[:, 0] + 1e-9 * a[:, 1]
         with pytest.raises(SingularMatrixError) as exc:
-            invert(SpatialMatrix6(m, "stiffness"))
+            invert(SpatialMatrix6(a @ a.T + 1e-14 * np.eye(6), "stiffness"))
         assert exc.value.cond > 1e12
+        assert exc.value.cond > COND_LIMIT
+
+    def test_stack_refuses_singular_items_and_spares_the_rest(self):
+        # an exact zero pivot and a non-positive diagonal get cond = inf and
+        # the identity; the valid items keep the bits of inverting each alone
+        nonpositive = np.eye(6)
+        nonpositive[2, 2] = -1.0
+        valid = [random_spd("stiffness").m for _ in range(3)]
+        stack = np.stack([valid[0], np.ones((6, 6)), valid[1], nonpositive, valid[2]])
+        inv, cond, refused = invert_stack(stack)
+        assert refused.tolist() == [False, True, False, True, False]
+        assert np.isinf(cond[[1, 3]]).all()
+        assert np.array_equal(inv[[1, 3]], np.stack([np.eye(6)] * 2))
+        for i, m in zip((0, 2, 4), valid):
+            alone, _, _ = invert_stack(m)
+            assert np.array_equal(inv[i], alone)
+            assert np.array_equal(inv[i], np.linalg.inv(m))
+
+    def test_condition_number_is_unit_free(self):
+        # D M D for any positive diagonal D gives the same figure
+        m = random_spd("stiffness").m
+        d = np.array([1e-6, 1.0, 1e3, 1e-2, 1e5, 1e8])
+        (_, base, _), (_, scaled, _) = invert_stack(m), invert_stack(d[:, None] * m * d)
+        assert scaled == pytest.approx(base, rel=1e-9)
