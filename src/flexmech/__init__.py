@@ -7,8 +7,8 @@ parametric design sweeps, with a CLI over a line-oriented mechanism file
 format.
 """
 
-from .analysis import (CreepFit, CreepModel, SweepObjective, SweepPoint, SweepSpec,
-                       VerticalComplianceDatum, creep_force, fit_creep, run_sweep)
+from .analysis import (CreepFit, CreepModel, SweepObjective, SweepPoint, SweepResult,
+                       SweepSpec, VerticalComplianceDatum, creep_force, fit_creep, run_sweep)
 from .elements import (BeamGeometry, HingeGeometry, beam_compliance, hinge_compliance,
                        notch_thickness, torsion_compliance_hinge)
 from .errors import FlexmechError, MechanismFileError, SingularMatrixError

@@ -3,19 +3,18 @@ design sweeps over the mechanism geometry."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from . import mechanism
-from .elements import HINGE, HingeGeometry, table_compliances
+from .elements import HINGE, table_compliances
 from .errors import fault_error
-from .mechanism import AXIS_ROW, Limb, Mechanism
-from .spatial import FramePlacement, displacement_transports
+from .mechanism import AXIS_ROW, Mechanism
+from .spatial import displacement_transports
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
 GN_MAX_ITER = 200
@@ -214,20 +213,21 @@ class SweepSpec:
             {name: (lo, hi, int(n)) for name, (lo, hi, n) in self.parameters.items()}))
 
     def grid_values(self):
-        """Deterministic grid iteration: one tuple of values per point, the
-        product of the ranges in parameter insertion order."""
-        return itertools.product(*(np.linspace(lo, hi, n).tolist()
-                                   for lo, hi, n in self.parameters.values()))
+        """The grid as an (N, P) array, one row of values per point: the
+        product of the ranges in parameter insertion order, the last
+        parameter varying fastest."""
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in self.parameters.values()]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
     def grid(self):
         """The grid as one name -> value dict per point, in grid_values() order."""
-        for values in self.grid_values():
+        for values in self.grid_values().tolist():
             yield dict(zip(self.parameters, values))
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One evaluated grid point, ready for ranking and tabulation."""
+    """One ranked grid point as a row (SweepResult.points)."""
 
     params: tuple             # ((name, value), ...) in spec order
     feasible: bool
@@ -240,42 +240,34 @@ class SweepPoint:
         return (not self.feasible, self.score, tuple(v for _, v in self.params))
 
 
-def apply_parameters(template: Mechanism, params) -> Mechanism:
-    """Template mechanism with named parameters substituted.
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """A ranked sweep as columns, one row per grid point: feasible rows by
+    score, then the infeasible ones, ties by grid values (the order of
+    SweepPoint.sort_key)."""
 
-    t/r/w retune every hinge, angle re-leans every rotated member
-    (sign-preserving, degrees), y/z move the limb tip placements
-    (sign-preserving).  Objects the template shares (a limb placed twice,
-    a hinge used by several members) stay shared in the variant.
-    """
-    hinges, limbs, placed = {}, {}, []
-    for limb, placement in template.limbs:
-        if id(limb) not in limbs:
-            limbs[id(limb)] = _limb_variant(limb, params, hinges)
-        rx, ry, rz = placement.r
-        if "y" in params and ry != 0.0:
-            ry = math.copysign(params["y"], ry)
-        if "z" in params and rz != 0.0:
-            rz = math.copysign(params["z"], rz)
-        placed.append((limbs[id(limb)], FramePlacement(placement.theta, (rx, ry, rz))))
-    return Mechanism(tuple(placed), template.reference)
+    names: tuple              # swept parameter names, in spec order
+    params: np.ndarray        # (N, P) grid values
+    feasible: np.ndarray      # (N,) bool: fault code 0
+    score: np.ndarray         # (N,) objective, lower is better; inf where infeasible
+    rcc_height: np.ndarray    # (N,) mm; NaN where infeasible
+    k_diag: np.ndarray        # (N, 6) diagonal of K; NaN where infeasible
+    fault: np.ndarray         # (N,) errors.FAULTS code, 0 where feasible
+    cond: np.ndarray          # (N,) condition number of a refused inversion, NaN if none
 
+    def __len__(self):
+        return len(self.score)
 
-def _limb_variant(limb: Limb, params, hinges):
-    """`limb` with the t/r/w/angle values of `params` substituted.  Each
-    retuned hinge is kept in `hinges` under the template hinge's identity, so
-    the limbs of one variant share it as the template limbs share theirs."""
-    retune = {name: params[name] for name in ("t", "r", "w") if name in params}
-    members = []
-    for geom, mp in limb.members:
-        if retune and isinstance(geom, HingeGeometry):
-            if id(geom) not in hinges:
-                hinges[id(geom)] = replace(geom, **retune)
-            geom = hinges[id(geom)]
-        if "angle" in params and abs(mp.theta) > 0.0:
-            mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
-        members.append((geom, mp))
-    return Limb(limb.name, tuple(members))
+    def points(self):
+        """The rows as SweepPoints, best first.  An infeasible row's reason
+        is the message of the exception analyze raises for its design."""
+        keys = [tuple(zip(self.names, row)) for row in self.params.tolist()]
+        return [SweepPoint(key, True, score, height, tuple(diag)) if ok else
+                SweepPoint(key, False, math.inf, reason=str(fault_error(f, q)))
+                for key, ok, score, height, diag, f, q in zip(
+                    keys, self.feasible.tolist(), self.score.tolist(),
+                    self.rcc_height.tolist(), self.k_diag.tolist(), self.fault.tolist(),
+                    self.cond.tolist())]
 
 
 def _score(objective: SweepObjective, rcc_height, k_diag):
@@ -325,7 +317,8 @@ def _limb_rows(template: _Compiled, columns, rows):
     """Tip compliances, fault codes and leg angles of the template's D
     distinct limbs under each of `rows` rows of t/r/w/angle values, row by
     row (`columns` maps each swept name to its (rows,) values): the edit
-    apply_parameters makes with objects, made on the template's arrays.
+    the object-level oracle of tests/test_analysis.py (apply_parameters)
+    makes with objects, made on the template's arrays.
 
     The checks the edited objects would run hold by SweepSpec's range
     checks (check_sweep_range): a t/r/w range starts above 0 and has a
@@ -338,7 +331,7 @@ def _limb_rows(template: _Compiled, columns, rows):
     retune = [name for name in ("t", "r", "w") if name in columns]
     if retune:
         # every row retunes its own copy of the hinge rows, one per template
-        # hinge as in apply_parameters; the beams are shared
+        # hinge; the beams are shared
         beams = int(np.count_nonzero(table["kind"] != HINGE))
         hinges = np.tile(table[beams:], rows)
         for name in retune:
@@ -363,44 +356,44 @@ def _limb_rows(template: _Compiled, columns, rows):
     return c_limb, faults, mechanism._run_sums(np.broadcast_to(theta, members).ravel(), lengths)[0]
 
 
-def _evaluate(spec: SweepSpec, template: _Compiled, chunk):
-    """SweepPoints of a sequence of grid value tuples, evaluated as array
-    edits of the compiled template (see run_sweep) in one engine call."""
+def _evaluate(spec: SweepSpec, template: _Compiled, values):
+    """The SweepResult columns from `feasible` to `cond`, in grid order, of
+    an (n, P) array of grid values, evaluated as array edits of the
+    compiled template (see run_sweep) in one engine call."""
     names = list(spec.parameters)
-    values = np.array(chunk)
-    # the distinct rows of t/r/w/angle values; each reshapes the limbs once
     shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
-    rows = {}
-    row_of = np.array([rows.setdefault(tuple(v[j] for j in shaping), len(rows)) for v in chunk])
-    columns = dict(zip([names[j] for j in shaping], np.array(list(rows)).reshape(len(rows), -1).T))
-    c_limb, faults, leg = _limb_rows(template, columns, len(rows))
+    # the distinct rows of t/r/w/angle values; each reshapes the limbs once
+    rows, row_of = np.unique(values[:, shaping], axis=0, return_inverse=True)
+    c_limb, faults, leg = _limb_rows(template, dict(zip([names[j] for j in shaping], rows.T)),
+                                     len(rows))
     slots = (row_of[:, None] * len(template.lengths) + template.limb_of).ravel()
     # y/z move every off-plane limb tip, keeping its side
-    r = np.repeat(template.slot_r[None], len(chunk), axis=0)   # (N, S, 3)
+    r = np.repeat(template.slot_r[None], len(values), axis=0)   # (n, S, 3)
     for axis, name in ((1, "y"), (2, "z")):
         if name in names:
             moved = r[0, :, axis] != 0.0
             r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
                                             r[0, moved, axis])
     k, _, centers, faults, cond = mechanism._assemble(
-        c_limb, faults, slots, np.tile(template.slot_theta, len(chunk)), r.reshape(-1, 3),
-        [len(template.limb_of)] * len(chunk), leg[slots])
-    keys = [tuple(zip(names, v)) for v in chunk]
+        c_limb, faults, slots, np.tile(template.slot_theta, len(values)), r.reshape(-1, 3),
+        [len(template.limb_of)] * len(values), leg[slots])
     ok = faults == 0
-    rcc = centers[ok, 0]
-    k_diag = np.diagonal(k[ok], axis1=1, axis2=2)
-    scores = np.broadcast_to(_score(spec.objective, rcc, k_diag), rcc.shape).tolist()
-    points = [SweepPoint(keys[n], True, score, rcc_height=height, k_diag=tuple(diag))
-              for n, score, height, diag in zip(np.flatnonzero(ok).tolist(), scores,
-                                                 rcc.tolist(), k_diag.tolist())]
-    return points + [SweepPoint(keys[n], False, math.inf, reason=str(fault_error(f, q)))
-                     for n, f, q in zip(np.flatnonzero(~ok).tolist(), faults[~ok].tolist(),
-                                        cond[~ok].tolist())]
+    rcc = np.where(ok, centers[:, 0], np.nan)
+    k_diag = np.where(ok[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)
+    score = np.full(len(values), np.inf)
+    score[ok] = _score(spec.objective, rcc[ok], k_diag[ok])
+    return ok, score, rcc, k_diag, faults, cond
 
 
-def run_sweep(spec: SweepSpec, template: Mechanism):
+def _ranking(params, score, feasible):
+    """The row order of SweepPoint.sort_key (infeasible last, then score,
+    then the grid values in spec order) as one stable lexsort."""
+    return np.lexsort((*params.T[::-1], score, ~feasible))
+
+
+def run_sweep(spec: SweepSpec, template: Mechanism) -> SweepResult:
     """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
-    score (infeasible points last, each with the reason its analysis failed).
+    score (infeasible points last, each with the fault its analysis met).
 
     The template is compiled once into arrays (_Compiled): the geometry
     table of its distinct geometries, its members' table rows, placements
@@ -408,12 +401,14 @@ def run_sweep(spec: SweepSpec, template: Mechanism):
     edit of those arrays: each distinct row of t/r/w/angle values overwrites
     the r/t/w columns of a copy of the hinge rows and re-leans the rotated
     members, and y/z overwrite the slots' displacements.  No geometry,
-    placement, limb or mechanism object is built, and each batch makes one
-    notch_kernels call at most.
+    placement, limb or mechanism object is built, each batch makes one
+    notch_kernels call at most, and the results stay columns.
     """
     compiled = _compile(template)
     grid = spec.grid_values()
-    points = []
-    while chunk := list(itertools.islice(grid, SWEEP_BATCH)):
-        points += _evaluate(spec, compiled, chunk)
-    return sorted(points, key=SweepPoint.sort_key)
+    batches = [_evaluate(spec, compiled, grid[i:i + SWEEP_BATCH])
+               for i in range(0, len(grid), SWEEP_BATCH)]
+    feasible, score, rcc, k_diag, fault, cond = map(np.concatenate, zip(*batches))
+    order = _ranking(grid, score, feasible)
+    return SweepResult(tuple(spec.parameters), grid[order], feasible[order], score[order],
+                       rcc[order], k_diag[order], fault[order], cond[order])

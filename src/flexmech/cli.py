@@ -23,8 +23,12 @@ EXIT_NUMERICAL = 2
 
 
 def _write_out(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write a report file; an unwritable path is an input error naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MechanismFileError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_analyze(args):
@@ -44,8 +48,7 @@ def cmd_sweep(args):
     parsed = parse_mechanism(args.file)
     if parsed.sweep is None:
         raise MechanismFileError(f"{args.file} has no [sweep] section")
-    points = run_sweep(parsed.sweep, parsed.mechanism)
-    table = sweep_table(points)
+    table = sweep_table(run_sweep(parsed.sweep, parsed.mechanism))
     sys.stdout.write(table)
     if args.out:
         _write_out(args.out, table)

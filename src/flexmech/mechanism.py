@@ -17,12 +17,15 @@ a geometry table (elements.geometry_table), the table row of each member
 and the members' placements, and _limb_stack sums each limb's members from
 their element stack and transports.  The engine's array core (_assemble) takes the
 limb arrays and sums limbs in their given order, inverts, and extracts the
-remote-center summary, with the ideal four-bar centers from one stack
-function (fourbar_centers).  analyze_batch is front plus core; analyze,
-mechanism_stiffness and limb_compliance are the engine applied to one item;
-sweeps (analysis.run_sweep) build the arrays by editing a template's
-geometry table and member and slot arrays and call the two cores,
-_limb_stack and _assemble.  Every check of the pipeline is a
+remote-center summary, with the ideal four-bar centers of all items from
+one stack expression (fourbar_centers; its trigonometry, like rot_z's, is
+elementwise, so an item gets the same bits alone as in a stack).
+analyze_batch is front plus core; analyze, mechanism_stiffness and
+limb_compliance are the engine applied to one item; sweeps
+(analysis.run_sweep) build the arrays by editing a template's geometry
+table and member and slot arrays, call the two cores, _limb_stack and
+_assemble, and keep what they return as columns (analysis.SweepResult)
+down to the sweep table.  Every check of the pipeline is a
 per-item mask at its stage.  The engine carries each item's first fault,
 in the order a one-item run meets the checks, as an integer code of
 errors.FAULTS, plus the condition number of a refused inversion; the
@@ -249,19 +252,17 @@ def fourbar_centers(legs):
     each: 0, ONE_SIDED, or PARALLEL_LEGS."""
     rows = np.arange(len(legs))
     pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
-    pairs = np.concatenate([legs[rows, pos.argmax(axis=1)], legs[rows, neg.argmax(axis=1)]],
-                           axis=1)
-    heights, parallel = [], []
-    # the first leg of each side, in scalar floats and math.sin/math.cos
-    for x1, y1, a1, x2, y2, a2 in pairs.tolist():
-        sin = math.sin(a2 - a1)
-        parallel.append(abs(sin) < 1e-12)
-        # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
-        # (a parallel pair's height is masked below; `or` spares sin = 0)
-        s1 = ((x2 - x1) * math.sin(a2) - (y2 - y1) * math.cos(a2)) / (sin or math.nan)
-        heights.append(x1 + s1 * math.cos(a1))
+    # the first leg of each side
+    x1, y1, a1 = legs[rows, pos.argmax(axis=1)].T
+    x2, y2, a2 = legs[rows, neg.argmax(axis=1)].T
+    sin = np.sin(a2 - a1)
+    # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
+    # (a parallel pair's height is masked below)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s1 = ((x2 - x1) * np.sin(a2) - (y2 - y1) * np.cos(a2)) / sin
+        heights = x1 + s1 * np.cos(a1)
     faults = np.where(pos.any(axis=1) & neg.any(axis=1),
-                      np.where(parallel, PARALLEL_LEGS, 0), ONE_SIDED)
+                      np.where(np.abs(sin) < 1e-12, PARALLEL_LEGS, 0), ONE_SIDED)
     return np.where(faults == 0, heights, np.nan), faults
 
 

@@ -70,12 +70,15 @@ class ParsedMechanism:
 
 
 def read_lines(path):
-    """Lines of a text file; an unreadable file is an input error naming the path."""
+    """Lines of a UTF-8 text file; an unreadable or undecodable file is an
+    input error naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.readlines()
     except OSError as exc:
         raise MechanismFileError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise MechanismFileError(f"cannot read {path}: {exc}") from None
 
 
 def text_entries(lines):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mechanism import RccResult, deviation_report
 
 # block units of a stiffness matrix in the (N, mm, rad) system
@@ -105,22 +107,21 @@ def machine_report(report: AnalysisReport):
     return "\n".join(lines) + "\n"
 
 
-def sweep_table(points):
-    """Delimited ranked sweep table; one row per grid point."""
-    if not points:
-        return "rank\n"
-    names = [name for name, _ in points[0].params]
-    header = ["rank"] + names + ["feasible", "score", "rcc_height_mm",
-                                 "k11", "k22", "k33", "k44", "k55", "k66"]
-    lines = ["\t".join(header)]
-    for rank, p in enumerate(points, start=1):
-        row = [str(rank)] + [_g6(v) for _, v in p.params]
-        if p.feasible:
-            row += ["yes", _g6(p.score), _g6(p.rcc_height)] + [_g6(v) for v in p.k_diag]
-        else:
-            row += ["no", "inf", "-"] + ["-"] * 6
-        lines.append("\t".join(row))
-    return "\n".join(lines) + "\n"
+def sweep_table(result):
+    """Delimited ranked sweep table of a SweepResult; one row per grid point,
+    formatted with one %-format string per row kind."""
+    names = result.names
+    header = "\t".join(["rank", *names, "feasible", "score", "rcc_height_mm",
+                        "k11", "k22", "k33", "k44", "k55", "k66"])
+    params = "\t".join(["%d"] + ["%.6g"] * len(names))
+    feasible = params + "\tyes" + "\t%.6g" * 8
+    # an infeasible row takes the same cells and prints none of its numbers
+    infeasible = params + "\tno\tinf\t-" + "\t-" * 6 + "%.0s" * 8
+    # + 0.0 scrubs negative zeros
+    cells = np.column_stack([np.arange(1, len(result) + 1), result.params, result.score,
+                             result.rcc_height, result.k_diag]) + 0.0
+    rows = "\n".join([feasible if ok else infeasible for ok in result.feasible.tolist()])
+    return "\n".join([header, rows % tuple(cells.ravel().tolist())]) + "\n"
 
 
 def creep_report(fit):

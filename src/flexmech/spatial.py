@@ -148,11 +148,9 @@ def rot_z(theta):
     """Rotation about z, orthonormal with determinant +1: 3x3 for one angle,
     (..., 3, 3) for an array of angles."""
     theta = np.asarray(theta, dtype=float)
-    # math.cos/math.sin per angle: every caller gets the same rounding,
-    # whatever numpy's vectorized versions do
-    flat = theta.ravel().tolist()
-    c = np.array([math.cos(t) for t in flat]).reshape(theta.shape)
-    s = np.array([math.sin(t) for t in flat]).reshape(theta.shape)
+    # elementwise, so an angle gets the same rounding alone as in any stack
+    # (numpy 2.4 on x86-64 rounds np.cos/np.sin as math.cos/math.sin do)
+    c, s = np.cos(theta), np.sin(theta)
     r3 = np.zeros(theta.shape + (3, 3))
     r3[..., 0, 0] = r3[..., 1, 1] = c
     r3[..., 0, 1] = -s

@@ -1,6 +1,7 @@
 """Creep model/fit and parametric sweep tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,14 @@ import flexmech.analysis as analysis
 import flexmech.kernels as kernels
 import flexmech.mechanism as mechanism
 from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
-                               VerticalComplianceDatum, _score, apply_parameters,
-                               creep_force, fit_creep, run_sweep)
+                               VerticalComplianceDatum, _ranking, _score, creep_force,
+                               fit_creep, run_sweep)
 from flexmech.elements import BeamGeometry, HingeGeometry
 from flexmech.errors import FlexmechError
 from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
-from flexmech.report import sweep_table
+from flexmech.report import _g6, sweep_table
 from flexmech.spatial import FramePlacement, SpatialMatrix6
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
@@ -165,7 +166,7 @@ class TestRunSweep:
         template = load_small_rcc().mechanism
         spec = SweepSpec({"t": (2.82, 2.82, 1)},
                          SweepObjective(rcc_height_target=28.6))
-        (point,) = run_sweep(spec, template)
+        (point,) = run_sweep(spec, template).points()
         res = analyze(template)
         assert point.feasible
         assert point.rcc_height == pytest.approx(res.rcc_height, rel=1e-12)
@@ -176,7 +177,7 @@ class TestRunSweep:
         template = load_small_rcc().mechanism
         spec = SweepSpec({"angle": (15.0, 25.0, 3), "t": (2.4, 3.2, 3)},
                          SweepObjective(rcc_height_target=28.6))
-        points = run_sweep(spec, template)
+        points = run_sweep(spec, template).points()
         assert len(points) == 9
         scores = [p.score for p in points if p.feasible]
         assert scores == sorted(scores)
@@ -185,7 +186,7 @@ class TestRunSweep:
         template = load_small_rcc().mechanism
         spec = SweepSpec({"t": (2.0, 4.0, 5)},
                          SweepObjective(diag_stiffness_target={"z": 2.4}))
-        points = sorted(run_sweep(spec, template), key=lambda p: p.params)
+        points = sorted(run_sweep(spec, template).points(), key=lambda p: p.params)
         diags = np.array([p.k_diag for p in points])
         assert np.all(np.diff(diags, axis=0) > 0.0)
 
@@ -213,10 +214,10 @@ class TestRunSweep:
         template = load_small_rcc().mechanism
         spec = SweepSpec({"angle": (16.0, 30.0, 8)},
                          SweepObjective(rcc_height_target=40.0))
-        by_angle = sorted(run_sweep(spec, template), key=lambda p: p.params)
+        by_angle = sorted(run_sweep(spec, template).points(), key=lambda p: p.params)
         heights = [p.rcc_height for p in by_angle]
         assert all(h2 > h1 for h1, h2 in zip(heights, heights[1:]))
-        ranked = run_sweep(spec, template)
+        ranked = run_sweep(spec, template).points()
         angles = [dict(p.params)["angle"] for p in ranked]
         assert angles == sorted(angles, reverse=True)
 
@@ -229,7 +230,7 @@ class TestRunSweep:
         template = Mechanism(((limb, FramePlacement(0.0, (0.0, 5.0, 0.0))),
                               (limb, FramePlacement(0.0, (0.0, -5.0, 0.0)))))
         spec = SweepSpec({"t": (2.0, 3.0, 2)}, SweepObjective())
-        points = run_sweep(spec, template)
+        points = run_sweep(spec, template).points()
         assert len(points) == 2
         assert all(not p.feasible for p in points)
         assert all("infinity" in p.reason for p in points)
@@ -237,7 +238,7 @@ class TestRunSweep:
     def test_tie_break_lexicographic(self):
         template = load_small_rcc().mechanism
         spec = SweepSpec({"t": (2.0, 3.0, 3)}, SweepObjective())  # all scores 0
-        points = run_sweep(spec, template)
+        points = run_sweep(spec, template).points()
         assert all(p.score == 0.0 for p in points)
         values = [dict(p.params)["t"] for p in points]
         assert values == sorted(values)
@@ -247,7 +248,7 @@ class TestRunSweep:
         # grid's other points must come out as if each ran alone
         template = load_small_rcc().mechanism
         spec = SweepSpec({"t": (1e-9, 3.0, 4)}, SweepObjective(rcc_height_target=28.6))
-        points = {dict(p.params)["t"]: p for p in run_sweep(spec, template)}
+        points = {dict(p.params)["t"]: p for p in run_sweep(spec, template).points()}
         bad = points.pop(1e-9)
         assert not bad.feasible
         with pytest.raises(FlexmechError) as exc:
@@ -255,7 +256,7 @@ class TestRunSweep:
         assert bad.reason == str(exc.value)
         assert len(points) == 3
         for t, point in points.items():
-            (alone,) = run_sweep(SweepSpec({"t": (t, t, 1)}, spec.objective), template)
+            (alone,) = run_sweep(SweepSpec({"t": (t, t, 1)}, spec.objective), template).points()
             assert point == alone
 
 
@@ -263,9 +264,9 @@ class TestRunSweep:
         template = load_small_rcc().mechanism
         spec = SweepSpec({"angle": (15.0, 25.0, 3), "t": (1e-9, 3.2, 3)},
                          SweepObjective(rcc_height_target=28.6))
-        whole = run_sweep(spec, template)
+        whole = run_sweep(spec, template).points()
         monkeypatch.setattr(analysis, "SWEEP_BATCH", 4)
-        assert run_sweep(spec, template) == whole
+        assert run_sweep(spec, template).points() == whole
 
     def test_spec_refuses_ranges_a_variant_or_placement_would_refuse(self):
         # ranges that would retune the hinge to t <= 0 or move a limb tip to
@@ -306,8 +307,8 @@ class TestSweepSharing:
             post_init(self)
 
         monkeypatch.setattr(SpatialMatrix6, "__post_init__", counted)
-        points = run_sweep(self.SPEC, template)
-        assert len(points) == 256 and all(p.feasible for p in points)
+        result = run_sweep(self.SPEC, template)
+        assert len(result) == 256 and result.feasible.all()
         assert built == []
 
     def test_limb_variants_computed_once_across_the_grid(self, monkeypatch):
@@ -368,6 +369,45 @@ class TestSweepSharing:
         assert calls == [20, 20, 20, 4]
 
 
+def apply_parameters(template: Mechanism, params) -> Mechanism:
+    """Object-level reference for run_sweep's array edits: the template
+    mechanism with named parameters substituted.
+
+    t/r/w retune every hinge, angle re-leans every rotated member
+    (sign-preserving, degrees), y/z move the limb tip placements
+    (sign-preserving).  Objects the template shares (a limb placed twice,
+    a hinge used by several members) stay shared in the variant.
+    """
+    hinges, limbs, placed = {}, {}, []
+    for limb, placement in template.limbs:
+        if id(limb) not in limbs:
+            limbs[id(limb)] = _limb_variant(limb, params, hinges)
+        rx, ry, rz = placement.r
+        if "y" in params and ry != 0.0:
+            ry = math.copysign(params["y"], ry)
+        if "z" in params and rz != 0.0:
+            rz = math.copysign(params["z"], rz)
+        placed.append((limbs[id(limb)], FramePlacement(placement.theta, (rx, ry, rz))))
+    return Mechanism(tuple(placed), template.reference)
+
+
+def _limb_variant(limb: Limb, params, hinges):
+    """`limb` with the t/r/w/angle values of `params` substituted.  Each
+    retuned hinge is kept in `hinges` under the template hinge's identity, so
+    the limbs of one variant share it as the template limbs share theirs."""
+    retune = {name: params[name] for name in ("t", "r", "w") if name in params}
+    members = []
+    for geom, mp in limb.members:
+        if retune and isinstance(geom, HingeGeometry):
+            if id(geom) not in hinges:
+                hinges[id(geom)] = replace(geom, **retune)
+            geom = hinges[id(geom)]
+        if "angle" in params and abs(mp.theta) > 0.0:
+            mp = FramePlacement(math.copysign(math.radians(params["angle"]), mp.theta), mp.r)
+        members.append((geom, mp))
+    return Limb(limb.name, tuple(members))
+
+
 def per_point_sweep(spec, template):
     """Loop reference for run_sweep: one analyze and one _score per point."""
     points = []
@@ -383,6 +423,21 @@ def per_point_sweep(spec, template):
                                  rcc_height=result.rcc_height,
                                  k_diag=tuple(float(v) for v in np.diag(result.k.m))))
     return sorted(points, key=SweepPoint.sort_key)
+
+
+def points_table(points):
+    """Cell-by-cell reference for sweep_table: one _g6 call per number."""
+    names = [name for name, _ in points[0].params]
+    lines = ["\t".join(["rank", *names, "feasible", "score", "rcc_height_mm",
+                        "k11", "k22", "k33", "k44", "k55", "k66"])]
+    for rank, p in enumerate(points, start=1):
+        row = [str(rank)] + [_g6(v) for _, v in p.params]
+        if p.feasible:
+            row += ["yes", _g6(p.score), _g6(p.rcc_height)] + [_g6(v) for v in p.k_diag]
+        else:
+            row += ["no", "inf", "-"] + ["-"] * 6
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("section, reasons", [
@@ -402,10 +457,11 @@ def test_run_sweep_table_matches_per_point_analyze(section, reasons):
     lines = read_lines(data_path("small_rcc.mech")) + ["[sweep]\n"] + section.splitlines(True)
     parsed = parse_lines(lines)
     batched = run_sweep(parsed.sweep, parsed.mechanism)
-    assert batched == per_point_sweep(parsed.sweep, parsed.mechanism)
-    assert sweep_table(batched) == sweep_table(per_point_sweep(parsed.sweep, parsed.mechanism))
+    oracle = per_point_sweep(parsed.sweep, parsed.mechanism)
+    assert batched.points() == oracle
+    assert sweep_table(batched) == points_table(oracle)
     # a singular refusal ends with its condition estimate, cut off here
-    assert {p.reason.split(" (")[0] for p in batched if not p.feasible} == reasons
+    assert {p.reason.split(" (")[0] for p in batched.points() if not p.feasible} == reasons
 
 
 def _sweep_range(name):
@@ -430,4 +486,30 @@ def _sweep_specs(draw):
 @given(spec=_sweep_specs())
 def test_run_sweep_equals_per_point_sweep(spec):
     template = load_small_rcc().mechanism
-    assert run_sweep(spec, template) == per_point_sweep(spec, template)
+    assert run_sweep(spec, template).points() == per_point_sweep(spec, template)
+
+
+# grid values and scores drawn from few values, so rows tie; a feasible
+# score may overflow to inf and so tie with the infeasible rows' inf
+_TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])
+_TIED_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, math.inf])
+
+
+@st.composite
+def _sweep_columns(draw):
+    n, p = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    params = np.array(draw(st.lists(st.lists(_TIED, min_size=p, max_size=p),
+                                    min_size=n, max_size=n)))
+    feasible = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    score = np.where(feasible, draw(st.lists(_TIED_SCORES, min_size=n, max_size=n)), math.inf)
+    return params, score, feasible
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(columns=_sweep_columns())
+def test_lexsort_ranking_equals_sort_key_order(columns):
+    params, score, feasible = columns
+    points = [SweepPoint(tuple(zip("abc", row)), ok, s)
+              for row, ok, s in zip(params.tolist(), feasible.tolist(), score.tolist())]
+    expected = sorted(range(len(points)), key=lambda i: points[i].sort_key())
+    assert _ranking(params, score, feasible).tolist() == expected

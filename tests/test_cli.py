@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, determinism of machine output."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -125,6 +126,34 @@ def test_parser_reuse_keeps_output(tmp_path, capsys):
                            check=True)
     assert reused == fresh.stdout
     assert out.read_bytes() == fresh_out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "creep"])
+@pytest.mark.parametrize("target, code", [("directory", errno.EISDIR),
+                                          ("missing-parent", errno.ENOENT)])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command, target, code):
+    # a report that cannot be written is reported like a file that cannot
+    # be read: exit 1 and one error line naming the path, no traceback
+    source = {"analyze": SMALL_RCC, "creep": CREEP, "sweep": tmp_path / "s.mech"}[command]
+    (tmp_path / "s.mech").write_text(
+        SWEEP_FILE.format(extra="[sweep]\nvary t 2.4 3.2 2\ntarget rcc_height 28.6\n"))
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "report.txt"
+    assert main([command, str(source), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{path}"], ["sweep", "{path}"], ["creep", "{path}"],
+                                  ["validate", "{path}"],
+                                  ["analyze", SMALL_RCC, "--measured", "{path}"]],
+                         ids=["analyze", "sweep", "creep", "validate", "measured"])
+def test_undecodable_file_names_its_path(tmp_path, capsys, argv):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"flexmech mechanism format 1\n\xff\xfe\n")
+    assert main([a.format(path=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 class TestAnalyze:

@@ -1,5 +1,7 @@
 """Report formatting: units, assumptions, determinism, sweep table."""
 
+import math
+
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
 from flexmech.fixtures import load_small_rcc
 from flexmech.mechanism import analyze
@@ -56,3 +58,14 @@ def test_sweep_table_shape():
     assert rows[0].split("\t")[:2] == ["rank", "t"]
     assert len(rows) == 4
     assert rows[1].split("\t")[0] == "1"
+
+
+def test_sweep_table_prints_no_negative_zero():
+    # linspace ends a y range on its stop value, here -0.0, which puts every
+    # limb tip on the mid-plane: the row is infeasible, and its grid value
+    # prints as 0, not -0
+    spec = SweepSpec({"y": (-1.0, -0.0, 2)}, SweepObjective())
+    result = run_sweep(spec, load_small_rcc().mechanism)
+    assert [math.copysign(1.0, y) for y in result.params[:, 0]] == [-1.0, -1.0]
+    rows = [row.split("\t") for row in sweep_table(result).splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["1", "-1", "yes"], ["2", "0", "no"]]
