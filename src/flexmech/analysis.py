@@ -11,10 +11,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import mechanism
-from .elements import HINGE, table_compliances
 from .errors import fault_error
 from .mechanism import AXIS_ROW, Mechanism
-from .spatial import displacement_transports
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
 GN_MAX_ITER = 200
@@ -178,14 +176,19 @@ def check_sweep_range(name, lo, hi, n):
 
 @dataclass(frozen=True)
 class SweepObjective:
-    """Weighted-sum objective; lower scores rank better."""
+    """Weighted-sum objective; lower scores rank better.  The targets and
+    weights are checked once and kept as read-only copies."""
 
     rcc_height_target: float | None = None          # mm
     stiffness_ratio_max: bool = False
-    diag_stiffness_target: dict = None              # axis -> N/mm target
-    weights: dict = field(default_factory=dict)     # term name -> weight
+    diag_stiffness_target: Mapping = None           # axis -> N/mm target
+    weights: Mapping = field(default_factory=dict)  # term name -> weight
 
     def __post_init__(self):
+        if self.diag_stiffness_target is not None:
+            object.__setattr__(self, "diag_stiffness_target",
+                               MappingProxyType(dict(self.diag_stiffness_target)))
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         for axis, target in (self.diag_stiffness_target or {}).items():
             check_stiffness_target(axis, target)
         targets = [*(self.diag_stiffness_target or {}).values(), self.rcc_height_target or 0.0]
@@ -287,76 +290,7 @@ def _score(objective: SweepObjective, rcc_height, k_diag):
     return score
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """A template mechanism as the arrays a sweep edits."""
-
-    table: np.ndarray           # GEOMETRY rows of its distinct geometries, beams first
-    geom_of: np.ndarray         # (M,) table row of each member of its distinct limbs
-    theta: np.ndarray           # (M,) member placement angles
-    r: np.ndarray               # (M, 3) member displacements to the limb tip
-    transports: np.ndarray      # (M, 6, 6) member displacement transports
-    lengths: np.ndarray         # (D,) member count of each distinct limb
-    limb_of: np.ndarray         # (S,) distinct limb of each limb slot
-    slot_theta: np.ndarray      # (S,) limb slot placement angles
-    slot_r: np.ndarray          # (S, 3) limb tip displacements to the reference point
-
-
-def _compile(template: Mechanism) -> _Compiled:
-    limb_of, table, geom_of, theta, r, lengths = mechanism._limb_members(
-        [limb for limb, _ in template.limbs])
-    # beams first, so the hinge rows a sweep copies are the table's tail
-    order = np.argsort(table["kind"], kind="stable")
-    return _Compiled(table[order], np.argsort(order)[geom_of], theta, r,
-                     displacement_transports(theta, r), lengths, limb_of,
-                     np.array([p.theta for _, p in template.limbs]),
-                     np.array([p.r for _, p in template.limbs]))
-
-
-def _limb_rows(template: _Compiled, columns, rows):
-    """Tip compliances, fault codes and leg angles of the template's D
-    distinct limbs under each of `rows` rows of t/r/w/angle values, row by
-    row (`columns` maps each swept name to its (rows,) values): the edit
-    the object-level oracle of tests/test_analysis.py (apply_parameters)
-    makes with objects, made on the template's arrays.
-
-    The checks the edited objects would run hold by SweepSpec's range
-    checks (check_sweep_range): a t/r/w range starts above 0 and has a
-    finite span, so every grid value is the finite positive dimension
-    HingeGeometry requires; an angle range lies inside (0, 90) degrees, so
-    a re-leaned member angle is finite and inside (-2 pi, 2 pi), where
-    FramePlacement's normalization leaves it as it is.
-    """
-    table, geom_of, theta = template.table, template.geom_of, template.theta
-    retune = [name for name in ("t", "r", "w") if name in columns]
-    if retune:
-        # every row retunes its own copy of the hinge rows, one per template
-        # hinge; the beams are shared
-        beams = int(np.count_nonzero(table["kind"] != HINGE))
-        hinges = np.tile(table[beams:], rows)
-        for name in retune:
-            hinges[name] = np.repeat(columns[name], len(table) - beams)
-        geom_of = geom_of + np.where(geom_of >= beams,
-                                     np.arange(rows)[:, None] * (len(table) - beams), 0)
-        table = np.concatenate([table[:beams], hinges])
-    if "angle" in columns:
-        # re-lean every rotated member, keeping its side
-        theta = np.where(theta != 0.0, np.copysign(np.radians(columns["angle"])[:, None], theta),
-                         theta)
-        transports = displacement_transports(theta,
-                                             np.broadcast_to(template.r, theta.shape + (3,)))
-    else:
-        transports = template.transports
-    members = (rows, len(template.theta))      # (row, member) of every member
-    lengths = np.tile(template.lengths, rows)
-    elements, element_faults = table_compliances(table)
-    c_limb, faults = mechanism._limb_stack(
-        elements, element_faults, np.broadcast_to(geom_of, members).ravel(),
-        np.broadcast_to(transports, members + (6, 6)).reshape(-1, 6, 6), lengths)
-    return c_limb, faults, mechanism._run_sums(np.broadcast_to(theta, members).ravel(), lengths)[0]
-
-
-def _evaluate(spec: SweepSpec, template: _Compiled, values):
+def _sweep_batch(spec: SweepSpec, compiled, values):
     """The SweepResult columns from `feasible` to `cond`, in grid order, of
     an (n, P) array of grid values, evaluated as array edits of the
     compiled template (see run_sweep) in one engine call."""
@@ -364,19 +298,15 @@ def _evaluate(spec: SweepSpec, template: _Compiled, values):
     shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
     # the distinct rows of t/r/w/angle values; each reshapes the limbs once
     rows, row_of = np.unique(values[:, shaping], axis=0, return_inverse=True)
-    c_limb, faults, leg = _limb_rows(template, dict(zip([names[j] for j in shaping], rows.T)),
-                                     len(rows))
-    slots = (row_of[:, None] * len(template.lengths) + template.limb_of).ravel()
     # y/z move every off-plane limb tip, keeping its side
-    r = np.repeat(template.slot_r[None], len(values), axis=0)   # (n, S, 3)
+    r = np.repeat(compiled.slot_r[None], len(values), axis=0)   # (n, S, 3)
     for axis, name in ((1, "y"), (2, "z")):
         if name in names:
             moved = r[0, :, axis] != 0.0
             r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
                                             r[0, moved, axis])
-    k, _, centers, faults, cond = mechanism._assemble(
-        c_limb, faults, slots, np.tile(template.slot_theta, len(values)), r.reshape(-1, 3),
-        [len(template.limb_of)] * len(values), leg[slots])
+    k, _, centers, faults, cond = mechanism._evaluate(
+        compiled, dict(zip([names[j] for j in shaping], rows.T)), row_of, r)
     ok = faults == 0
     rcc = np.where(ok, centers[:, 0], np.nan)
     k_diag = np.where(ok[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)
@@ -395,18 +325,17 @@ def run_sweep(spec: SweepSpec, template: Mechanism) -> SweepResult:
     """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
     score (infeasible points last, each with the fault its analysis met).
 
-    The template is compiled once into arrays (_Compiled): the geometry
-    table of its distinct geometries, its members' table rows, placements
-    and transports, and its limb slots' placements.  A grid point is then an
-    edit of those arrays: each distinct row of t/r/w/angle values overwrites
-    the r/t/w columns of a copy of the hinge rows and re-leans the rotated
-    members, and y/z overwrite the slots' displacements.  No geometry,
-    placement, limb or mechanism object is built, each batch makes one
-    notch_kernels call at most, and the results stay columns.
+    The template is compiled once into arrays (mechanism._compile), and a
+    grid point is an edit of those arrays: each distinct row of t/r/w/angle
+    values overwrites the r/t/w columns of a copy of the hinge rows and
+    re-leans the rotated members, and y/z overwrite the limb slots'
+    displacements.  No geometry, placement, limb or mechanism object is
+    built, each batch makes one notch_kernels call at most, and the results
+    stay columns.
     """
-    compiled = _compile(template)
+    compiled = mechanism._compile(template.limbs, (len(template.limbs),))
     grid = spec.grid_values()
-    batches = [_evaluate(spec, compiled, grid[i:i + SWEEP_BATCH])
+    batches = [_sweep_batch(spec, compiled, grid[i:i + SWEEP_BATCH])
                for i in range(0, len(grid), SWEEP_BATCH)]
     feasible, score, rcc, k_diag, fault, cond = map(np.concatenate, zip(*batches))
     order = _ranking(grid, score, feasible)

@@ -13,16 +13,12 @@ compliances lumped at the notch's elastic center.  The circular profile is
 symmetric, so that center is the mid-plane x = r, and the frame transform
 carries it to the distal face, producing the (r + h1) lever-arm couplings.
 
-element_compliances has an object front and an array core.  The front
-(geometry_table) reads the geometry objects into a table with one row per
-element and the columns of GEOMETRY; the core (table_compliances) takes
-the notch kernels of all its hinge rows from one _cached_kernels call,
-which calls notch_kernels once for the distinct (r, t, w) triples not in
-the kernel cache, and the torsion coefficients of all its beam rows from
-one torsion_beta call, and checks and transports the whole stack at once.
-Sweeps (analysis.run_sweep) edit the table's columns instead of building
-geometry objects.  The cache is bounded: past KERNEL_CACHE_SIZE triples,
-the oldest go first.
+Elements reach the engine as a table: geometry_table reads geometry
+objects into one row each, with the columns of GEOMETRY, and
+table_compliances computes a whole table as one stack.  Sweeps edit the
+table's columns instead of building geometry objects
+(mechanism._limb_rows).  The notch kernels are cached by (r, t, w); past
+KERNEL_CACHE_SIZE triples, the oldest go first.
 """
 
 from __future__ import annotations
@@ -99,8 +95,8 @@ def notch_thickness(g: HingeGeometry, x):
 
 
 def geometry_table(geoms):
-    """The front of element_compliances: the GEOMETRY table of a sequence of
-    BeamGeometry and HingeGeometry objects, one row each, in order."""
+    """The GEOMETRY table of a sequence of BeamGeometry and HingeGeometry
+    objects, one row each, in order."""
     return np.array([(HINGE, g.r, g.t, g.w, g.h1, 0.0, 0.0, g.material.e_modulus,
                       g.material.g_modulus) if isinstance(g, HingeGeometry) else
                      (BEAM, 0.0, 0.0, g.w, 0.0, g.l, g.s, g.material.e_modulus,
@@ -143,11 +139,10 @@ def _hinge_entries(w, e, gs, k1, k3, kt):
 
 
 def table_compliances(table):
-    """The array core of element_compliances: the distal-frame compliances
-    of the rows of a GEOMETRY table as one (G, 6, 6) stack, plus the
-    validation code of each (see spatial.matrix_faults): a hinge's lumped
-    matrix is checked before and after its lever transport, as the scalar
-    constructors check them.
+    """The distal-frame compliances of the rows of a GEOMETRY table as one
+    (G, 6, 6) stack, plus the validation code of each (see
+    spatial.matrix_faults): a hinge's lumped matrix is checked before and
+    after its lever transport, as the scalar constructors check them.
 
     The notch kernels of all hinge rows come from one _cached_kernels call
     and the torsion coefficients of all beam rows from one torsion_beta
@@ -181,16 +176,9 @@ def table_compliances(table):
     return c, faults
 
 
-def element_compliances(geoms):
-    """Distal-frame compliances of a sequence of beams and hinges as one
-    (G, 6, 6) stack, plus the validation code of each: table_compliances of
-    their geometry_table."""
-    return table_compliances(geometry_table(geoms))
-
-
 def element_compliance(g) -> SpatialMatrix6:
     """Distal-frame compliance of one beam or hinge."""
-    c, faults = element_compliances((g,))
+    c, faults = table_compliances(geometry_table((g,)))
     if faults[0]:
         raise fault_error(faults[0])
     return SpatialMatrix6._checked(c[0], "compliance")

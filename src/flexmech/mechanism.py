@@ -6,29 +6,19 @@ from the member frame to the limb tip (in-plane, r_z = 0).  A mechanism is
 a parallel set of limbs, each with a placement whose r points from the limb
 tip to the common reference point (r_z may be nonzero).
 
-All assembly runs through one batched engine on stacked (..., 6, 6) arrays.
-Its object-flattening front (_flatten) turns mechanisms into arrays: the
-compliances of the distinct limb objects, told apart by identity (callers
-share an object to have it computed once), the distinct limb of each limb
-slot, the slots' placement angles and displacements, their leg angles and
-the number of slots of each mechanism.  The limb compliances come from a
-front and core of their own: _limb_members reads the limbs' members into
-a geometry table (elements.geometry_table), the table row of each member
-and the members' placements, and _limb_stack sums each limb's members from
-their element stack and transports.  The engine's array core (_assemble) takes the
-limb arrays and sums limbs in their given order, inverts, and extracts the
-remote-center summary, with the ideal four-bar centers of all items from
-one stack expression (fourbar_centers; its trigonometry, like rot_z's, is
-elementwise, so an item gets the same bits alone as in a stack).
-analyze_batch is front plus core; analyze, mechanism_stiffness and
-limb_compliance are the engine applied to one item; sweeps
-(analysis.run_sweep) build the arrays by editing a template's geometry
-table and member and slot arrays, call the two cores, _limb_stack and
-_assemble, and keep what they return as columns (analysis.SweepResult)
-down to the sweep table.  Every check of the pipeline is a
-per-item mask at its stage.  The engine carries each item's first fault,
-in the order a one-item run meets the checks, as an integer code of
-errors.FAULTS, plus the condition number of a refused inversion; the
+All assembly runs through one batched engine on stacked (..., 6, 6) arrays,
+with one object front: _compile reads limb slots into arrays (_Compiled),
+telling limbs and geometries apart by identity, so a shared object is
+computed once.  _limb_rows evaluates the distinct limbs, as compiled or
+under rows of t/r/w/angle edits; _assemble sums the limbs of each
+mechanism, inverts, and extracts the remote-center summary.  _evaluate
+chains the two for copies of the compiled mechanisms.  analyze_batch,
+analyze, mechanism_stiffness and limb_compliance compile their objects
+and evaluate them as they are; sweeps (analysis.run_sweep) compile the
+template once and evaluate grid rows as edits of its arrays.  Every check
+is a per-item mask at its stage.  The engine carries each item's first
+fault, in the order a one-item run meets the checks, as an integer code
+of errors.FAULTS, plus the condition number of a refused inversion; the
 exception is built from the code (errors.fault_error) only where the API
 returns or raises it.  A failed item leaves the other items untouched.
 """
@@ -40,15 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (BeamGeometry, HingeGeometry, element_compliance, geometry_table,
+from .elements import (HINGE, BeamGeometry, HingeGeometry, element_compliance, geometry_table,
                        table_compliances)
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
-from .spatial import (SpatialMatrix6, congruence, displacement_transports, force_transports,
-                      invert, invert_stack, matrix_faults, symmetrize)
+from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, displacement_transports,
+                      force_transports, invert, invert_stack, matrix_faults, symmetrize)
 
 # stiffness axis name -> diagonal index of the stiffness matrix (0-based)
 AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
+# what a faulty item's matrix is inverted as, so every inverse stays finite
+_EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -105,83 +97,127 @@ def _by_identity(objects):
     return list(first.values()), np.array([index[id(o)] for o in objects], dtype=np.intp)
 
 
-def _run_sums(terms, lengths):
-    """In-order sums of the consecutive runs of the given lengths in an
-    (M, ...) stack, and the (R, P) grid of the runs' term indices, P the
-    longest run; shorter runs are padded with M, a zero that adds exact zeros."""
-    lengths = np.asarray(lengths)
+def _runs(lengths, size):
+    """The (R, P) grid of the term indices of the consecutive runs of the
+    given (R,) lengths in `size` terms, P the longest run; shorter runs are
+    padded with `size`, where _run_sums puts a zero that adds exact zeros."""
     slot = np.arange(lengths.max()) < lengths[:, None]
-    grid = np.full(slot.shape, len(terms))
-    grid[slot] = np.arange(len(terms))
+    grid = np.full(slot.shape, size)
+    grid[slot] = np.arange(size)
+    return grid
+
+
+def _run_sums(terms, grid):
+    """In-order sums of the runs of an (M, ...) stack given by a _runs grid."""
     terms = np.concatenate([terms, np.zeros((1,) + terms.shape[1:])])
-    total = np.zeros((len(lengths),) + terms.shape[1:])
+    total = np.zeros((len(grid),) + terms.shape[1:])
     for j in range(grid.shape[1]):
         total += terms[grid[:, j]]
-    return total, grid
+    return total
 
 
-def _limb_members(limbs):
-    """The object front of limb assembly, as arrays: the distinct index of
-    each of `limbs`, the geometry table (elements.geometry_table) of the
-    distinct geometry objects of the distinct limbs' members, the table row,
-    placement angle and displacement of each of those M members, and the
-    member count of each distinct limb."""
-    distinct, limb_of = _by_identity(limbs)
+@dataclass(frozen=True)
+class _Compiled:
+    """Limb slots as the arrays the engine evaluates and a sweep edits."""
+
+    table: np.ndarray           # GEOMETRY rows of the distinct geometries, beams first
+    geom_of: np.ndarray         # (M,) table row of each member of the distinct limbs
+    theta: np.ndarray           # (M,) member placement angles
+    r: np.ndarray               # (M, 3) member displacements to the limb tip
+    lengths: np.ndarray         # (D,) member count of each distinct limb
+    limb_of: np.ndarray         # (S,) distinct limb of each limb slot
+    slot_theta: np.ndarray      # (S,) limb slot placement angles
+    slot_r: np.ndarray          # (S, 3) limb tip displacements to the reference point
+    counts: np.ndarray          # slot count of each mechanism
+
+
+def _compile(slots, counts) -> _Compiled:
+    """The arrays of a sequence of (Limb, FramePlacement) limb slots, the
+    consecutive `counts` of them forming one mechanism each.  Limbs and
+    geometries are told apart by identity (_by_identity)."""
+    distinct, limb_of = _by_identity([limb for limb, _ in slots])
     members = [member for limb in distinct for member in limb.members]
-    geoms, geom_of = _by_identity([geom for geom, _ in members])
-    return (limb_of, geometry_table(geoms), geom_of, np.array([p.theta for _, p in members]),
-            np.array([p.r for _, p in members]),
-            np.array([len(limb.members) for limb in distinct]))
+    geoms = [geom for geom, _ in members]
+    # beams first, so the hinge rows a sweep copies are the table's tail
+    beams = [geom for geom in geoms if isinstance(geom, BeamGeometry)]
+    table_geoms, geom_of = _by_identity(beams + geoms)
+    return _Compiled(geometry_table(table_geoms), geom_of[len(beams):],
+                     np.array([p.theta for _, p in members]), np.array([p.r for _, p in members]),
+                     np.array([len(limb.members) for limb in distinct]), limb_of,
+                     np.array([p.theta for _, p in slots]), np.array([p.r for _, p in slots]),
+                     np.array(counts))
 
 
-def _limb_compliances(limbs):
-    """Tip compliances of the distinct limb objects among `limbs`: the
-    (D, 6, 6) stack, the fault code of each (0 when valid) and the
-    distinct index of each input limb."""
-    limb_of, table, geom_of, theta, r, lengths = _limb_members(limbs)
+def _limb_rows(compiled: _Compiled, columns, rows):
+    """Tip compliances, fault codes and leg angles of the D distinct limbs of
+    `compiled` under each of `rows` rows of t/r/w/angle values, row by row:
+    (rows D, 6, 6), (rows D,) and (rows D,).  `columns` maps each edited
+    name to its (rows,) values; with no columns and one row, the limbs are
+    evaluated as compiled.  A leg angle is the in-order sum of its limb's
+    member angles (Limb.leg_angle).
+
+    The edit is the one the object-level oracle of tests/test_analysis.py
+    (apply_parameters) makes with objects.  The checks the edited objects
+    would run hold by SweepSpec's range checks (check_sweep_range): a
+    t/r/w range starts above 0 and has a finite span, so every grid value
+    is the finite positive dimension HingeGeometry requires; an angle range
+    lies inside (0, 90) degrees, so a re-leaned member angle is finite and
+    inside (-2 pi, 2 pi), where FramePlacement's normalization leaves it as
+    it is.
+    """
+    table = compiled.table
+    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
+    retune = [name for name in ("t", "r", "w") if name in columns]
+    if retune:
+        # every row retunes its own copy of the hinge rows, one per compiled
+        # hinge; the beams are shared
+        beams = int(np.count_nonzero(table["kind"] != HINGE))
+        hinges = np.tile(table[beams:], rows)
+        for name in retune:
+            hinges[name] = np.repeat(columns[name], len(table) - beams)
+        geom_of[:, compiled.geom_of >= beams] += np.arange(rows)[:, None] * (len(table) - beams)
+        table = np.concatenate([table[:beams], hinges])
+    theta = compiled.theta[None].repeat(rows, axis=0)
+    if "angle" in columns:
+        # re-lean every rotated member, keeping its side
+        leaned = compiled.theta != 0.0
+        theta[:, leaned] = np.copysign(np.radians(columns["angle"])[:, None],
+                                       compiled.theta[leaned])
+    grid = _runs(np.tile(compiled.lengths, rows), theta.size)
     elements, element_faults = table_compliances(table)
-    c, faults = _limb_stack(elements, element_faults, geom_of,
-                            displacement_transports(theta, r), lengths)
-    return c, faults, limb_of
+    c_limb, faults = _limb_stack(elements, element_faults, geom_of.ravel(),
+                                 displacement_transports(theta, compiled.r).reshape(-1, 6, 6),
+                                 grid)
+    return c_limb, faults, _run_sums(theta.ravel(), grid)
 
 
-def _limb_stack(elements, element_faults, geom_of, transports, lengths):
+def _limb_stack(elements, element_faults, geom_of, transports, grid):
     """The array core of limb assembly: the (D, 6, 6) tip compliances of D
     limbs and the fault code of each (0 when valid).
 
     `elements` and `element_faults` are an element stack and its fault
     codes (elements.table_compliances), `geom_of` the element of each of M
     members, `transports` their (M, 6, 6) displacement transports to the
-    limb tip and `lengths` the number of consecutive members of each limb.
+    limb tip and `grid` the _runs grid of each limb's consecutive members.
     Each limb sums its members' J C J^T in member order and takes the fault
     of its first faulty member, else its sum's.
     """
     # a faulty element may be non-finite; its limb is reported, not warned about
     with np.errstate(invalid="ignore", over="ignore"):
         terms = congruence(transports, elements[geom_of])
-        total, grid = _run_sums(terms, lengths)
+        total = _run_sums(terms, grid)
     member_faults = np.append(element_faults[geom_of], 0)[grid]
     first = member_faults[np.arange(len(grid)), np.argmax(member_faults != 0, axis=1)]
     return symmetrize(total), np.where(first != 0, first, matrix_faults(total))
 
 
-def _flatten(mechanisms):
-    """The object-flattening front of the engine: the arguments of _assemble
-    for a sequence of mechanisms."""
-    flat = [pair for m in mechanisms for pair in m.limbs]
-    c_limb, faults, limb_of = _limb_compliances([limb for limb, _ in flat])
-    return (c_limb, faults, limb_of,
-            np.array([p.theta for _, p in flat]), np.array([p.r for _, p in flat]),
-            [len(m.limbs) for m in mechanisms], np.array([limb.leg_angle() for limb, _ in flat]))
-
-
 def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
     """Reference-point stiffnesses of N mechanisms as an (N, 6, 6) stack, the
     fault code of each (0 when valid) and its refused inversion's condition
-    number (NaN if none), and the (N, P) grid of their limb slots (_run_sums).
+    number (NaN if none), and the (N, P) grid of their limb slots (_runs).
 
     `c_limb` and `faults` are the compliances and fault codes of D distinct
-    limbs (see _limb_compliances), `limb_of` the distinct limb of each of S
+    limbs (see _limb_rows), `limb_of` the distinct limb of each of S
     limb slots, `theta` (S) and `r` (S, 3) the slots' placements, and
     `lengths` the number of consecutive slots of each mechanism.  Each
     mechanism sums its limbs' J_F K J_F^T in slot order.  A faulty limb is
@@ -189,11 +225,11 @@ def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
     takes the fault of its first faulty limb slot, else its sum's.
     """
     ok = faults == 0
-    k_limb, cond, refused = invert_stack(np.where(ok[:, None, None], c_limb, np.eye(6)))
+    k_limb, cond, refused = invert_stack(np.where(ok[:, None, None], c_limb, _EYE6))
     faults = np.where(ok, np.where(refused, SINGULAR_COMPLIANCE, matrix_faults(k_limb)), faults)
     cond = np.where(ok & refused, cond, np.nan)
-    total, grid = _run_sums(congruence(force_transports(theta, r), symmetrize(k_limb)[limb_of]),
-                            lengths)
+    grid = _runs(lengths, len(limb_of))
+    total = _run_sums(congruence(force_transports(theta, r), symmetrize(k_limb)[limb_of]), grid)
     # the limb of each slot, padding pointing at an appended valid one
     limbs = np.append(limb_of, len(faults))[grid]
     faults, cond = np.append(faults, 0), np.append(cond, np.nan)
@@ -204,7 +240,7 @@ def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
     """Tip compliance of a serial chain: sum of J_i C_i J_i^T over members."""
-    c, (fault,), _ = _limb_compliances((limb,))
+    c, (fault,), _ = _limb_rows(_compile(((limb, IDENTITY_PLACEMENT),), (1,)), {}, 1)
     if fault:
         raise fault_error(fault)
     return SpatialMatrix6._checked(c[0], "compliance")
@@ -212,7 +248,11 @@ def limb_compliance(limb: Limb) -> SpatialMatrix6:
 
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
-    k, (fault,), (cond,), _ = _stiffness_stack(*_flatten((m,))[:6])
+    compiled = _compile(m.limbs, (len(m.limbs),))
+    c_limb, faults, _ = _limb_rows(compiled, {}, 1)
+    k, (fault,), (cond,), _ = _stiffness_stack(c_limb, faults, compiled.limb_of,
+                                               compiled.slot_theta, compiled.slot_r,
+                                               compiled.counts)
     if fault:
         raise fault_error(fault, cond)
     return SpatialMatrix6._checked(k[0], "stiffness")
@@ -339,7 +379,7 @@ def _assemble(c_limb, faults, limb_of, theta, r, lengths, leg):
     slot.  A failed item's rows hold whatever its stages left."""
     k, faults, cond, grid = _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths)
     ok = faults == 0
-    c, c_cond, refused = invert_stack(np.where(ok[:, None, None], k, np.eye(6)))
+    c, c_cond, refused = invert_stack(np.where(ok[:, None, None], k, _EYE6))
     c_faults = matrix_faults(c)
     c = symmetrize(c)
     heights, decoupled = _center_heights(c)
@@ -355,6 +395,16 @@ def _assemble(c_limb, faults, limb_of, theta, r, lengths, leg):
             np.where(ok, later, faults), np.where(ok & refused, c_cond, cond))
 
 
+def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
+    """What _assemble returns for n copies of the compiled mechanisms, copy
+    i made of the limbs of row row_of[i] of `columns` (see _limb_rows) with
+    the (S, 3) limb slot displacements slot_r[i]; copy by copy."""
+    c_limb, faults, leg = _limb_rows(compiled, columns, int(row_of.max()) + 1)
+    slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
+    return _assemble(c_limb, faults, slots, np.tile(compiled.slot_theta, len(row_of)),
+                     slot_r.reshape(-1, 3), np.tile(compiled.counts, len(row_of)), leg[slots])
+
+
 def analyze_batch(mechanisms) -> list:
     """analyze for a sequence of mechanisms in one pass of the batched engine.
 
@@ -364,7 +414,10 @@ def analyze_batch(mechanisms) -> list:
     mechanisms = list(mechanisms)
     if not mechanisms:
         return []
-    k, c, centers, faults, cond = _assemble(*_flatten(mechanisms))
+    compiled = _compile([pair for m in mechanisms for pair in m.limbs],
+                        [len(m.limbs) for m in mechanisms])
+    k, c, centers, faults, cond = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
+                                            compiled.slot_r[None])
     return [fault_error(f, q) if f else
             RccResult(SpatialMatrix6._checked(k[n], "stiffness"),
                       SpatialMatrix6._checked(c[n], "compliance"), *row)

@@ -36,6 +36,7 @@ mandatory header)::
     measured z 2.54
     measured y 8.3 10
 
+Each limb has a section of its own, headed by the word limb and its name.
 Placements r point member -> limb tip (limb sections) and limb tip ->
 reference (mechanism section); angles are degrees in files, radians inside.
 """
@@ -56,6 +57,7 @@ from .spatial import FramePlacement
 FORMAT_HEADER = "flexmech mechanism format 1"
 UNITS_HEADER = "units mm deg N"
 CREEP_COLUMNS = ("time_s", "force_n")
+MEASURED_AXES = ("x", "y", "z")     # measured stiffnesses are translational, in N/mm
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ def _parse_mechanism_section(entries, limbs, section_line):
     for lineno, line in entries:
         parts = line.split()
         if parts[0] == "reference":
-            reference = line.partition(" ")[2].strip() or reference
+            reference = line.split(None, 1)[1] if len(parts) > 1 else reference
         elif parts[0] == "limb":
             if len(parts) < 3:
                 raise MechanismFileError(f"expected 'limb <name> r=..', got {line!r}", lineno)
@@ -376,13 +378,17 @@ def parse_measured(entries):
             raise MechanismFileError(
                 f"expected 'measured <axis> <value> [<high>]', got {line!r}", lineno)
         axis = parts[1]
+        if axis not in MEASURED_AXES:
+            raise MechanismFileError(f"unknown measured axis {axis!r}; expected one of "
+                                     f"{', '.join(MEASURED_AXES)}", lineno, axis)
         if axis in measured:
             raise MechanismFileError(f"duplicate measured axis {axis!r}", lineno, axis)
-        lo = _num(parts[2], lineno, axis)
-        if len(parts) == 4:
-            measured[axis] = (lo, _num(parts[3], lineno, axis))
-        else:
-            measured[axis] = lo
+        values = tuple(_num(token, lineno, axis) for token in parts[2:])
+        for v in values:
+            if v <= 0.0:
+                raise MechanismFileError(f"measured stiffness must be positive, got {v:g}",
+                                         lineno, axis)
+        measured[axis] = values if len(values) == 2 else values[0]
     return measured
 
 
@@ -396,12 +402,15 @@ def parse_lines(lines) -> ParsedMechanism:
     measured = None
     seen = set()
     for name, lineno, entries in sections:
+        words = name.split(None, 1)
         if name == "materials":
             materials = _parse_materials(entries)
         elif name == "elements":
             elements = _parse_elements(entries, materials)
-        elif name.startswith("limb"):
-            limb_name = name.split(None, 1)[1] if " " in name else name
+        elif words[:1] == ["limb"]:
+            if len(words) == 1:
+                raise MechanismFileError("limb section needs a name: [limb <name>]", lineno)
+            limb_name = words[1]
             if limb_name in limbs:
                 raise MechanismFileError(f"duplicate limb section {limb_name!r}", lineno)
             limbs[limb_name] = _parse_limb(limb_name, entries, elements)

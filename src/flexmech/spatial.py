@@ -87,20 +87,19 @@ _KINDS = ("compliance", "stiffness")
 
 def _swap(m):
     """Transpose of each matrix in a (..., n, n) stack (a view)."""
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def matrix_faults(m):
     """Fault code of each matrix in a (..., 6, 6) stack: 0 valid,
     NOT_FINITE, or NOT_SYMMETRIC (asymmetry beyond SYM_RTOL of the largest
     entry).  SpatialMatrix6 applies the same rule to one matrix."""
-    finite = np.isfinite(m).all(axis=(-2, -1))
+    scale = np.abs(m).max(axis=(-2, -1))
+    finite = np.isfinite(scale)     # the max of a matrix with a NaN or inf entry is not finite
     if not finite.all():
         m = np.where(finite[..., None, None], m, 0.0)
-    scale = np.abs(m).max(axis=(-2, -1))
     asym = np.abs(m - _swap(m)).max(axis=(-2, -1))
-    skew = (scale > 0) & (asym > SYM_RTOL * scale)
-    return np.where(finite, np.where(skew, NOT_SYMMETRIC, 0), NOT_FINITE)
+    return np.where(finite, (asym > SYM_RTOL * scale) * NOT_SYMMETRIC, NOT_FINITE)
 
 
 def symmetrize(m):

@@ -207,6 +207,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="stiffness target for axis 'x' must be nonzero"):
             SweepObjective(diag_stiffness_target={"z": 2.4, "x": target})
 
+    def test_objective_keeps_its_own_copies(self):
+        # a caller's later edit of its dicts cannot reach the checked
+        # objective: a zero target would divide every score by zero
+        targets, weights = {"z": 2.4}, {"diag": 2.0}
+        objective = SweepObjective(diag_stiffness_target=targets, weights=weights)
+        targets["z"], weights["diag"] = 0.0, math.nan
+        assert objective.diag_stiffness_target == {"z": 2.4}
+        assert objective.weights == {"diag": 2.0}
+        with pytest.raises(TypeError):
+            objective.diag_stiffness_target["z"] = 0.0
+        with pytest.raises(TypeError):
+            objective.weights["diag"] = 0.0
+        result = run_sweep(SweepSpec({"t": (2.0, 3.0, 2)}, objective), load_small_rcc().mechanism)
+        assert result.feasible.all() and np.isfinite(result.score).all()
+
     def test_angle_moves_rcc_toward_target(self):
         # on the 16..30 deg branch the computed center height is monotone
         # increasing in the leg angle, so with a high target the ranking
@@ -482,7 +497,7 @@ def _sweep_specs(draw):
                                     diag_stiffness_target={"z": 2.4}, weights={"ratio": 0.1}))
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30)
 @given(spec=_sweep_specs())
 def test_run_sweep_equals_per_point_sweep(spec):
     template = load_small_rcc().mechanism
@@ -505,7 +520,7 @@ def _sweep_columns(draw):
     return params, score, feasible
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(columns=_sweep_columns())
 def test_lexsort_ranking_equals_sort_key_order(columns):
     params, score, feasible = columns

@@ -62,6 +62,11 @@ REPEATED_MECHANISM = SWEEP_FILE.format(
 MIXED_TARGET_K_WEIGHTS = SWEEP_FILE.format(
     extra="[sweep]\nvary t 2 3 2\ntarget_k x 150 weight=2\ntarget_k z 2.4 weight=5\n")
 ZERO_TARGET_K = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\ntarget_k x 150\ntarget_k y 0\n")
+LIMBS_HEADER = SWEEP_FILE.format(extra="").replace("[limb right]", "[limbs]")
+NAMELESS_LIMB = SWEEP_FILE.format(extra="").replace("[limb right]", "[limb]")
+MEASURED_Q = SWEEP_FILE.format(extra="[measured]\nmeasured z 2.5\nmeasured q 2.54\n")
+MEASURED_ZERO = SWEEP_FILE.format(extra="[measured]\nmeasured z 0\n")
+MEASURED_NEGATIVE = SWEEP_FILE.format(extra="[measured]\nmeasured y 8 10\nmeasured z -2.54\n")
 
 
 def _line_of(text, needle):
@@ -95,9 +100,20 @@ def _line_of(text, needle):
      "target_k weight 5 differs from the earlier target_k weight 2"),
     ("sweep", ZERO_TARGET_K, f"error: line {_line_of(ZERO_TARGET_K, 'target_k y')}, field 'y': "
                              "stiffness target for axis 'y' must be nonzero"),
+    ("validate", LIMBS_HEADER, f"error: line {_line_of(LIMBS_HEADER, '[limbs]')}: "
+                               "unknown section [limbs]"),
+    ("validate", NAMELESS_LIMB, f"error: line {_line_of(NAMELESS_LIMB, '[limb]')}: "
+                                "limb section needs a name"),
+    ("validate", MEASURED_Q, f"error: line {_line_of(MEASURED_Q, 'measured q')}, field 'q': "
+                             "unknown measured axis 'q'"),
+    ("analyze", MEASURED_ZERO, f"error: line {_line_of(MEASURED_ZERO, 'measured z')}, "
+                               "field 'z': measured stiffness must be positive, got 0"),
+    ("analyze", MEASURED_NEGATIVE, f"error: line {_line_of(MEASURED_NEGATIVE, 'measured z')}, "
+                                   "field 'z': measured stiffness must be positive, got -2.54"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
-        "repeated-mechanism", "mixed-target-k-weights", "zero-target-k"])
+        "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
+        "nameless-limb", "measured-axis", "measured-zero", "measured-negative"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -174,6 +190,17 @@ class TestAnalyze:
         assert main(["analyze", SMALL_RCC]) == 0
         out = capsys.readouterr().out
         assert "deviation from measured" in out
+
+    @pytest.mark.parametrize("line, message", [
+        ("measured q 2.54", "error: line 2, field 'q': unknown measured axis 'q'"),
+        ("measured y 8.3 0", "error: line 2, field 'y': measured stiffness must be positive"),
+    ])
+    def test_bad_measured_file_line_is_an_input_error(self, tmp_path, capsys, line, message):
+        path = tmp_path / "measured.txt"
+        path.write_text(f"measured z 2.2\n{line}\n")
+        assert main(["analyze", SMALL_RCC, "--measured", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
 
     def test_measured_override_file(self, tmp_path, capsys):
         path = tmp_path / "meas.txt"

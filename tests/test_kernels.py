@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flexmech import elements, kernels
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
-from flexmech.elements import HingeGeometry, element_compliances
+from flexmech.elements import HingeGeometry, geometry_table, table_compliances
 from flexmech.fixtures import load_small_rcc
 from flexmech.kernels import (notch_kernels, notch_thickness, rect_torsion_constant,
                               torsion_beta)
@@ -168,7 +168,7 @@ class TestNotchKernels:
         r, t, w = geometry
         assert notch_kernels(r, t, w)[0] == pytest.approx(paros_weisbord_k1(r, t), rel=1e-11)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(r=st.floats(0.2, 5.0), t=st.floats(0.3, 6.0), w=st.floats(0.5, 10.0),
            scale=st.floats(1e-3, 1e3))
     @example(r=1.25, t=2.82, w=5.0, scale=1e-3)
@@ -248,8 +248,8 @@ class TestNotchKernelBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = notch_kernels(r, t, w)
-            _, faults = element_compliances(
-                [HingeGeometry(1.25, 1e-120, 5.0, 0.0, Material("m", 43.8, 0.48))])
+            _, faults = table_compliances(geometry_table(
+                [HingeGeometry(1.25, 1e-120, 5.0, 0.0, Material("m", 43.8, 0.48))]))
         assert np.isfinite(k[0]).all() and np.isfinite(k[1, 0]) and np.isinf(k[1, 1:]).all()
         assert k[0].tolist() == list(notch_kernels(1.25, 2.82, 5.0))
         assert faults.tolist() == [1]   # errors.NOT_FINITE: "matrix entries must be finite"

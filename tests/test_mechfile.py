@@ -160,6 +160,49 @@ class TestErrors:
         with pytest.raises(MechanismFileError, match="no/such/file.mech"):
             parse_mechanism("no/such/file.mech")
 
+    @pytest.mark.parametrize("header, message", [
+        ("[limbs]", r"unknown section \[limbs\]"),
+        ("[limbright]", r"unknown section \[limbright\]"),
+        ("[limb]", r"limb section needs a name: \[limb <name>\]"),
+        ("[ limb ]", r"limb section needs a name"),
+    ])
+    def test_limb_header_is_the_word_limb_and_a_name(self, header, message):
+        good = lines(GOOD)
+        at = good.index("[limb right]")
+        bad = good[:at] + [header] + good[at + 1:]
+        with pytest.raises(MechanismFileError, match=f"^line {at + 1}: {message}"):
+            parse_lines(bad)
+
+    def test_limb_name_after_any_whitespace(self):
+        tabbed = [line.replace("[limb right]", "[limb\tright]") for line in lines(GOOD)]
+        assert parse_lines(tabbed).mechanism == parse_lines(lines(GOOD)).mechanism
+
+    @pytest.mark.parametrize("line, reference", [
+        ("reference\tmiddle of upper platform", "middle of upper platform"),
+        ("reference  middle of  upper platform", "middle of  upper platform"),
+        ("reference", "reference point"),
+    ])
+    def test_reference_is_the_rest_of_its_line(self, line, reference):
+        text = [line if x.startswith("reference") else x for x in lines(GOOD)]
+        parsed = parse_lines(text)
+        assert parsed.mechanism.reference == reference
+        assert parse_lines(lines(serialize(parsed))).mechanism.reference == reference
+
+    @pytest.mark.parametrize("line, field, message", [
+        ("measured q 2.54", "q", "unknown measured axis 'q'; expected one of x, y, z"),
+        ("measured tz 2.54", "tz", "unknown measured axis 'tz'"),
+        ("measured z 0", "z", "measured stiffness must be positive, got 0"),
+        ("measured z -2.54", "z", "measured stiffness must be positive, got -2.54"),
+        ("measured z 2 -0.0", "z", "measured stiffness must be positive, got -0"),
+    ])
+    def test_bad_measured_line_names_its_line_and_axis(self, line, field, message):
+        good = lines(GOOD)
+        at = good.index("measured z 2.54")
+        bad = good[:at] + [line] + good[at + 1:]
+        with pytest.raises(MechanismFileError,
+                           match=f"^line {at + 1}, field '{field}': {message}"):
+            parse_lines(bad)
+
     def test_member_out_of_plane_rejected(self):
         bad = [line.replace("r=42.85,14.765,0", "r=42.85,14.765,3") for line in lines(GOOD)]
         with pytest.raises(MechanismFileError, match="r_z = 0"):

@@ -51,7 +51,7 @@ BASE = load_small_rcc().mechanism
 BASE_RCC = analyze(BASE).rcc_height
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(scale=st.floats(1e-5, 1e5))
 @example(scale=1e-5)
 @example(scale=1e-3)
