@@ -138,6 +138,7 @@ class VerticalComplianceDatum:
 
 SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
 LIMB_PARAMETERS = ("t", "r", "w", "angle")     # the ones that reshape limbs
+WEIGHT_TERMS = ("rcc", "ratio", "diag")          # the objective's terms, as _score names them
 # grid points per engine call: a batch's arrays are alive at once (the
 # notch kernels of 1024 fresh hinge geometries take about 20 MB), so this
 # bounds memory; results do not depend on it
@@ -189,6 +190,10 @@ class SweepObjective:
             object.__setattr__(self, "diag_stiffness_target",
                                MappingProxyType(dict(self.diag_stiffness_target)))
         object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        for name in self.weights:
+            if name not in WEIGHT_TERMS:
+                raise ValueError(f"unknown weight term {name!r}; "
+                                 f"expected one of {', '.join(WEIGHT_TERMS)}")
         for axis, target in (self.diag_stiffness_target or {}).items():
             check_stiffness_target(axis, target)
         targets = [*(self.diag_stiffness_target or {}).values(), self.rcc_height_target or 0.0]
@@ -305,8 +310,9 @@ def _sweep_batch(spec: SweepSpec, compiled, values):
             moved = r[0, :, axis] != 0.0
             r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
                                             r[0, moved, axis])
-    k, _, centers, faults, cond = mechanism._evaluate(
+    _, k, _, centers, checks, conds = mechanism._evaluate(
         compiled, dict(zip([names[j] for j in shaping], rows.T)), row_of, r)
+    faults, cond = mechanism._first_faults(checks, conds)
     ok = faults == 0
     rcc = np.where(ok, centers[:, 0], np.nan)
     k_diag = np.where(ok[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)

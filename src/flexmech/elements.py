@@ -15,9 +15,10 @@ carries it to the distal face, producing the (r + h1) lever-arm couplings.
 
 Elements reach the engine as a table: geometry_table reads geometry
 objects into one row each, with the columns of GEOMETRY, and
-table_compliances computes a whole table as one stack.  Sweeps edit the
-table's columns instead of building geometry objects
-(mechanism._limb_rows).  The notch kernels are cached by (r, t, w); past
+lumped_compliances and table_compliances compute a whole table as one
+stack, leaving the checks to the caller, so the engine checks every stage
+in one pass.  Sweeps edit the table's columns instead of building geometry
+objects (mechanism._edited).  The notch kernels are cached by (r, t, w); past
 KERNEL_CACHE_SIZE triples, the oldest go first.
 """
 
@@ -31,8 +32,7 @@ import numpy as np
 from . import kernels
 from .errors import fault_error
 from .materials import Material
-from .spatial import (SpatialMatrix6, congruence, displacement_transports, matrix_faults,
-                      symmetrize)
+from .spatial import SpatialMatrix6, congruence, matrix_faults, symmetrize, transports
 
 SHEAR_ALPHA = 6.0 / 5.0  # rectangular-section shear correction factor
 
@@ -138,11 +138,19 @@ def _hinge_entries(w, e, gs, k1, k3, kt):
             0.0, 0.0, 0.0, 0.0)
 
 
-def table_compliances(table):
-    """The distal-frame compliances of the rows of a GEOMETRY table as one
-    (G, 6, 6) stack, plus the validation code of each (see
-    spatial.matrix_faults): a hinge's lumped matrix is checked before and
-    after its lever transport, as the scalar constructors check them.
+def hinge_levers(table):
+    """The (H, 3) displacement (r + h1, 0, 0) from the elastic center of each
+    hinge row of a GEOMETRY table, its notch mid-plane, to its element frame."""
+    hinges = table[table["kind"] == HINGE]
+    lever = np.zeros((len(hinges), 3))
+    lever[:, 0] = hinges["r"] + hinges["h1"]
+    return lever
+
+
+def lumped_compliances(table):
+    """The compliances of the rows of a GEOMETRY table as one (G, 6, 6)
+    stack, as the element formulas give them: a beam's at its distal frame,
+    a hinge's lumped at its elastic center (table_compliances moves it).
 
     The notch kernels of all hinge rows come from one _cached_kernels call
     and the torsion coefficients of all beam rows from one torsion_beta
@@ -157,30 +165,42 @@ def table_compliances(table):
     beta = iter(kernels.torsion_beta(np.array(
         [max(w, s) / min(w, s) for kind, _, _, w, _, _, s, _, _ in rows if kind != HINGE]
     )[:, None]).ravel().tolist())
-    c = np.zeros((len(rows), 36))
-    c[:, _ENTRIES] = np.array([
+    lumped = np.zeros((len(rows), 36))
+    lumped[:, _ENTRIES] = np.array([
         _hinge_entries(w, e, gs, *next(k)) if kind == HINGE else
         _beam_entries(l, w, s, e, gs, next(beta)) for kind, _, _, w, _, l, s, e, gs in rows]
     ).reshape(-1, len(_ENTRIES))
-    c = c.reshape(-1, 6, 6)
+    return lumped.reshape(-1, 6, 6)
+
+
+def table_compliances(table, lumped, levers):
+    """The distal-frame compliances of the rows of a GEOMETRY table as one
+    (G, 6, 6) stack, from their lumped_compliances and the displacement
+    transports of their hinge_levers, plus the (H, 6, 6) hinge rows after
+    their lever transport.  A caller checks the lumped and the moved stack
+    (see spatial.matrix_faults), as the scalar constructors would.  A
+    vanishing neck gives non-finite entries: callers run it under
+    np.errstate.
+    """
+    c = symmetrize(lumped)
     hinge = table["kind"] == HINGE
-    faults = matrix_faults(c)
-    c = symmetrize(c)
-    lever = np.zeros((int(hinge.sum()), 3))
-    lever[:, 0] = table["r"][hinge] + table["h1"][hinge]
-    with np.errstate(invalid="ignore", over="ignore"):
-        moved = congruence(displacement_transports(np.zeros(len(lever)), lever), c[hinge])
-    lumped = faults[hinge]
-    faults[hinge] = np.where(lumped != 0, lumped, matrix_faults(moved))
+    moved = congruence(levers, c[hinge])
     c[hinge] = symmetrize(moved)
-    return c, faults
+    return c, moved
 
 
 def element_compliance(g) -> SpatialMatrix6:
     """Distal-frame compliance of one beam or hinge."""
-    c, faults = table_compliances(geometry_table((g,)))
-    if faults[0]:
-        raise fault_error(faults[0])
+    table = geometry_table((g,))
+    lumped = lumped_compliances(table)
+    levers = hinge_levers(table)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c, moved = table_compliances(table, lumped,
+                                     transports(np.zeros(len(levers)), levers, False))
+    # the lumped matrix first, then a hinge's moved one
+    for fault in matrix_faults(np.concatenate([lumped, moved])).tolist():
+        if fault:
+            raise fault_error(fault)
     return SpatialMatrix6._checked(c[0], "compliance")
 
 

@@ -9,18 +9,22 @@ tip to the common reference point (r_z may be nonzero).
 All assembly runs through one batched engine on stacked (..., 6, 6) arrays,
 with one object front: _compile reads limb slots into arrays (_Compiled),
 telling limbs and geometries apart by identity, so a shared object is
-computed once.  _limb_rows evaluates the distinct limbs, as compiled or
-under rows of t/r/w/angle edits; _assemble sums the limbs of each
-mechanism, inverts, and extracts the remote-center summary.  _evaluate
-chains the two for copies of the compiled mechanisms.  analyze_batch,
-analyze, mechanism_stiffness and limb_compliance compile their objects
-and evaluate them as they are; sweeps (analysis.run_sweep) compile the
-template once and evaluate grid rows as edits of its arrays.  Every check
-is a per-item mask at its stage.  The engine carries each item's first
-fault, in the order a one-item run meets the checks, as an integer code
-of errors.FAULTS, plus the condition number of a refused inversion; the
-exception is built from the code (errors.fault_error) only where the API
-returns or raises it.  A failed item leaves the other items untouched.
+computed once.  _evaluate evaluates copies of the compiled mechanisms, as
+compiled or under rows of t/r/w/angle edits (_edited): it builds every
+transport in one pass, sums the members of each distinct limb (_limb_stack)
+and the limbs of each mechanism, inverts, and extracts the remote-center
+summary.  analyze_batch, analyze, mechanism_stiffness and limb_compliance
+compile their objects and evaluate them as they are; sweeps
+(analysis.run_sweep) compile the template once and evaluate grid rows as
+edits of its arrays.  Every stage runs for every item: a refused inversion
+gives the identity, so a faulty matrix stays with its own item.  The
+matrices of all stages are checked in one matrix_faults pass at the end,
+and _first_faults picks each item's first fault in the order a one-item
+run meets the checks, (limb slot, stage) by (limb slot, stage) and then
+the mechanism's own, as an integer code of errors.FAULTS, plus the
+condition number of a refused inversion; the exception is built from the
+code (errors.fault_error) only where the API returns or raises it.  A
+failed item leaves the other items untouched.
 """
 
 from __future__ import annotations
@@ -31,16 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (HINGE, BeamGeometry, HingeGeometry, element_compliance, geometry_table,
-                       table_compliances)
+                       hinge_levers, lumped_compliances, table_compliances)
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
-from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, displacement_transports,
-                      force_transports, invert, invert_stack, matrix_faults, symmetrize)
+from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, invert, invert_stack,
+                      matrix_faults, symmetrize, transports)
 
 # stiffness axis name -> diagonal index of the stiffness matrix (0-based)
 AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
-# what a faulty item's matrix is inverted as, so every inverse stays finite
-_EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,12 @@ def _compile(slots, counts) -> _Compiled:
                      np.array(counts))
 
 
-def _limb_rows(compiled: _Compiled, columns, rows):
-    """Tip compliances, fault codes and leg angles of the D distinct limbs of
-    `compiled` under each of `rows` rows of t/r/w/angle values, row by row:
-    (rows D, 6, 6), (rows D,) and (rows D,).  `columns` maps each edited
-    name to its (rows,) values; with no columns and one row, the limbs are
-    evaluated as compiled.  A leg angle is the in-order sum of its limb's
-    member angles (Limb.leg_angle).
+def _edited(compiled: _Compiled, columns, rows):
+    """The GEOMETRY table, the (rows, M) table row of each member and the
+    (rows, M) member angles of the distinct limbs of `compiled` under each
+    of `rows` rows of t/r/w/angle values.  `columns` maps each edited name
+    to its (rows,) values; with no columns and one row, the limbs are as
+    compiled.
 
     The edit is the one the object-level oracle of tests/test_analysis.py
     (apply_parameters) makes with objects.  The checks the edited objects
@@ -183,76 +184,144 @@ def _limb_rows(compiled: _Compiled, columns, rows):
         leaned = compiled.theta != 0.0
         theta[:, leaned] = np.copysign(np.radians(columns["angle"])[:, None],
                                        compiled.theta[leaned])
-    grid = _runs(np.tile(compiled.lengths, rows), theta.size)
-    elements, element_faults = table_compliances(table)
-    c_limb, faults = _limb_stack(elements, element_faults, geom_of.ravel(),
-                                 displacement_transports(theta, compiled.r).reshape(-1, 6, 6),
-                                 grid)
-    return c_limb, faults, _run_sums(theta.ravel(), grid)
+    return table, geom_of, theta
 
 
-def _limb_stack(elements, element_faults, geom_of, transports, grid):
+def _limb_stack(elements, geom_of, transports, grid):
     """The array core of limb assembly: the (D, 6, 6) tip compliances of D
-    limbs and the fault code of each (0 when valid).
+    limbs, and the sums they symmetrize, which the caller checks.
 
-    `elements` and `element_faults` are an element stack and its fault
-    codes (elements.table_compliances), `geom_of` the element of each of M
-    members, `transports` their (M, 6, 6) displacement transports to the
-    limb tip and `grid` the _runs grid of each limb's consecutive members.
-    Each limb sums its members' J C J^T in member order and takes the fault
-    of its first faulty member, else its sum's.
+    `elements` is an element stack (elements.table_compliances), `geom_of`
+    the element of each of M members, `transports` their (M, 6, 6)
+    displacement transports to the limb tip and `grid` the _runs grid of
+    each limb's consecutive members.  Each limb sums its members' J C J^T
+    in member order.
     """
-    # a faulty element may be non-finite; its limb is reported, not warned about
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = congruence(transports, elements[geom_of])
-        total = _run_sums(terms, grid)
-    member_faults = np.append(element_faults[geom_of], 0)[grid]
-    first = member_faults[np.arange(len(grid)), np.argmax(member_faults != 0, axis=1)]
-    return symmetrize(total), np.where(first != 0, first, matrix_faults(total))
+    total = _run_sums(congruence(transports, elements[geom_of]), grid)
+    return symmetrize(total), total
 
 
-def _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths):
-    """Reference-point stiffnesses of N mechanisms as an (N, 6, 6) stack, the
-    fault code of each (0 when valid) and its refused inversion's condition
-    number (NaN if none), and the (N, P) grid of their limb slots (_runs).
+def _first_faults(checks, conds):
+    """The first fault of each item of the (N, W) fault codes of its checks,
+    in the order its one-item run makes them (_evaluate), and the condition
+    number beside it: (N,) codes, 0 where every check passed, and (N,)
+    figures, NaN unless the first fault is a refused inversion."""
+    first = np.argmax(checks != 0, axis=1)
+    rows = np.arange(len(checks))
+    return checks[rows, first], conds[rows, first]
 
-    `c_limb` and `faults` are the compliances and fault codes of D distinct
-    limbs (see _limb_rows), `limb_of` the distinct limb of each of S
-    limb slots, `theta` (S) and `r` (S, 3) the slots' placements, and
-    `lengths` the number of consecutive slots of each mechanism.  Each
-    mechanism sums its limbs' J_F K J_F^T in slot order.  A faulty limb is
-    inverted as the identity, so every stiffness stays finite; a mechanism
-    takes the fault of its first faulty limb slot, else its sum's.
+
+# the checks of a mechanism after those of its limb slots: stiffness sum,
+# stiffness inversion, compliance, center, ideal center, both centers finite
+_MECHANISM_CHECKS = 6
+# the checks of a limb slot after its compliance sum: inversion, stiffness
+_LIMB_CHECKS_AFTER_SUM = 2
+
+
+def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
+    """The array core of the engine, for n copies of the compiled mechanisms,
+    copy i made of the limbs of row row_of[i] of `columns` (see _edited)
+    with the (S, 3) limb slot displacements slot_r[i]; copy by copy.
+
+    Returns the (D, 6, 6) compliances of the distinct limbs of all rows,
+    the (n, 6, 6) K and C stacks, the (n, 3) rows of (rcc height, ideal
+    center, rotational precision), and the (n, W) fault codes of the checks
+    each copy's one-item run would make, in order, with the (n, W)
+    condition numbers of its refused inversions (NaN elsewhere).  Those
+    checks are, for each limb slot, the lumped and moved check of each
+    member's element, then the limb's compliance sum, inversion and
+    stiffness; and then the mechanism's _MECHANISM_CHECKS.  _first_faults
+    reads each copy's first fault off them.
+
+    Every matrix is computed for every copy, faulty or not: a refused
+    inversion gives the identity, so a non-finite or singular matrix stays
+    with its own copy, and every stage's matrices are checked in one
+    matrix_faults pass at the end.  A failed copy's rows hold whatever its
+    stages left.
     """
-    ok = faults == 0
-    k_limb, cond, refused = invert_stack(np.where(ok[:, None, None], c_limb, _EYE6))
-    faults = np.where(ok, np.where(refused, SINGULAR_COMPLIANCE, matrix_faults(k_limb)), faults)
-    cond = np.where(ok & refused, cond, np.nan)
-    grid = _runs(lengths, len(limb_of))
-    total = _run_sums(congruence(force_transports(theta, r), symmetrize(k_limb)[limb_of]), grid)
-    # the limb of each slot, padding pointing at an appended valid one
-    limbs = np.append(limb_of, len(faults))[grid]
-    faults, cond = np.append(faults, 0), np.append(cond, np.nan)
-    first = limbs[np.arange(len(grid)), np.argmax(faults[limbs] != 0, axis=1)]
-    return (symmetrize(total), np.where(faults[first] != 0, faults[first], matrix_faults(total)),
-            cond[first], grid)
+    rows = int(row_of.max()) + 1
+    table, geom_of, theta = _edited(compiled, columns, rows)
+    # the notch kernels first: their temporaries are a batch's largest arrays
+    lumped = lumped_compliances(table)
+    levers = hinge_levers(table)
+    # the distinct limb of each limb slot, limbs numbered row by row
+    slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
+    slot_r = slot_r.reshape(-1, 3)
+    # one transport pass: hinge levers and members move twists to their
+    # limb tip, limb slots move wrenches to the reference point
+    h, m = len(levers), len(levers) + theta.size
+    j = transports(np.concatenate([np.zeros(h), theta.ravel(),
+                                   np.tile(compiled.slot_theta, len(row_of))]),
+                   np.concatenate([levers, np.tile(compiled.r, (rows, 1)), slot_r]),
+                   np.arange(m + len(slots)) >= m)
+    member_grid = _runs(np.tile(compiled.lengths, rows), theta.size)
+    slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
+    # legs (x, y, angle), tips in reference coordinates; padding gets NaN
+    legs = np.full((len(slots) + 1, 3), np.nan)
+    legs[:-1, :2] = -slot_r[:, :2]
+    legs[:-1, 2] = _run_sums(theta.ravel(), member_grid)[slots]
+    # a vanishing neck or a refused matrix overflows or divides by zero on
+    # its own item's rows, which the checks report
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        elements, moved = table_compliances(table, lumped, j[:h])
+        c_limb, c_sum = _limb_stack(elements, geom_of.ravel(), j[h:m], member_grid)
+        k_limb, limb_cond, limb_refused = invert_stack(c_limb)
+        k_sum = _run_sums(congruence(j[m:], symmetrize(k_limb)[slots]), slot_grid)
+        k = symmetrize(k_sum)
+        c_inv, cond, refused = invert_stack(k)
+        c = symmetrize(c_inv)
+        heights, decoupled = _center_heights(c)
+        ideal, ideal_faults = fourbar_centers(legs[slot_grid])
+
+    faults = matrix_faults(np.concatenate([lumped, moved, c_sum, k_limb, k_sum, c_inv]))
+    g, d, n = len(lumped), len(c_sum), len(k_sum)
+    # each element's lumped and moved check; the last row passes, for padding
+    element = np.zeros((g + 1, 2), dtype=faults.dtype)
+    element[:g, 0] = faults[:g]
+    element[np.flatnonzero(table["kind"] == HINGE), 1] = faults[g:g + h]
+    members = element[np.append(geom_of.ravel(), g)[member_grid]].reshape(d, -1)
+    # each limb's checks: its members', then its compliance sum, inversion
+    # and stiffness; the last row passes, for padding
+    limb = np.zeros((d + 1, members.shape[1] + 3), dtype=faults.dtype)
+    limb[:d, :-3] = members
+    limb[:d, -3] = faults[g + h:g + h + d]
+    limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
+    limb[:d, -1] = faults[g + h + d:g + h + 2 * d]
+    limb_conds = np.full(limb.shape, np.nan)
+    limb_conds[:d, -2] = limb_cond
+    slot_limb = np.append(slots, d)[slot_grid]
+    mechanism = np.column_stack([
+        faults[-2 * n:-n], refused * SINGULAR_STIFFNESS, faults[-n:], decoupled * NO_CENTER,
+        ideal_faults, np.where(np.isfinite(heights) & np.isfinite(ideal), 0, CENTERS_NOT_FINITE)])
+    mechanism_conds = np.full(mechanism.shape, np.nan)
+    mechanism_conds[:, 1] = cond
+    checks = np.concatenate([limb[slot_limb].reshape(n, -1), mechanism], axis=1)
+    conds = np.concatenate([limb_conds[slot_limb].reshape(n, -1), mechanism_conds], axis=1)
+    return (c_limb, k, c, np.column_stack([heights, ideal, np.abs(heights - ideal)]),
+            checks, conds)
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
     """Tip compliance of a serial chain: sum of J_i C_i J_i^T over members."""
-    c, (fault,), _ = _limb_rows(_compile(((limb, IDENTITY_PLACEMENT),), (1,)), {}, 1)
+    compiled = _compile(((limb, IDENTITY_PLACEMENT),), (1,))
+    c_limb, _, _, _, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
+                                               compiled.slot_r[None])
+    # the checks up to the limb's compliance sum
+    stop = -(_LIMB_CHECKS_AFTER_SUM + _MECHANISM_CHECKS)
+    (fault,), _ = _first_faults(checks[:, :stop], conds[:, :stop])
     if fault:
         raise fault_error(fault)
-    return SpatialMatrix6._checked(c[0], "compliance")
+    return SpatialMatrix6._checked(c_limb[0], "compliance")
 
 
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
     compiled = _compile(m.limbs, (len(m.limbs),))
-    c_limb, faults, _ = _limb_rows(compiled, {}, 1)
-    k, (fault,), (cond,), _ = _stiffness_stack(c_limb, faults, compiled.limb_of,
-                                               compiled.slot_theta, compiled.slot_r,
-                                               compiled.counts)
+    _, k, _, _, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
+                                          compiled.slot_r[None])
+    # the checks up to the mechanism's stiffness sum
+    stop = 1 - _MECHANISM_CHECKS
+    (fault,), (cond,) = _first_faults(checks[:, :stop], conds[:, :stop])
     if fault:
         raise fault_error(fault, cond)
     return SpatialMatrix6._checked(k[0], "stiffness")
@@ -289,20 +358,22 @@ def fourbar_centers(legs):
     legs' (x, y, angle): tip position in reference coordinates and leg angle
     (rad).  A leg with y = 0 or NaN (padding) is on neither side.  Returns
     the (N,) heights, NaN where a mechanism has none, and the fault code of
-    each: 0, ONE_SIDED, or PARALLEL_LEGS."""
+    each: 0, ONE_SIDED, or PARALLEL_LEGS.  Coordinates so large that the
+    arithmetic overflows give a non-finite height; callers that must not
+    warn run it under np.errstate."""
     rows = np.arange(len(legs))
     pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
     # the first leg of each side
     x1, y1, a1 = legs[rows, pos.argmax(axis=1)].T
     x2, y2, a2 = legs[rows, neg.argmax(axis=1)].T
     sin = np.sin(a2 - a1)
+    parallel = np.abs(sin) < 1e-12
     # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
-    # (a parallel pair's height is masked below)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s1 = ((x2 - x1) * np.sin(a2) - (y2 - y1) * np.cos(a2)) / sin
-        heights = x1 + s1 * np.cos(a1)
+    # (a parallel pair divides by 1 instead; its height is masked below)
+    s1 = ((x2 - x1) * np.sin(a2) - (y2 - y1) * np.cos(a2)) / np.where(parallel, 1.0, sin)
+    heights = x1 + s1 * np.cos(a1)
     faults = np.where(pos.any(axis=1) & neg.any(axis=1),
-                      np.where(np.abs(sin) < 1e-12, PARALLEL_LEGS, 0), ONE_SIDED)
+                      np.where(parallel, PARALLEL_LEGS, 0), ONE_SIDED)
     return np.where(faults == 0, heights, np.nan), faults
 
 
@@ -313,8 +384,9 @@ def ideal_fourbar_center(m: Mechanism):
     tips along the net member angle.  Requires a pair of limbs with
     opposite lateral offsets and mirrored lean.
     """
-    (height,), (fault,) = fourbar_centers(
-        np.array([[(-p.r[0], -p.r[1], limb.leg_angle()) for limb, p in m.limbs]]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (height,), (fault,) = fourbar_centers(
+            np.array([[(-p.r[0], -p.r[1], limb.leg_angle()) for limb, p in m.limbs]]))
     if fault:
         raise fault_error(fault)
     return float(height)
@@ -371,40 +443,6 @@ def deviation_report(k: SpatialMatrix6, measured):
     return out
 
 
-def _assemble(c_limb, faults, limb_of, theta, r, lengths, leg):
-    """The array core of the engine: the (N, 6, 6) K and C stacks of N >= 1
-    mechanisms, their (N, 3) rows of (rcc height, ideal center, rotational
-    precision), and their fault codes and condition numbers.  The arguments
-    are those of _stiffness_stack plus `leg`, the leg angle of each limb
-    slot.  A failed item's rows hold whatever its stages left."""
-    k, faults, cond, grid = _stiffness_stack(c_limb, faults, limb_of, theta, r, lengths)
-    ok = faults == 0
-    c, c_cond, refused = invert_stack(np.where(ok[:, None, None], k, _EYE6))
-    c_faults = matrix_faults(c)
-    c = symmetrize(c)
-    heights, decoupled = _center_heights(c)
-    # legs (x, y, angle), tips in reference coordinates; padding gets NaN
-    legs = np.column_stack([-r[:, :2], leg])
-    ideal, ideal_faults = fourbar_centers(np.append(legs, np.full((1, 3), np.nan), axis=0)[grid])
-    # the first fault of the stages after the stiffness, in the order analyze meets them
-    later = np.where(refused, SINGULAR_STIFFNESS, np.where(
-        c_faults != 0, c_faults, np.where(decoupled, NO_CENTER, np.where(
-            ideal_faults != 0, ideal_faults,
-            np.where(np.isfinite(heights) & np.isfinite(ideal), 0, CENTERS_NOT_FINITE)))))
-    return (k, c, np.column_stack([heights, ideal, np.abs(heights - ideal)]),
-            np.where(ok, later, faults), np.where(ok & refused, c_cond, cond))
-
-
-def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
-    """What _assemble returns for n copies of the compiled mechanisms, copy
-    i made of the limbs of row row_of[i] of `columns` (see _limb_rows) with
-    the (S, 3) limb slot displacements slot_r[i]; copy by copy."""
-    c_limb, faults, leg = _limb_rows(compiled, columns, int(row_of.max()) + 1)
-    slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
-    return _assemble(c_limb, faults, slots, np.tile(compiled.slot_theta, len(row_of)),
-                     slot_r.reshape(-1, 3), np.tile(compiled.counts, len(row_of)), leg[slots])
-
-
 def analyze_batch(mechanisms) -> list:
     """analyze for a sequence of mechanisms in one pass of the batched engine.
 
@@ -416,8 +454,9 @@ def analyze_batch(mechanisms) -> list:
         return []
     compiled = _compile([pair for m in mechanisms for pair in m.limbs],
                         [len(m.limbs) for m in mechanisms])
-    k, c, centers, faults, cond = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
-                                            compiled.slot_r[None])
+    _, k, c, centers, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
+                                                compiled.slot_r[None])
+    faults, cond = _first_faults(checks, conds)
     return [fault_error(f, q) if f else
             RccResult(SpatialMatrix6._checked(k[n], "stiffness"),
                       SpatialMatrix6._checked(c[n], "compliance"), *row)

@@ -46,65 +46,60 @@ def build_report(result: RccResult, measured=None) -> AnalysisReport:
     return AnalysisReport(result, devs)
 
 
-def _g6(x):
-    return f"{x + 0.0:.6g}"  # + 0.0 scrubs negative zeros
+# every number prints with 6 significant digits; the values are formatted
+# + 0.0, which scrubs negative zeros
+_MATRIX_ROW = "  " + "  ".join(["%12.6g"] * 6)
+_HUMAN_MATRICES = "\n".join(
+    [f"stiffness matrix, units per block: {', '.join(f'{r} {u}' for r, u in K_UNIT_BLOCKS)}",
+     "K =", *[_MATRIX_ROW] * 6,
+     f"compliance matrix, units per block: {', '.join(f'{r} {u}' for r, u in C_UNIT_BLOCKS)}",
+     "C =", *[_MATRIX_ROW] * 6, ""])
+_HUMAN_RCC = ("center of compliance: %.6g mm above reference\n"
+              "ideal four-bar center: %.6g mm above reference\n"
+              "rotational precision: %.6g mm\n")
+_HUMAN_ASSUMPTIONS = "model assumptions:\n" + "".join(f"  - {a}\n" for a in MODEL_ASSUMPTIONS)
+_MACHINE = "".join([f"{label}.{i}.{j} = %.6g\n" for label in "kc" for i in range(1, 7)
+                    for j in range(1, 7)] + ["rcc.height_mm = %.6g\n",
+                                             "rcc.ideal_center_mm = %.6g\n",
+                                             "rcc.rotational_precision_mm = %.6g\n"])
+_MACHINE_DEVIATION = "".join(f"deviation.%s.{key} = %.6g\n" for key in (
+    "analytic_n_per_mm", "measured_low_n_per_mm", "measured_high_n_per_mm", "relative_low",
+    "relative_high"))
+_MACHINE_ASSUMPTIONS = "".join(f"assumption.{i} = {a}\n"
+                               for i, a in enumerate(MODEL_ASSUMPTIONS, start=1))
 
 
-def _matrix_lines(label, m):
-    lines = [f"{label} ="]
-    for row in m:
-        lines.append("  " + "  ".join(f"{v + 0.0:>12.6g}" for v in row))
-    return lines
+def _values(result: RccResult):
+    """K and C row by row, then rcc height, ideal center and rotational
+    precision, as the floats the report templates format."""
+    return (np.concatenate([result.k.m.ravel(), result.c.m.ravel(),
+                            [result.rcc_height, result.ideal_center,
+                             result.rotational_precision]]) + 0.0).tolist()
 
 
 def human_report(report: AnalysisReport, show_rcc=True):
-    res = report.result
-    lines = []
-    lines.append("stiffness matrix, units per block: "
-                 + ", ".join(f"{rng} {unit}" for rng, unit in K_UNIT_BLOCKS))
-    lines.extend(_matrix_lines("K", res.k.m))
-    lines.append("compliance matrix, units per block: "
-                 + ", ".join(f"{rng} {unit}" for rng, unit in C_UNIT_BLOCKS))
-    lines.extend(_matrix_lines("C", res.c.m))
-    if show_rcc:
-        lines.append(f"center of compliance: {_g6(res.rcc_height)} mm above reference")
-        lines.append(f"ideal four-bar center: {_g6(res.ideal_center)} mm above reference")
-        lines.append(f"rotational precision: {_g6(res.rotational_precision)} mm")
+    values = tuple(_values(report.result))
+    text = (_HUMAN_MATRICES + _HUMAN_RCC) % values if show_rcc else _HUMAN_MATRICES % values[:72]
     if report.deviations:
-        lines.append("deviation from measured directional stiffness:")
+        text += "deviation from measured directional stiffness:\n"
         for d in report.deviations:
-            rng = (_g6(d.measured_low) if d.measured_low == d.measured_high
-                   else f"{_g6(d.measured_low)}-{_g6(d.measured_high)}")
-            lines.append(f"  {d.axis}: analytic {_g6(d.analytic)} N/mm, measured {rng} N/mm"
-                         f" -> deviation {_g6(100 * d.deviation_low)}%"
-                         + ("" if d.deviation_low == d.deviation_high
-                            else f" to {_g6(100 * d.deviation_high)}%"))
-    lines.append("model assumptions:")
-    for a in MODEL_ASSUMPTIONS:
-        lines.append(f"  - {a}")
-    return "\n".join(lines) + "\n"
+            measured = ("%.6g" % (d.measured_low + 0.0) if d.measured_low == d.measured_high
+                        else "%.6g-%.6g" % (d.measured_low + 0.0, d.measured_high + 0.0))
+            to = ("" if d.deviation_low == d.deviation_high
+                  else " to %.6g%%" % (100 * d.deviation_high + 0.0))
+            text += "  %s: analytic %.6g N/mm, measured %s N/mm -> deviation %.6g%%%s\n" % (
+                d.axis, d.analytic + 0.0, measured, 100 * d.deviation_low + 0.0, to)
+    return text + _HUMAN_ASSUMPTIONS
 
 
 def machine_report(report: AnalysisReport):
     """Flat key-path/value text document with fixed key ordering."""
-    res = report.result
-    lines = []
-    for label, m in (("k", res.k.m), ("c", res.c.m)):
-        for i in range(6):
-            for j in range(6):
-                lines.append(f"{label}.{i + 1}.{j + 1} = {_g6(m[i, j])}")
-    lines.append(f"rcc.height_mm = {_g6(res.rcc_height)}")
-    lines.append(f"rcc.ideal_center_mm = {_g6(res.ideal_center)}")
-    lines.append(f"rcc.rotational_precision_mm = {_g6(res.rotational_precision)}")
+    text = _MACHINE % tuple(_values(report.result))
     for d in report.deviations:
-        lines.append(f"deviation.{d.axis}.analytic_n_per_mm = {_g6(d.analytic)}")
-        lines.append(f"deviation.{d.axis}.measured_low_n_per_mm = {_g6(d.measured_low)}")
-        lines.append(f"deviation.{d.axis}.measured_high_n_per_mm = {_g6(d.measured_high)}")
-        lines.append(f"deviation.{d.axis}.relative_low = {_g6(d.deviation_low)}")
-        lines.append(f"deviation.{d.axis}.relative_high = {_g6(d.deviation_high)}")
-    for idx, a in enumerate(MODEL_ASSUMPTIONS, start=1):
-        lines.append(f"assumption.{idx} = {a}")
-    return "\n".join(lines) + "\n"
+        text += _MACHINE_DEVIATION % (
+            d.axis, d.analytic + 0.0, d.axis, d.measured_low + 0.0, d.axis,
+            d.measured_high + 0.0, d.axis, d.deviation_low + 0.0, d.axis, d.deviation_high + 0.0)
+    return text + _MACHINE_ASSUMPTIONS
 
 
 def sweep_table(result):
@@ -125,11 +120,7 @@ def sweep_table(result):
 
 
 def creep_report(fit):
-    lines = [
-        f"creep.f0_n = {_g6(fit.model.f0)}",
-        f"creep.f_ss_n = {_g6(fit.model.f_ss)}",
-        f"creep.tau_s = {_g6(fit.model.tau)}",
-        f"creep.residual_norm_n = {_g6(fit.residual_norm)}",
-        f"creep.tau_identifiable = {'yes' if fit.tau_identifiable else 'no'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return ("creep.f0_n = %.6g\ncreep.f_ss_n = %.6g\ncreep.tau_s = %.6g\n"
+            "creep.residual_norm_n = %.6g\ncreep.tau_identifiable = %s\n") % (
+        fit.model.f0 + 0.0, fit.model.f_ss + 0.0, fit.model.tau + 0.0, fit.residual_norm + 0.0,
+        "yes" if fit.tau_identifiable else "no")

@@ -1,6 +1,6 @@
 """Twist/wrench algebra on 6x6 spatial matrices.
 
-The array functions (rot_z, s_matrix, the *_transports, congruence,
+The array functions (rot_z, s_matrix, transports, congruence,
 matrix_faults, symmetrize, invert_stack) take one matrix or a stack
 (..., 6, 6), so the batched assembly engine and the single-matrix API
 share one implementation; SpatialMatrix6 wraps one checked matrix.
@@ -170,33 +170,25 @@ def s_matrix(r):
     return s
 
 
-def _transports(theta, r, force):
+def transports(theta, r, force):
+    """Transports of arrays of placements, theta (...) in rad and r (..., 3),
+    as a (..., 6, 6) stack: where the mask `force` (broadcast to theta's
+    shape) holds, the wrench transport [[Rz, 0], [S(r) Rz, Rz]], elsewhere
+    the twist transport [[Rz, S(r) Rz], [0, Rz]].  One rot_z and s_matrix
+    pass serves both kinds."""
     r3 = rot_z(theta)
-    j = np.zeros(r3.shape[:-2] + (6, 6))
-    j[..., :3, :3] = r3
-    j[..., 3:, 3:] = r3
     moment = s_matrix(r) @ r3
-    if force:
-        j[..., 3:, :3] = moment
-    else:
-        j[..., :3, 3:] = moment
+    force = np.asarray(force)[..., None, None]
+    j = np.zeros(r3.shape[:-2] + (6, 6))
+    j[..., :3, :3] = j[..., 3:, 3:] = r3
+    j[..., 3:, :3] = np.where(force, moment, 0.0)
+    j[..., :3, 3:] = np.where(force, 0.0, moment)
     return j
-
-
-def force_transports(theta, r):
-    """Wrench transports [[Rz, 0], [S(r) Rz, Rz]] for arrays of placements:
-    theta (...) in rad and r (..., 3) give a (..., 6, 6) stack."""
-    return _transports(theta, r, True)
-
-
-def displacement_transports(theta, r):
-    """Twist transports [[Rz, S(r) Rz], [0, Rz]], stacked like force_transports."""
-    return _transports(theta, r, False)
 
 
 def amplification_force(p: FramePlacement):
     """Wrench transport member->tip: [[Rz, 0], [S(r) Rz, Rz]]."""
-    return force_transports(p.theta, p.r)
+    return transports(p.theta, p.r, True)
 
 
 def amplification_displacement(p: FramePlacement):
@@ -205,7 +197,7 @@ def amplification_displacement(p: FramePlacement):
     Closed form [[Rz, S(r) Rz], [0, Rz]]; the identity J = J_F^{-T} is a
     test-suite check, not an implementation route.
     """
-    return displacement_transports(p.theta, p.r)
+    return transports(p.theta, p.r, False)
 
 
 def congruence(j, m):
@@ -228,15 +220,16 @@ def transform_stiffness(k: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6:
 
 
 def invert_stack(m):
-    """Inverses of a (..., 6, 6) stack of finite matrices, with the condition
-    number of each and the mask of refused ones (condition number not finite
-    or above COND_LIMIT).
+    """Inverses of a (..., 6, 6) stack, with the condition number of each and
+    the mask of refused ones (condition number not finite or above
+    COND_LIMIT).
 
     The condition number is the 1-norm one of the equilibrated matrix D M D,
     D = diag(M)^-1/2: ||D M D||_1 ||D^-1 M^-1 D^-1||_1, read off the inverse,
     so it does not depend on units.  A matrix with a non-positive diagonal
-    entry or an exact zero pivot gets inf.  A refused matrix is inverted as
-    the identity, so one singular matrix leaves the rest of the stack intact.
+    entry, a non-finite entry or an exact zero pivot gets inf.  A refused
+    matrix is inverted as the identity, so one singular matrix leaves the
+    rest of the stack intact.
     """
     try:
         inv = np.linalg.inv(m)

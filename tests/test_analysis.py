@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmech.analysis as analysis
+import flexmech.elements as elements
 import flexmech.kernels as kernels
 import flexmech.mechanism as mechanism
+import flexmech.spatial as spatial
 from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
                                VerticalComplianceDatum, _ranking, _score, creep_force,
                                fit_creep, run_sweep)
@@ -18,7 +20,7 @@ from flexmech.errors import FlexmechError
 from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
-from flexmech.report import _g6, sweep_table
+from flexmech.report import sweep_table
 from flexmech.spatial import FramePlacement, SpatialMatrix6
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
@@ -200,6 +202,14 @@ class TestRunSweep:
     def test_non_finite_target_or_weight_rejected(self, objective):
         with pytest.raises(ValueError, match="must be finite"):
             SweepObjective(**objective)
+
+    @pytest.mark.parametrize("name", ["rcc_height", "Ratio", "k_diag", ""])
+    def test_unknown_weight_term_rejected(self, name):
+        # a misspelt term would otherwise be ignored and keep weight 1
+        with pytest.raises(ValueError) as exc:
+            SweepObjective(rcc_height_target=28.6, weights={"rcc": 2.0, name: 0.0})
+        assert str(exc.value) == (f"unknown weight term {name!r}; "
+                                  "expected one of rcc, ratio, diag")
 
     @pytest.mark.parametrize("target", [0.0, -0.0])
     def test_zero_stiffness_target_rejected(self, target):
@@ -384,6 +394,48 @@ class TestSweepSharing:
         assert calls == [20, 20, 20, 4]
 
 
+def counted_calls(monkeypatch, name):
+    """The list each call of spatial.<name>, from every flexmech module that
+    imported it, appends the length of its first argument to."""
+    original = getattr(spatial, name)
+    calls = []
+
+    def counted(first, *args):
+        calls.append(len(first))
+        return original(first, *args)
+
+    for module in (spatial, elements, mechanism, analysis):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePass:
+    """The engine checks every stage's matrices in one matrix_faults pass and
+    builds every transport in one rot_z/s_matrix pass."""
+
+    def test_warm_analyze_makes_one_fault_pass_and_one_transport_build(self, monkeypatch):
+        m = load_small_rcc().mechanism
+        analyze(m)      # the kernels are cached from here on
+        faults, builds, turns, skews = (counted_calls(monkeypatch, name) for name in
+                                        ("matrix_faults", "transports", "rot_z", "s_matrix"))
+        analyze(m)
+        # 2 element rows (a beam and the shared hinge), its moved hinge, 2
+        # limb sums and their inverses, K and C
+        assert faults == [9]
+        # the hinge lever, the 2 limbs' 6 members and the 4 limb slots
+        assert builds == turns == skews == [11]
+
+    def test_one_fault_pass_per_sweep_batch(self, monkeypatch):
+        faults = counted_calls(monkeypatch, "matrix_faults")
+        run_sweep(TestSweepSharing.SPEC, load_small_rcc().mechanism)
+        assert len(faults) == 1
+        faults.clear()
+        monkeypatch.setattr(analysis, "SWEEP_BATCH", 100)
+        run_sweep(TestSweepSharing.SPEC, load_small_rcc().mechanism)
+        assert len(faults) == 3
+
+
 def apply_parameters(template: Mechanism, params) -> Mechanism:
     """Object-level reference for run_sweep's array edits: the template
     mechanism with named parameters substituted.
@@ -438,6 +490,10 @@ def per_point_sweep(spec, template):
                                  rcc_height=result.rcc_height,
                                  k_diag=tuple(float(v) for v in np.diag(result.k.m))))
     return sorted(points, key=SweepPoint.sort_key)
+
+
+def _g6(x):
+    return f"{x + 0.0:.6g}"  # + 0.0 scrubs negative zeros
 
 
 def points_table(points):

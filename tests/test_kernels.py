@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flexmech import elements, kernels
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
-from flexmech.elements import HingeGeometry, geometry_table, table_compliances
+from flexmech.elements import HingeGeometry, element_compliance
 from flexmech.fixtures import load_small_rcc
 from flexmech.kernels import (notch_kernels, notch_thickness, rect_torsion_constant,
                               torsion_beta)
@@ -248,11 +248,12 @@ class TestNotchKernelBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = notch_kernels(r, t, w)
-            _, faults = table_compliances(geometry_table(
-                [HingeGeometry(1.25, 1e-120, 5.0, 0.0, Material("m", 43.8, 0.48))]))
+            with pytest.raises(ValueError) as fault:
+                element_compliance(HingeGeometry(1.25, 1e-120, 5.0, 0.0,
+                                                 Material("m", 43.8, 0.48)))
         assert np.isfinite(k[0]).all() and np.isfinite(k[1, 0]) and np.isinf(k[1, 1:]).all()
         assert k[0].tolist() == list(notch_kernels(1.25, 2.82, 5.0))
-        assert faults.tolist() == [1]   # errors.NOT_FINITE: "matrix entries must be finite"
+        assert str(fault.value) == "matrix entries must be finite"   # errors.NOT_FINITE
 
     def test_invalid_geometry_in_a_batch(self):
         with pytest.raises(ValueError, match="must be positive"):

@@ -476,6 +476,107 @@ class TestAnalyzeBatch:
             assert results[i].rcc_height == alone.rcc_height
 
 
+def hinged(t):
+    return HingeGeometry(1.25, t, 5.0, 0.0, MAT)
+
+
+def mixed_necks(first, second):
+    """The left limb of a one-pair design with necks `first`, then the right
+    limb of one with necks `second`."""
+    return Mechanism((design(1, hinge=hinged(first)).limbs[0],
+                      design(1, hinge=hinged(second)).limbs[1]))
+
+
+def decoupled():
+    """Two straight beams whose lateral/rotation coupling cancels at the
+    reference, l / 2 behind their tips."""
+    limb = Limb("v", ((BEAM, FramePlacement(0.0, (0.0, 0.0, 0.0))),))
+    return Mechanism(((limb, FramePlacement(0.0, (-5.2, -4.0, 0.0))),
+                      (limb, FramePlacement(0.0, (-5.2, 4.0, 0.0)))))
+
+
+def one_sided_singular():
+    """A one-sided mechanism whose second limb cannot be inverted."""
+    thin = Limb("thin", ((hinged(1e-9), FramePlacement(0.0, (1.0, 0.0, 0.0))),))
+    return Mechanism(((paper_limb(), FramePlacement(0.0, (0.0, 4.0, 0.0))),
+                      (thin, FramePlacement(0.0, (0.0, 5.0, 0.0)))))
+
+
+SINGULAR_LIMB = "compliance matrix is numerically singular (condition estimate 4.826e+16)"
+# a design faulting at each stage, and the type and message of the
+# exception analyze and mechanism_stiffness raise for it (None: none)
+FAULT_CASES = {
+    "element": (lambda: design(2, hinge=hinged(1e-120)),
+                (ValueError, "matrix entries must be finite"),
+                (ValueError, "matrix entries must be finite")),
+    "limb inversion": (lambda: design(2, hinge=hinged(1e-9)),
+                       (SingularMatrixError, SINGULAR_LIMB), (SingularMatrixError, SINGULAR_LIMB)),
+    "parallel legs": (parallel_legs, (ValueError, "center at infinity: leg axes are parallel"),
+                      None),
+    "one sided": (one_sided, (ValueError, "ideal four-bar center needs limbs on both sides of "
+                                          "the mid-plane"), None),
+    "no center": (decoupled, (ValueError, "no finite rotation center: lateral/rotation "
+                                          "coupling is zero"), None),
+    "valid": (lambda: DESIGNS[3], None, None),
+    # the first faulty limb slot wins, whatever stage the later one fails at
+    "singular then vanishing": (lambda: mixed_necks(1e-9, 1e-120),
+                                (SingularMatrixError, SINGULAR_LIMB),
+                                (SingularMatrixError, SINGULAR_LIMB)),
+    "vanishing then singular": (lambda: mixed_necks(1e-120, 1e-9),
+                                (ValueError, "matrix entries must be finite"),
+                                (ValueError, "matrix entries must be finite")),
+    # a limb's fault comes before the mechanism's
+    "one sided, singular limb": (
+        one_sided_singular,
+        (SingularMatrixError, "compliance matrix is numerically singular (condition estimate "
+                              "3.483e+16)"),
+        (SingularMatrixError, "compliance matrix is numerically singular (condition estimate "
+                              "3.483e+16)")),
+}
+
+
+def _raised(f):
+    """The type and message of the exception f raises, or None."""
+    try:
+        f()
+    except (ValueError, SingularMatrixError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestFaultOrder:
+    """Each design's first fault, in the order a one-item run meets the
+    checks, alone and in a batch in either order."""
+
+    @pytest.mark.parametrize("name", FAULT_CASES)
+    def test_alone(self, name):
+        build, analyzed, stiffness = FAULT_CASES[name]
+        assert _raised(lambda: analyze(build())) == analyzed
+        assert _raised(lambda: mechanism_stiffness(build())) == stiffness
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_mixed_in_one_batch(self, reverse):
+        names = list(FAULT_CASES)[::-1] if reverse else list(FAULT_CASES)
+        designs = [FAULT_CASES[name][0]() for name in names]
+        for name, m, result in zip(names, designs, analyze_batch(designs)):
+            want = FAULT_CASES[name][1]
+            if want is None:
+                alone = analyze(m)
+                assert np.array_equal(result.k.m, alone.k.m)
+                assert np.array_equal(result.c.m, alone.c.m)
+                assert result.rcc_height == alone.rcc_height
+            else:
+                assert (type(result), str(result)) == want
+
+    def test_limb_compliance_checks_up_to_the_limb_sum(self):
+        # an inversion the limb's compliance does not need is not checked
+        thin = Limb("thin", ((hinged(1e-9), FramePlacement(0.0, (1.0, 0.0, 0.0))),))
+        assert np.isfinite(limb_compliance(thin).m).all()
+        vanishing = Limb("v", ((hinged(1e-120), FramePlacement(0.0, (1.0, 0.0, 0.0))),))
+        assert _raised(lambda: limb_compliance(vanishing)) == (
+            ValueError, "matrix entries must be finite")
+
+
 def repeated_design(fresh):
     """The small RCC's four leaning limbs plus an unleaned middle limb placed
     at y = 0 on both sides of z = 0.  fresh=False makes every hinge, beam,
