@@ -27,9 +27,9 @@ class CreepModel:
     tau: float       # s, time constant
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not 0.0 < self.tau < math.inf:
             raise ValueError(f"time constant must be positive, got {self.tau}")
-        if self.f0 < 0.0 or self.f_ss < 0.0:
+        if not (0.0 <= self.f0 < math.inf and 0.0 <= self.f_ss < math.inf):
             raise ValueError("forces must be nonnegative")
 
 
@@ -62,6 +62,8 @@ def fit_creep(samples) -> CreepFit:
         raise ValueError(f"need at least 4 samples, got {len(pts)}")
     t = np.array([p[0] for p in pts])
     f = np.array([p[1] for p in pts])
+    if not (np.isfinite(t).all() and np.isfinite(f).all()):
+        raise ValueError("samples must be finite")
     if np.any(f < 0.0):
         raise ValueError("forces must be nonnegative")
 
@@ -129,7 +131,7 @@ class VerticalComplianceDatum:
     lockable: bool = True
 
     def __post_init__(self):
-        if self.stiffness_z <= 0.0:
+        if not 0.0 < self.stiffness_z < math.inf:
             raise ValueError("vertical stiffness must be positive")
 
 

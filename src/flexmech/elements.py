@@ -10,16 +10,19 @@ The beam uses the closed-form Timoshenko cantilever entries.  The hinge is
 built by strip integration of the notch profile h(x): the three kernels
 (see :mod:`flexmech.kernels`) give axial, shear, bending and torsion
 compliances lumped at the notch's elastic center.  The circular profile is
-symmetric, so that center is the mid-plane x = r, and the frame transform
-carries it to the distal face, producing the (r + h1) lever-arm couplings.
+symmetric, so that center is the mid-plane x = r, a lever r + h1 from the
+distal face; the hinge's entries are written there in closed form, the
+lumped joint plus the lever couplings C26 = (r + h1) C66 and
+C35 = -(r + h1) C55 (Lobontiu 2002).
 
 Elements reach the engine as a table: geometry_table reads geometry
 objects into one row each, with the columns of GEOMETRY, and
-lumped_compliances and table_compliances compute a whole table as one
-stack, leaving the checks to the caller, so the engine checks every stage
-in one pass.  Sweeps edit the table's columns instead of building geometry
-objects (mechanism._edited).  The notch kernels are cached by (r, t, w); past
-KERNEL_CACHE_SIZE triples, the oldest go first.
+table_compliances computes a whole table as one stack, leaving the check
+to the caller, so the engine checks every stage in one pass.  Sweeps edit
+the table's columns instead of building geometry objects
+(mechanism._edited).  The notch kernels are cached by (r, t, w) and the
+beam torsion coefficients by aspect ratio; past KERNEL_CACHE_SIZE keys,
+the oldest go first.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from . import kernels
 from .errors import fault_error
 from .materials import Material
-from .spatial import SpatialMatrix6, congruence, matrix_faults, symmetrize, transports
+from .spatial import SpatialMatrix6, matrix_faults
 
 SHEAR_ALPHA = 6.0 / 5.0  # rectangular-section shear correction factor
 
@@ -42,10 +45,12 @@ BEAM, HINGE = 0, 1
 GEOMETRY = np.dtype([("kind", np.int8), ("r", float), ("t", float), ("w", float),
                      ("h1", float), ("l", float), ("s", float), ("e", float), ("g", float)])
 
-# designs and sweeps reuse hinge geometries, and the integrals are the
-# expensive part, so the kernels are kept by exact (r, t, w), oldest first
+# designs and sweeps reuse geometries, and the integrals and series are the
+# expensive part, so the notch kernels are kept by exact (r, t, w) and the
+# beam torsion coefficients by exact aspect ratio, oldest first
 KERNEL_CACHE_SIZE = 512
 _kernel_cache = {}
+_beta_cache = {}
 
 
 @dataclass(frozen=True)
@@ -103,16 +108,30 @@ def geometry_table(geoms):
                       g.material.g_modulus) for g in geoms], dtype=GEOMETRY)
 
 
-def _cached_kernels(notches):
-    """(k1, k3, kt) of a sequence of (r, t, w) triples as an (H, 3) array:
-    one notch_kernels call for the distinct triples not in the cache."""
-    fresh = [key for key in dict.fromkeys(notches) if key not in _kernel_cache]
+def _cached(cache, keys, compute):
+    """The values of a sequence of keys from `cache`, with one `compute` call
+    on the list of the distinct keys not in it; past KERNEL_CACHE_SIZE
+    keys, the oldest go first."""
+    fresh = [key for key in dict.fromkeys(keys) if key not in cache]
     if fresh:
-        _kernel_cache.update(zip(fresh, kernels.notch_kernels(*np.array(fresh).T).tolist()))
-    values = np.array([_kernel_cache[key] for key in notches]).reshape(-1, 3)
-    while len(_kernel_cache) > KERNEL_CACHE_SIZE:   # the oldest go first
-        del _kernel_cache[next(iter(_kernel_cache))]
+        cache.update(zip(fresh, compute(fresh)))
+    values = [cache[key] for key in keys]
+    while len(cache) > KERNEL_CACHE_SIZE:
+        del cache[next(iter(cache))]
     return values
+
+
+def _cached_kernels(notches):
+    """(k1, k3, kt) of a sequence of (r, t, w) triples, as lists."""
+    return _cached(_kernel_cache, notches,
+                   lambda fresh: kernels.notch_kernels(*np.array(fresh).T).tolist())
+
+
+def _cached_betas(aspects):
+    """torsion_beta of a sequence of aspect ratios; a (B, 1) series row per
+    ratio, the dot a scalar ratio gets, so each comes out as alone."""
+    return _cached(_beta_cache, aspects,
+                   lambda fresh: kernels.torsion_beta(np.array(fresh)[:, None]).ravel().tolist())
 
 
 # flat (row, column) indices of the entries the element formulas give, in
@@ -130,77 +149,47 @@ def _beam_entries(l, w, s, e, gs, beta):
             12.0 * l / (e * w * s**3), c26, c26, c35, c35)
 
 
-def _hinge_entries(w, e, gs, k1, k3, kt):
-    # lumped joint at the bending elastic center: the mid-plane of the
-    # symmetric circular profile, a lever r + h1 from the element frame
+def _hinge_entries(w, e, gs, lever, k1, k3, kt):
+    # the lumped joint at the bending elastic center, the mid-plane of the
+    # symmetric circular profile, seen from the element frame a lever
+    # r + h1 away; each product is one the displacement transport makes
     shear = SHEAR_ALPHA * k1 / (gs * w)
-    return (k1 / (e * w), shear, shear, kt / gs, 12.0 * k1 / (e * w**3), 12.0 * k3 / (e * w),
-            0.0, 0.0, 0.0, 0.0)
+    c55, c66 = 12.0 * k1 / (e * w**3), 12.0 * k3 / (e * w)
+    c26, c35 = lever * c66, -lever * c55
+    return (k1 / (e * w), shear + c26 * lever, shear - c35 * lever, kt / gs, c55, c66,
+            c26, c26, c35, c35)
 
 
-def hinge_levers(table):
-    """The (H, 3) displacement (r + h1, 0, 0) from the elastic center of each
-    hinge row of a GEOMETRY table, its notch mid-plane, to its element frame."""
-    hinges = table[table["kind"] == HINGE]
-    lever = np.zeros((len(hinges), 3))
-    lever[:, 0] = hinges["r"] + hinges["h1"]
-    return lever
+def table_compliances(table):
+    """The distal-frame compliances of the rows of a GEOMETRY table as one
+    (G, 6, 6) stack, symmetric by construction; a caller checks it (see
+    spatial.matrix_faults), as the scalar constructors would.  A vanishing
+    neck gives non-finite entries.
 
-
-def lumped_compliances(table):
-    """The compliances of the rows of a GEOMETRY table as one (G, 6, 6)
-    stack, as the element formulas give them: a beam's at its distal frame,
-    a hinge's lumped at its elastic center (table_compliances moves it).
-
-    The notch kernels of all hinge rows come from one _cached_kernels call
-    and the torsion coefficients of all beam rows from one torsion_beta
-    call.  Each row's entries are then a few float operations, done in
-    Python floats: at the few rows of a design that costs less than array
-    operations, and C pow rounds x**3 as it always has, which numpy's
-    vectorized power does not.
+    The notch kernels of the hinge rows and the torsion coefficients of the
+    beam rows come from their caches.  Each row's entries are then a few
+    float operations, done in Python floats: at the few rows of a design
+    that costs less than array operations, and C pow rounds x**3 as it
+    always has, which numpy's vectorized power does not.
     """
     rows = table.tolist()
-    k = iter(_cached_kernels([row[1:4] for row in rows if row[0] == HINGE]).tolist())
-    # one (1, 20) series row per beam: the dot a scalar aspect ratio gets
-    beta = iter(kernels.torsion_beta(np.array(
-        [max(w, s) / min(w, s) for kind, _, _, w, _, _, s, _, _ in rows if kind != HINGE]
-    )[:, None]).ravel().tolist())
-    lumped = np.zeros((len(rows), 36))
-    lumped[:, _ENTRIES] = np.array([
-        _hinge_entries(w, e, gs, *next(k)) if kind == HINGE else
-        _beam_entries(l, w, s, e, gs, next(beta)) for kind, _, _, w, _, l, s, e, gs in rows]
+    k = iter(_cached_kernels([row[1:4] for row in rows if row[0] == HINGE]))
+    beta = iter(_cached_betas([max(w, s) / min(w, s)
+                               for kind, _, _, w, _, _, s, _, _ in rows if kind != HINGE]))
+    c = np.zeros((len(rows), 36))
+    c[:, _ENTRIES] = np.array([
+        _hinge_entries(w, e, gs, r + h1, *next(k)) if kind == HINGE else
+        _beam_entries(l, w, s, e, gs, next(beta)) for kind, r, _, w, h1, l, s, e, gs in rows]
     ).reshape(-1, len(_ENTRIES))
-    return lumped.reshape(-1, 6, 6)
-
-
-def table_compliances(table, lumped, levers):
-    """The distal-frame compliances of the rows of a GEOMETRY table as one
-    (G, 6, 6) stack, from their lumped_compliances and the displacement
-    transports of their hinge_levers, plus the (H, 6, 6) hinge rows after
-    their lever transport.  A caller checks the lumped and the moved stack
-    (see spatial.matrix_faults), as the scalar constructors would.  A
-    vanishing neck gives non-finite entries: callers run it under
-    np.errstate.
-    """
-    c = symmetrize(lumped)
-    hinge = table["kind"] == HINGE
-    moved = congruence(levers, c[hinge])
-    c[hinge] = symmetrize(moved)
-    return c, moved
+    return c.reshape(-1, 6, 6)
 
 
 def element_compliance(g) -> SpatialMatrix6:
     """Distal-frame compliance of one beam or hinge."""
-    table = geometry_table((g,))
-    lumped = lumped_compliances(table)
-    levers = hinge_levers(table)
-    with np.errstate(invalid="ignore", over="ignore"):
-        c, moved = table_compliances(table, lumped,
-                                     transports(np.zeros(len(levers)), levers, False))
-    # the lumped matrix first, then a hinge's moved one
-    for fault in matrix_faults(np.concatenate([lumped, moved])).tolist():
-        if fault:
-            raise fault_error(fault)
+    c = table_compliances(geometry_table((g,)))
+    (fault,) = matrix_faults(c).tolist()
+    if fault:
+        raise fault_error(fault)
     return SpatialMatrix6._checked(c[0], "compliance")
 
 
@@ -211,7 +200,7 @@ def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
 
 def torsion_compliance_hinge(g: HingeGeometry):
     """C_{tx-Mx} = int dx / (G I_t(x)) with the per-strip long/short side rule."""
-    (_, _, kt), = _cached_kernels([(g.r, g.t, g.w)]).tolist()
+    (_, _, kt), = _cached_kernels([(g.r, g.t, g.w)])
     return kt / g.material.g_modulus
 
 

@@ -64,7 +64,7 @@ class MeasuredJointRecord:
             v = getattr(self, name)
             if v is None and name != "cross_stiffness":
                 raise ValueError(f"{name} must be measured; only cross_stiffness may be None")
-            if v is not None and v <= 0.0:
+            if v is not None and not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be positive, got {v}")
 
 

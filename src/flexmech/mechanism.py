@@ -10,13 +10,14 @@ All assembly runs through one batched engine on stacked (..., 6, 6) arrays,
 with one object front: _compile reads limb slots into arrays (_Compiled),
 telling limbs and geometries apart by identity, so a shared object is
 computed once.  _evaluate evaluates copies of the compiled mechanisms, as
-compiled or under rows of t/r/w/angle edits (_edited): it builds every
-transport in one pass, sums the members of each distinct limb (_limb_stack)
-and the limbs of each mechanism, inverts, and extracts the remote-center
-summary.  analyze_batch, analyze, mechanism_stiffness and limb_compliance
-compile their objects and evaluate them as they are; sweeps
-(analysis.run_sweep) compile the template once and evaluate grid rows as
-edits of its arrays.  Every stage runs for every item: a refused inversion
+compiled or under rows of t/r/w/angle edits (_edited): it computes the
+element compliances at their element frames (elements.table_compliances),
+builds the member and limb slot transports in one pass, sums the members
+of each distinct limb (_limb_stack) and the limbs of each mechanism,
+inverts, and extracts the remote-center summary.  analyze_batch, analyze,
+mechanism_stiffness and limb_compliance compile their objects and evaluate
+them as they are; sweeps (analysis.run_sweep) compile the template once
+and evaluate grid rows as edits of its arrays.  Every stage runs for every item: a refused inversion
 gives the identity, so a faulty matrix stays with its own item.  The
 matrices of all stages are checked in one matrix_faults pass at the end,
 and _first_faults picks each item's first fault in the order a one-item
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (HINGE, BeamGeometry, HingeGeometry, element_compliance, geometry_table,
-                       hinge_levers, lumped_compliances, table_compliances)
+                       table_compliances)
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
 from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, invert, invert_stack,
@@ -228,10 +229,10 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     center, rotational precision), and the (n, W) fault codes of the checks
     each copy's one-item run would make, in order, with the (n, W)
     condition numbers of its refused inversions (NaN elsewhere).  Those
-    checks are, for each limb slot, the lumped and moved check of each
-    member's element, then the limb's compliance sum, inversion and
-    stiffness; and then the mechanism's _MECHANISM_CHECKS.  _first_faults
-    reads each copy's first fault off them.
+    checks are, for each limb slot, the check of each member's element,
+    then the limb's compliance sum, inversion and stiffness; and then the
+    mechanism's _MECHANISM_CHECKS.  _first_faults reads each copy's first
+    fault off them.
 
     Every matrix is computed for every copy, faulty or not: a refused
     inversion gives the identity, so a non-finite or singular matrix stays
@@ -242,17 +243,15 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     rows = int(row_of.max()) + 1
     table, geom_of, theta = _edited(compiled, columns, rows)
     # the notch kernels first: their temporaries are a batch's largest arrays
-    lumped = lumped_compliances(table)
-    levers = hinge_levers(table)
+    elements = table_compliances(table)
     # the distinct limb of each limb slot, limbs numbered row by row
     slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
     slot_r = slot_r.reshape(-1, 3)
-    # one transport pass: hinge levers and members move twists to their
-    # limb tip, limb slots move wrenches to the reference point
-    h, m = len(levers), len(levers) + theta.size
-    j = transports(np.concatenate([np.zeros(h), theta.ravel(),
-                                   np.tile(compiled.slot_theta, len(row_of))]),
-                   np.concatenate([levers, np.tile(compiled.r, (rows, 1)), slot_r]),
+    # one transport pass: members move twists to their limb tip, limb slots
+    # move wrenches to the reference point
+    m = theta.size
+    j = transports(np.concatenate([theta.ravel(), np.tile(compiled.slot_theta, len(row_of))]),
+                   np.concatenate([np.tile(compiled.r, (rows, 1)), slot_r]),
                    np.arange(m + len(slots)) >= m)
     member_grid = _runs(np.tile(compiled.lengths, rows), theta.size)
     slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
@@ -263,8 +262,7 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     # a vanishing neck or a refused matrix overflows or divides by zero on
     # its own item's rows, which the checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        elements, moved = table_compliances(table, lumped, j[:h])
-        c_limb, c_sum = _limb_stack(elements, geom_of.ravel(), j[h:m], member_grid)
+        c_limb, c_sum = _limb_stack(elements, geom_of.ravel(), j[:m], member_grid)
         k_limb, limb_cond, limb_refused = invert_stack(c_limb)
         k_sum = _run_sums(congruence(j[m:], symmetrize(k_limb)[slots]), slot_grid)
         k = symmetrize(k_sum)
@@ -273,20 +271,17 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
         heights, decoupled = _center_heights(c)
         ideal, ideal_faults = fourbar_centers(legs[slot_grid])
 
-    faults = matrix_faults(np.concatenate([lumped, moved, c_sum, k_limb, k_sum, c_inv]))
-    g, d, n = len(lumped), len(c_sum), len(k_sum)
-    # each element's lumped and moved check; the last row passes, for padding
-    element = np.zeros((g + 1, 2), dtype=faults.dtype)
-    element[:g, 0] = faults[:g]
-    element[np.flatnonzero(table["kind"] == HINGE), 1] = faults[g:g + h]
-    members = element[np.append(geom_of.ravel(), g)[member_grid]].reshape(d, -1)
-    # each limb's checks: its members', then its compliance sum, inversion
-    # and stiffness; the last row passes, for padding
+    faults = matrix_faults(np.concatenate([elements, c_sum, k_limb, k_sum, c_inv]))
+    g, d, n = len(elements), len(c_sum), len(k_sum)
+    # each limb's checks: its members' element checks, then its compliance
+    # sum, inversion and stiffness; the last entry and row pass, for padding
+    element_faults = np.append(faults[:g], 0)
+    members = element_faults[np.append(geom_of.ravel(), g)[member_grid]]
     limb = np.zeros((d + 1, members.shape[1] + 3), dtype=faults.dtype)
     limb[:d, :-3] = members
-    limb[:d, -3] = faults[g + h:g + h + d]
+    limb[:d, -3] = faults[g:g + d]
     limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
-    limb[:d, -1] = faults[g + h + d:g + h + 2 * d]
+    limb[:d, -1] = faults[g + d:g + 2 * d]
     limb_conds = np.full(limb.shape, np.nan)
     limb_conds[:d, -2] = limb_cond
     slot_limb = np.append(slots, d)[slot_grid]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flexmech.analysis as analysis
-import flexmech.elements as elements
 import flexmech.kernels as kernels
 import flexmech.mechanism as mechanism
 import flexmech.spatial as spatial
@@ -18,6 +17,7 @@ from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec
 from flexmech.elements import BeamGeometry, HingeGeometry
 from flexmech.errors import FlexmechError
 from flexmech.fixtures import data_path, load_small_rcc
+from flexmech.materials import MeasuredJointRecord
 from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
 from flexmech.report import sweep_table
@@ -69,6 +69,15 @@ class TestFitCreep:
         assert fit.model.tau == pytest.approx(200.0, rel=1e-6)
         assert fit.residual_norm < 1e-8
 
+    @pytest.mark.parametrize("bad", [(math.inf, 3.5), (2.0, math.nan), (-math.inf, 3.5)],
+                             ids=["inf-time", "nan-force", "minus-inf-time"])
+    def test_non_finite_samples_rejected(self, bad, capfd):
+        # rejected before the fit: no warning (an error in this suite), no
+        # LAPACK complaint on stderr
+        with pytest.raises(ValueError, match="samples must be finite"):
+            fit_creep([(0.0, 5.0), (1.0, 4.0), bad, (3.0, 3.0)])
+        assert capfd.readouterr().err == ""
+
     def test_rising_trace(self):
         fit = fit_creep(self.samples(CreepModel(3.0, 8.0, 120.0), tmax=700.0))
         assert fit.model.tau == pytest.approx(120.0, rel=1e-6)
@@ -97,6 +106,23 @@ class TestFitCreep:
         assert abs(np.mean(taus) - 200.0) / 200.0 < 0.05
         assert abs(np.median(taus) - 200.0) / 200.0 < 0.05
         assert np.std(taus) < 0.1 * 200.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CreepModel(math.nan, 19.0, 200.0), "forces"),
+    (lambda: CreepModel(22.0, math.inf, 200.0), "forces"),
+    (lambda: CreepModel(1.0, 1.0, math.nan), "time constant"),
+    (lambda: CreepModel(1.0, 1.0, math.inf), "time constant"),
+    (lambda: VerticalComplianceDatum(math.inf), "vertical stiffness"),
+    (lambda: VerticalComplianceDatum(math.nan), "vertical stiffness"),
+    (lambda: MeasuredJointRecord("a", math.nan, 1.0, 1.0), "cross_stiffness"),
+    (lambda: MeasuredJointRecord("a", 1.0, math.inf, 1.0), "joint_stiffness"),
+    (lambda: MeasuredJointRecord("a", None, 1.0, math.nan), "max_joint_load"),
+], ids=["creep-f0-nan", "creep-fss-inf", "creep-tau-nan", "creep-tau-inf", "vertical-inf",
+        "vertical-nan", "joint-cross-nan", "joint-stiffness-inf", "joint-load-nan"])
+def test_non_finite_measurements_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestVerticalDatum:
@@ -394,40 +420,31 @@ class TestSweepSharing:
         assert calls == [20, 20, 20, 4]
 
 
-def counted_calls(monkeypatch, name):
-    """The list each call of spatial.<name>, from every flexmech module that
-    imported it, appends the length of its first argument to."""
-    original = getattr(spatial, name)
-    calls = []
-
-    def counted(first, *args):
-        calls.append(len(first))
-        return original(first, *args)
-
-    for module in (spatial, elements, mechanism, analysis):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestOnePass:
     """The engine checks every stage's matrices in one matrix_faults pass and
     builds every transport in one rot_z/s_matrix pass."""
 
-    def test_warm_analyze_makes_one_fault_pass_and_one_transport_build(self, monkeypatch):
+    def test_warm_analyze_makes_one_fault_pass_and_one_transport_build(self, counted_calls):
         m = load_small_rcc().mechanism
         analyze(m)      # the kernels are cached from here on
-        faults, builds, turns, skews = (counted_calls(monkeypatch, name) for name in
-                                        ("matrix_faults", "transports", "rot_z", "s_matrix"))
+        faults, builds, turns, skews = map(counted_calls, (
+            spatial.matrix_faults, spatial.transports, spatial.rot_z, spatial.s_matrix))
         analyze(m)
-        # 2 element rows (a beam and the shared hinge), its moved hinge, 2
-        # limb sums and their inverses, K and C
-        assert faults == [9]
-        # the hinge lever, the 2 limbs' 6 members and the 4 limb slots
-        assert builds == turns == skews == [11]
+        # 2 element rows (a beam and the shared hinge), 2 limb sums and
+        # their inverses, K and C
+        assert faults == [8]
+        # the 2 limbs' 6 members and the 4 limb slots
+        assert builds == turns == skews == [10]
 
-    def test_one_fault_pass_per_sweep_batch(self, monkeypatch):
-        faults = counted_calls(monkeypatch, "matrix_faults")
+    def test_warm_analyze_computes_no_torsion_coefficient(self, counted_calls):
+        m = load_small_rcc().mechanism
+        analyze(m)      # the beam's coefficient is cached from here on
+        betas = counted_calls(kernels.torsion_beta)
+        analyze(m)
+        assert betas == []
+
+    def test_one_fault_pass_per_sweep_batch(self, monkeypatch, counted_calls):
+        faults = counted_calls(spatial.matrix_faults)
         run_sweep(TestSweepSharing.SPEC, load_small_rcc().mechanism)
         assert len(faults) == 1
         faults.clear()

@@ -2,15 +2,18 @@
 limits and monotonicity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flexmech.elements import (BeamGeometry, HingeGeometry, beam_compliance,
                                hinge_compliance, notch_thickness,
                                torsion_compliance_hinge)
 from flexmech.kernels import rect_torsion_constant
 from flexmech.materials import Material
+from flexmech.spatial import FramePlacement, transform_compliance
 
 RNG = np.random.default_rng(7)
 
@@ -129,6 +132,18 @@ class TestHinge:
             lever = g.r + h1
             assert c.entry(2, 6) == pytest.approx(lever * c.entry(6, 6), rel=1e-9)
             assert c.entry(3, 5) == pytest.approx(-lever * c.entry(5, 5), rel=1e-9)
+
+    @given(r=st.floats(0.05, 20.0), t=st.floats(0.05, 20.0), w=st.floats(0.5, 20.0),
+           h1=st.floats(-20.0, 20.0), e=st.floats(1.0, 1e4), nu=st.floats(0.0, 0.49))
+    def test_closed_form_equals_the_lever_transport_of_the_joint(self, r, t, w, h1, e, nu):
+        # oracle: the lumped joint (zero lever, h1 = -r) moved to the element
+        # frame by the displacement transport, as the entries once were built
+        g = HingeGeometry(r, t, w, h1, Material("m", e, nu))
+        joint = hinge_compliance(replace(g, h1=-g.r))
+        moved = transform_compliance(joint, FramePlacement(0.0, (g.r + g.h1, 0.0, 0.0))).m
+        c = hinge_compliance(g).m
+        scale = np.sqrt(np.outer(np.diag(c), np.diag(c)))
+        assert (np.abs(c - moved) <= 1e-13 * scale).all()
 
     def test_deep_notch_approaches_prism(self):
         # t >> r: the circular relief vanishes and the notch is a short bar

@@ -433,15 +433,14 @@ class TestAnalyzeBatch:
             assert (batched.rcc_height, batched.ideal_center, batched.rotational_precision) == \
                 (alone.rcc_height, alone.ideal_center, alone.rotational_precision)
 
-    def test_results_are_boxed_without_checking_again(self, monkeypatch):
-        # the engine has checked and symmetrized K and C; boxing them for
-        # the result checks nothing again and stores what the checking
-        # constructor would
-        checked = []
-        faults = spatial.matrix_faults
-        monkeypatch.setattr(spatial, "matrix_faults", lambda m: checked.append(m) or faults(m))
+    def test_results_are_boxed_without_checking_again(self, counted_calls):
+        # the engine has checked and symmetrized K and C in its one
+        # matrix_faults pass; boxing them for the result checks nothing
+        # again and stores what the checking constructor would
+        analyze(small_rcc())
+        checked = counted_calls(spatial.matrix_faults)
         result = analyze(small_rcc())
-        assert checked == []
+        assert len(checked) == 1
         assert (result.k.kind, result.c.kind) == ("stiffness", "compliance")
         assert not result.k.m.flags.writeable and not result.c.m.flags.writeable
         assert np.array_equal(SpatialMatrix6(result.k.m, "stiffness").m, result.k.m)
