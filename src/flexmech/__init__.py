@@ -8,9 +8,8 @@ format.
 """
 
 from .analysis import (CreepFit, CreepModel, SweepObjective, SweepPoint, SweepResult,
-                       SweepSpec, VerticalComplianceDatum, creep_force, fit_creep, run_sweep)
-from .elements import (BeamGeometry, HingeGeometry, beam_compliance, hinge_compliance,
-                       notch_thickness, torsion_compliance_hinge)
+                       SweepSpec, creep_force, fit_creep, run_sweep)
+from .elements import BeamGeometry, HingeGeometry, element_compliance
 from .errors import FlexmechError, MechanismFileError, SingularMatrixError
 from .kernels import torsion_beta
 from .materials import (Material, MeasuredJointRecord, derive_shear_modulus,
@@ -20,8 +19,6 @@ from .mechanism import (Limb, Mechanism, RccResult, analyze, analyze_batch,
                         limb_compliance, mechanism_stiffness, rotational_precision,
                         static_deflection)
 from .mechfile import ParsedMechanism, parse_mechanism, serialize
-from .spatial import (FramePlacement, SpatialMatrix6, amplification_displacement,
-                      amplification_force, invert, rot_z, s_matrix,
-                      transform_compliance, transform_stiffness)
+from .spatial import FramePlacement, SpatialMatrix6, invert, rot_z, s_matrix
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Time-domain creep model, the 1-DOF vertical spring datum, and parametric
-design sweeps over the mechanism geometry."""
+"""Time-domain creep model and parametric design sweeps over the mechanism
+geometry."""
 
 from __future__ import annotations
 
@@ -123,18 +123,6 @@ def fit_creep(samples) -> CreepFit:
     return CreepFit(model, math.sqrt(cost), True)
 
 
-@dataclass(frozen=True)
-class VerticalComplianceDatum:
-    """Viscoelastic vertical table modeled as a single z-direction spring."""
-
-    stiffness_z: float    # N/mm
-    lockable: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.stiffness_z < math.inf:
-            raise ValueError("vertical stiffness must be positive")
-
-
 # ---------------------------------------------------------------------------
 # parametric sweeps
 
@@ -229,11 +217,6 @@ class SweepSpec:
         axes = [np.linspace(lo, hi, n) for lo, hi, n in self.parameters.values()]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
-    def grid(self):
-        """The grid as one name -> value dict per point, in grid_values() order."""
-        for values in self.grid_values().tolist():
-            yield dict(zip(self.parameters, values))
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -246,15 +229,11 @@ class SweepPoint:
     k_diag: tuple = ()
     reason: str = ""
 
-    def sort_key(self):
-        return (not self.feasible, self.score, tuple(v for _, v in self.params))
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A ranked sweep as columns, one row per grid point: feasible rows by
-    score, then the infeasible ones, ties by grid values (the order of
-    SweepPoint.sort_key)."""
+    score, then the infeasible ones, ties by the grid values in spec order."""
 
     names: tuple              # swept parameter names, in spec order
     params: np.ndarray        # (N, P) grid values
@@ -324,8 +303,8 @@ def _sweep_batch(spec: SweepSpec, compiled, values):
 
 
 def _ranking(params, score, feasible):
-    """The row order of SweepPoint.sort_key (infeasible last, then score,
-    then the grid values in spec order) as one stable lexsort."""
+    """The ranked row order (infeasible last, then score, then the grid
+    values in spec order) as one stable lexsort."""
     return np.lexsort((*params.T[::-1], score, ~feasible))
 
 

@@ -92,13 +92,6 @@ class HingeGeometry:
         return 2.0 * self.r + self.t
 
 
-def notch_thickness(g: HingeGeometry, x):
-    """Thickness h(x) across the notch, x in [0, 2r] from the proximal edge."""
-    if not 0.0 <= x <= 2.0 * g.r:
-        raise ValueError(f"x={x} outside the notch range [0, {2.0 * g.r}]")
-    return kernels.notch_thickness(x, g.r, g.t)
-
-
 def geometry_table(geoms):
     """The GEOMETRY table of a sequence of BeamGeometry and HingeGeometry
     objects, one row each, in order."""
@@ -163,8 +156,9 @@ def _hinge_entries(w, e, gs, lever, k1, k3, kt):
 def table_compliances(table):
     """The distal-frame compliances of the rows of a GEOMETRY table as one
     (G, 6, 6) stack, symmetric by construction; a caller checks it (see
-    spatial.matrix_faults), as the scalar constructors would.  A vanishing
-    neck gives non-finite entries.
+    spatial.matrix_faults), as element_compliance does.  A vanishing
+    neck, or a dimension whose power passes the float range, gives
+    non-finite entries.
 
     The notch kernels of the hinge rows and the torsion coefficients of the
     beam rows come from their caches.  Each row's entries are then a few
@@ -177,11 +171,23 @@ def table_compliances(table):
     beta = iter(_cached_betas([max(w, s) / min(w, s)
                                for kind, _, _, w, _, _, s, _, _ in rows if kind != HINGE]))
     c = np.zeros((len(rows), 36))
-    c[:, _ENTRIES] = np.array([
-        _hinge_entries(w, e, gs, r + h1, *next(k)) if kind == HINGE else
-        _beam_entries(l, w, s, e, gs, next(beta)) for kind, r, _, w, h1, l, s, e, gs in rows]
-    ).reshape(-1, len(_ENTRIES))
+    c[:, _ENTRIES] = np.array([_row_entries(row, k, beta) for row in rows]
+                              ).reshape(-1, len(_ENTRIES))
     return c.reshape(-1, 6, 6)
+
+
+def _row_entries(row, k, beta):
+    """The entries of one table row, with the next kernels from k (a hinge)
+    or the next torsion coefficient from beta (a beam).  Python float **
+    raises where * and / give inf, so a row with a power past the float
+    range gets inf entries, which the check reports as not finite."""
+    kind, r, _, w, h1, l, s, e, gs = row
+    try:
+        if kind == HINGE:
+            return _hinge_entries(w, e, gs, r + h1, *next(k))
+        return _beam_entries(l, w, s, e, gs, next(beta))
+    except OverflowError:
+        return (math.inf,) * len(_ENTRIES)
 
 
 def element_compliance(g) -> SpatialMatrix6:
@@ -191,19 +197,3 @@ def element_compliance(g) -> SpatialMatrix6:
     if fault:
         raise fault_error(fault)
     return SpatialMatrix6._checked(c[0], "compliance")
-
-
-def beam_compliance(g: BeamGeometry) -> SpatialMatrix6:
-    """Tip compliance of a cantilevered rectangular beam (Timoshenko)."""
-    return element_compliance(g)
-
-
-def torsion_compliance_hinge(g: HingeGeometry):
-    """C_{tx-Mx} = int dx / (G I_t(x)) with the per-strip long/short side rule."""
-    (_, _, kt), = _cached_kernels([(g.r, g.t, g.w)])
-    return kt / g.material.g_modulus
-
-
-def hinge_compliance(g: HingeGeometry) -> SpatialMatrix6:
-    """Distal-frame compliance of a circular notch hinge via strip integration."""
-    return element_compliance(g)

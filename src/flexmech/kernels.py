@@ -68,23 +68,6 @@ def torsion_beta(aspect):
     return float(beta) if beta.ndim == 0 else beta
 
 
-def rect_torsion_constant(side_a, side_b):
-    """Torsion constant beta*a*b^3 of an a-by-b rectangle, sides in any order."""
-    if side_a <= 0.0 or side_b <= 0.0:
-        raise ValueError("rectangle sides must be positive")
-    long_s = max(side_a, side_b)
-    short_s = min(side_a, side_b)
-    return torsion_beta(long_s / short_s) * long_s * short_s**3
-
-
-def notch_thickness(x, r, t):
-    """Thickness h(x) of a circular notch, x in [0, 2r] from the proximal edge."""
-    d = r * r - (x - r) * (x - r)
-    if d < 0.0:
-        d = 0.0
-    return t + 2.0 * r - 2.0 * math.sqrt(d)
-
-
 def notch_kernels(r, t, w):
     """The three strip-integration kernels (k1, k3, kt) of a notch as a float
     triple, or of G notches from (G,) arrays of r, t and w as a (G, 3) array.

@@ -44,11 +44,6 @@ class Material:
             if not 0.0 < self.g_modulus < math.inf:
                 raise ValueError("shear modulus must be positive")
 
-    def scaled(self, factor):
-        """Same material with both moduli scaled; used by scaling invariance checks."""
-        return Material(self.name, self.e_modulus * factor, self.nu,
-                        self.g_modulus * factor, self.caveat)
-
 
 @dataclass(frozen=True)
 class MeasuredJointRecord:

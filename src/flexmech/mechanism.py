@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import (HINGE, BeamGeometry, HingeGeometry, element_compliance, geometry_table,
-                       table_compliances)
+from .elements import HINGE, BeamGeometry, HingeGeometry, geometry_table, table_compliances
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
 from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, invert, invert_stack,

@@ -249,7 +249,7 @@ def _parse_elements(entries, materials):
     return elements
 
 
-def _parse_limb(name, entries, elements):
+def _parse_limb(name, entries, elements, section_line):
     members = []
     for lineno, line in entries:
         parts = line.split()
@@ -264,7 +264,8 @@ def _parse_limb(name, entries, elements):
     try:
         return Limb(name, tuple(members))
     except ValueError as exc:
-        raise MechanismFileError(str(exc), entries[0][0] if entries else None, name) from None
+        raise MechanismFileError(str(exc), entries[0][0] if entries else section_line,
+                                 name) from None
 
 
 def _parse_mechanism_section(entries, limbs, section_line):
@@ -413,7 +414,7 @@ def parse_lines(lines) -> ParsedMechanism:
             limb_name = words[1]
             if limb_name in limbs:
                 raise MechanismFileError(f"duplicate limb section {limb_name!r}", lineno)
-            limbs[limb_name] = _parse_limb(limb_name, entries, elements)
+            limbs[limb_name] = _parse_limb(limb_name, entries, elements, lineno)
         elif name == "mechanism":
             mechanism = _parse_mechanism_section(entries, limbs, lineno)
         elif name == "sweep":

@@ -2,8 +2,8 @@
 
 The array functions (rot_z, s_matrix, transports, congruence,
 matrix_faults, symmetrize, invert_stack) take one matrix or a stack
-(..., 6, 6), so the batched assembly engine and the single-matrix API
-share one implementation; SpatialMatrix6 wraps one checked matrix.
+(..., 6, 6); the batched assembly engine runs on them, and invert applies
+invert_stack to one SpatialMatrix6, a wrapper of one checked matrix.
 invert_stack refuses a matrix on the 1-norm condition number of its
 diagonally equilibrated form, read off the inverse it computes anyway; the
 figure is the same in any units.
@@ -15,8 +15,8 @@ Conventions (fixed package-wide):
     from the member frame to the evaluation point, expressed in evaluation
     coordinates
   - the skew operator S(r) is the transpose of the usual cross-product
-    matrix, so S(r) @ u == u x r; with r member->tip this makes
-    amplification_force the exact wrench transport member->tip.
+    matrix, so S(r) @ u == u x r; with r member->tip this makes the force
+    kind of transports the exact wrench transport member->tip.
 """
 
 from __future__ import annotations
@@ -68,16 +68,6 @@ class FramePlacement:
     @property
     def theta_deg(self):
         return math.degrees(self.theta)
-
-    def compose(self, inner: "FramePlacement") -> "FramePlacement":
-        """Placement equivalent to applying `inner` first, then self."""
-        r_in = rot_z(self.theta) @ np.asarray(inner.r)
-        r = np.asarray(self.r) + r_in
-        return FramePlacement(self.theta + inner.theta, tuple(r))
-
-    def inverse(self) -> "FramePlacement":
-        r = -(rot_z(-self.theta) @ np.asarray(self.r))
-        return FramePlacement(-self.theta, tuple(r))
 
 
 IDENTITY_PLACEMENT = FramePlacement(0.0, (0.0, 0.0, 0.0))
@@ -186,37 +176,9 @@ def transports(theta, r, force):
     return j
 
 
-def amplification_force(p: FramePlacement):
-    """Wrench transport member->tip: [[Rz, 0], [S(r) Rz, Rz]]."""
-    return transports(p.theta, p.r, True)
-
-
-def amplification_displacement(p: FramePlacement):
-    """Twist transport member->tip, the inverse transpose of the force map.
-
-    Closed form [[Rz, S(r) Rz], [0, Rz]]; the identity J = J_F^{-T} is a
-    test-suite check, not an implementation route.
-    """
-    return transports(p.theta, p.r, False)
-
-
 def congruence(j, m):
     """J M J^T for each pair of a stack of transports and matrices."""
     return j @ m @ _swap(j)
-
-
-def transform_compliance(c: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6:
-    """Congruence J C J^T moving a compliance to the placement's evaluation point."""
-    if c.kind != "compliance":
-        raise ValueError(f"transform_compliance needs a compliance matrix, got {c.kind}")
-    return SpatialMatrix6(congruence(amplification_displacement(p), c.m), "compliance")
-
-
-def transform_stiffness(k: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6:
-    """Congruence J_F K J_F^T moving a stiffness to the placement's evaluation point."""
-    if k.kind != "stiffness":
-        raise ValueError(f"transform_stiffness needs a stiffness matrix, got {k.kind}")
-    return SpatialMatrix6(congruence(amplification_force(p), k.m), "stiffness")
 
 
 def invert_stack(m):

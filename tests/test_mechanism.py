@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flexmech.mechanism as mech
 import flexmech.spatial as spatial
-from flexmech.elements import BeamGeometry, HingeGeometry
+from flexmech.elements import BeamGeometry, HingeGeometry, element_compliance
 from flexmech.errors import SingularMatrixError, fault_error
 from flexmech.fixtures import load_reference_stiffness, load_small_rcc
 from flexmech.materials import Material
@@ -18,8 +18,9 @@ from flexmech.mechanism import (Limb, Mechanism, analyze, analyze_batch,
                                 ideal_fourbar_center, limb_compliance,
                                 mechanism_stiffness, rotational_precision,
                                 static_deflection)
-from flexmech.spatial import (FramePlacement, SpatialMatrix6, amplification_displacement,
-                              amplification_force, invert, transform_compliance)
+from flexmech.spatial import FramePlacement, SpatialMatrix6, invert
+from oracles import (amplification_displacement, amplification_force, scaled,
+                     transform_compliance)
 
 RNG = np.random.default_rng(99)
 MAT = Material("m", 43.8, 0.48)
@@ -65,6 +66,26 @@ def design(pairs, long=(), lean=20.0, y=10.325, hinge=HINGE):
     return Mechanism(tuple(limbs))
 
 
+MECHANISMS = st.builds(
+    lambda pairs, long, lean, y, t: design(pairs, long, lean, y,
+                                           HingeGeometry(1.25, t, 5.0, 0.0, MAT)),
+    pairs=st.integers(1, 4), long=st.sets(st.integers(0, 3)),
+    lean=st.floats(5.0, 40.0), y=st.floats(5.0, 20.0), t=st.floats(1.5, 4.0))
+
+
+def replaced(m, member, slot):
+    """m with every member placement p replaced by member(p) and every limb
+    slot placement p by slot(p)."""
+    return Mechanism(tuple(
+        (Limb(limb.name, tuple((g, member(p)) for g, p in limb.members)), slot(placement))
+        for limb, placement in m.limbs), m.reference)
+
+
+def mirrored(p):
+    """The mirror image y -> -y of a placement."""
+    return FramePlacement(-p.theta, (p.r[0], -p.r[1], p.r[2]))
+
+
 def hand_stiffness(m):
     """Loop reference: sum over limbs of J_F inv(sum of J C J^T) J_F^T."""
     k = np.zeros((6, 6))
@@ -72,7 +93,7 @@ def hand_stiffness(m):
         c = np.zeros((6, 6))
         for geom, p in limb.members:
             j = amplification_displacement(p)
-            c += j @ mech.element_compliance(geom).m @ j.T
+            c += j @ element_compliance(geom).m @ j.T
         jf = amplification_force(placement)
         k += jf @ np.linalg.inv(c) @ jf.T
     return k
@@ -82,9 +103,7 @@ class TestLimb:
     def test_single_member_identity(self):
         limb = Limb("one", ((HINGE, FramePlacement(0.0, (0.0, 0.0, 0.0))),))
         c = limb_compliance(limb)
-        from flexmech.elements import hinge_compliance
-
-        np.testing.assert_allclose(c.m, hinge_compliance(HINGE).m, rtol=1e-12)
+        np.testing.assert_allclose(c.m, element_compliance(HINGE).m, rtol=1e-12)
 
     def test_two_identical_members_double(self):
         one = Limb("one", ((BEAM, FramePlacement(0.0, (0.0, 0.0, 0.0))),))
@@ -107,30 +126,31 @@ class TestLimb:
         with pytest.raises(ValueError, match="at least one member"):
             Limb("empty", ())
 
-    def test_split_beam_identity(self):
-        # flexibility chain rule: a cantilever split into two serial halves
-        # (distal half at the tip, proximal half transported by l/2) must
-        # reproduce the closed-form full-length compliance exactly
-        from flexmech.elements import beam_compliance
-
-        full = beam_compliance(BeamGeometry(10.4, 5.0, 5.32, MAT))
-        half = BeamGeometry(5.2, 5.0, 5.32, MAT)
+    @given(l=st.floats(0.1, 100.0), w=st.floats(0.1, 50.0), s=st.floats(0.1, 50.0),
+           split=st.floats(0.01, 0.99), e=st.floats(1.0, 1e4), nu=st.floats(0.0, 0.49))
+    @example(l=10.4, w=5.0, s=5.32, split=0.5, e=43.8, nu=0.48)
+    def test_split_beam_identity(self, l, w, s, split, e, nu):
+        # flexibility chain rule: a cantilever split into two collinear
+        # beams a + b = l (the distal one at the tip, the proximal one
+        # transported by b) reproduces the closed-form whole-beam compliance
+        mat = Material("m", e, nu)
+        a = split * l
+        b = l - a
         chain = Limb("split", (
-            (half, FramePlacement(0.0, (0.0, 0.0, 0.0))),
-            (half, FramePlacement(0.0, (5.2, 0.0, 0.0))),
+            (BeamGeometry(b, w, s, mat), FramePlacement(0.0, (0.0, 0.0, 0.0))),
+            (BeamGeometry(a, w, s, mat), FramePlacement(0.0, (b, 0.0, 0.0))),
         ))
-        np.testing.assert_allclose(limb_compliance(chain).m, full.m,
-                                   rtol=1e-12, atol=1e-15)
+        full = element_compliance(BeamGeometry(l, w, s, mat)).m
+        scale = np.sqrt(np.outer(np.diag(full), np.diag(full)))
+        assert (np.abs(limb_compliance(chain).m - full) <= 1e-12 * scale).all()
 
     def test_serial_monotonicity(self):
         # each added member only ever adds compliance
-        from flexmech.spatial import amplification_displacement
-
         limb = paper_limb()
         c_total = limb_compliance(limb).m
         for geom, placement in limb.members:
             j = amplification_displacement(placement)
-            term = j @ mech.element_compliance(geom).m @ j.T
+            term = j @ element_compliance(geom).m @ j.T
             assert np.linalg.eigvalsh(c_total - term).min() > -1e-12 * np.abs(c_total).max()
 
 
@@ -155,10 +175,29 @@ class TestMechanismStiffness:
                                "rr" if i >= 3 and j >= 3 else "tr"]
                 assert abs(k[i, j]) < 1e-9 * np.abs(block).max(), (i + 1, j + 1)
 
-    def test_mirror_symmetry_kills_xy_xz(self):
+    @settings(max_examples=40)
+    @given(m=MECHANISMS, seed=st.integers(0, 2**32 - 1))
+    def test_mirror_symmetry_kills_xy_xz(self, m, seed):
+        # the bundled design is its own mirror image in y and in z
         k = mechanism_stiffness(small_rcc()).m
         assert abs(k[0, 1]) < 1e-9 * np.abs(k).max()
         assert abs(k[0, 2]) < 1e-9 * np.abs(k).max()
+        # any design mirrored y -> -y flips the sign of K_ij where exactly one
+        # of i, j is y, tx or tz; every placement is moved at random first,
+        # so the design is not its own mirror image
+        rng = np.random.default_rng(seed)
+
+        def moved(p, dz):
+            dx, dy = rng.uniform(-1.0, 1.0, size=2)
+            return FramePlacement(p.theta + rng.uniform(-0.1, 0.1),
+                                  (p.r[0] + dx, p.r[1] + dy, p.r[2] + dz * rng.uniform(-1.0, 1.0)))
+
+        asymmetric = replaced(m, lambda p: moved(p, 0.0), lambda p: moved(p, 1.0))
+        k = mechanism_stiffness(asymmetric).m
+        k_mirror = mechanism_stiffness(replaced(asymmetric, mirrored, mirrored)).m
+        flip = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        scale = np.sqrt(np.outer(np.diag(k), np.diag(k)))
+        assert (np.abs(k_mirror - flip[:, None] * k * flip) <= 1e-13 * scale).all()
 
     def test_duality_route(self):
         # parallel sum of transformed stiffness == inverse of the
@@ -181,7 +220,7 @@ class TestMechanismStiffness:
                 g.__class__(**{**{f: getattr(g, f) for f in
                                   ("r", "t", "w", "h1") if hasattr(g, f)},
                                **({"l": g.l, "s": g.s} if hasattr(g, "l") else {}),
-                               "material": g.material.scaled(scale)}), p)
+                               "material": scaled(g.material, scale)}), p)
                 for g, p in limb.members)
             scaled_limbs.append((Limb(limb.name, members), placement))
         m2 = Mechanism(tuple(scaled_limbs), m.reference)
@@ -614,13 +653,6 @@ class TestIdentitySharing:
             assert np.array_equal(result.k.m, reference.k.m)
             assert np.array_equal(result.c.m, reference.c.m)
             assert result.rcc_height == reference.rcc_height
-
-
-MECHANISMS = st.builds(
-    lambda pairs, long, lean, y, t: design(pairs, long, lean, y,
-                                           HingeGeometry(1.25, t, 5.0, 0.0, MAT)),
-    pairs=st.integers(1, 4), long=st.sets(st.integers(0, 3)),
-    lean=st.floats(5.0, 40.0), y=st.floats(5.0, 20.0), t=st.floats(1.5, 4.0))
 
 
 @settings(max_examples=40)
