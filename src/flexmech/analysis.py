@@ -1,5 +1,13 @@
 """Time-domain creep model and parametric design sweeps over the mechanism
-geometry."""
+geometry.
+
+A sweep compiles its template once (mechanism._compile) and evaluates the
+grid in batches of SWEEP_BATCH points, one engine call (mechanism._evaluate)
+per batch.  Within a batch, a point is a limb row, its t/r/w/angle values,
+and a placement row, its y/z values; each distinct row is found from one
+integer key per point made of the point's per-axis grid indices
+(_grid_rows), and the engine computes each row's parts once.
+"""
 
 from __future__ import annotations
 
@@ -276,23 +284,32 @@ def _score(objective: SweepObjective, rcc_height, k_diag):
     return score
 
 
-def _sweep_batch(spec: SweepSpec, compiled, values):
-    """The SweepResult columns from `feasible` to `cond`, in grid order, of
-    an (n, P) array of grid values, evaluated as array edits of the
-    compiled template (see run_sweep) in one engine call."""
-    names = list(spec.parameters)
-    shaping = [j for j, name in enumerate(names) if name in LIMB_PARAMETERS]
-    # the distinct rows of t/r/w/angle values; each reshapes the limbs once
-    rows, row_of = np.unique(values[:, shaping], axis=0, return_inverse=True)
-    # y/z move every off-plane limb tip, keeping its side
-    r = np.repeat(compiled.slot_r[None], len(values), axis=0)   # (n, S, 3)
-    for axis, name in ((1, "y"), (2, "z")):
+def _grid_rows(spec: SweepSpec, values, index, names):
+    """The distinct rows of the values of the parameters `names` among the
+    points of an (n, P) array of grid values, as a mapping of each name to
+    its (rows,) values, and the (n,) distinct row of each point.  A point's
+    row is told by one integer key made from its (n, P) per-axis grid
+    indices `index`, so no row of floats is compared."""
+    key = np.zeros(len(index), dtype=np.intp)
+    picked = []
+    for j, (name, (_, _, n)) in enumerate(spec.parameters.items()):
         if name in names:
-            moved = r[0, :, axis] != 0.0
-            r[:, moved, axis] = np.copysign(values[:, names.index(name), None],
-                                            r[0, moved, axis])
-    _, k, _, centers, checks, conds = mechanism._evaluate(
-        compiled, dict(zip([names[j] for j in shaping], rows.T)), row_of, r)
+            key = key * n + index[:, j]
+            picked.append((j, name))
+    _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+    return {name: values[first, j] for j, name in picked}, row_of
+
+
+def _sweep_batch(spec: SweepSpec, compiled, values, index):
+    """The SweepResult columns from `feasible` to `cond`, in grid order, of
+    an (n, P) array of grid values and their per-axis grid indices,
+    evaluated as array edits of the compiled template (see run_sweep) in
+    one engine call."""
+    shaping, row_of = _grid_rows(spec, values, index, LIMB_PARAMETERS)
+    placing, place_of = _grid_rows(spec, values, index, ("y", "z"))
+    slot_r = mechanism._placed(compiled, placing, int(place_of.max()) + 1)
+    _, k, _, centers, checks, conds = mechanism._evaluate(compiled, shaping, row_of, slot_r,
+                                                          place_of)
     faults, cond = mechanism._first_faults(checks, conds)
     ok = faults == 0
     rcc = np.where(ok, centers[:, 0], np.nan)
@@ -315,14 +332,18 @@ def run_sweep(spec: SweepSpec, template: Mechanism) -> SweepResult:
     The template is compiled once into arrays (mechanism._compile), and a
     grid point is an edit of those arrays: each distinct row of t/r/w/angle
     values overwrites the r/t/w columns of a copy of the hinge rows and
-    re-leans the rotated members, and y/z overwrite the limb slots'
-    displacements.  No geometry, placement, limb or mechanism object is
-    built, each batch makes one notch_kernels call at most, and the results
-    stay columns.
+    re-leans the rotated members (mechanism._edited), and each distinct row
+    of y/z values overwrites the limb slots' displacements
+    (mechanism._placed).  No geometry, placement, limb or mechanism object
+    is built, each batch makes one notch_kernels call at most, and the
+    results stay columns.
     """
     compiled = mechanism._compile(template.limbs, (len(template.limbs),))
     grid = spec.grid_values()
-    batches = [_sweep_batch(spec, compiled, grid[i:i + SWEEP_BATCH])
+    # the per-axis grid index of each point, in grid order
+    index = np.indices([n for _, _, n in spec.parameters.values()]).reshape(len(spec.parameters),
+                                                                           -1).T
+    batches = [_sweep_batch(spec, compiled, grid[i:i + SWEEP_BATCH], index[i:i + SWEEP_BATCH])
                for i in range(0, len(grid), SWEEP_BATCH)]
     feasible, score, rcc, k_diag, fault, cond = map(np.concatenate, zip(*batches))
     order = _ranking(grid, score, feasible)

@@ -77,10 +77,18 @@ def cmd_validate(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its usage errors, so main reports them
+    as input errors: one error line and exit 1."""
+
+    def error(self, message):
+        raise FlexmechError(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flexmech",
         description="Spatial stiffness analysis of compound flexure mechanisms")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -110,8 +118,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MechanismFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,22 +10,26 @@ All assembly runs through one batched engine on stacked (..., 6, 6) arrays,
 with one object front: _compile reads limb slots into arrays (_Compiled),
 telling limbs and geometries apart by identity, so a shared object is
 computed once.  _evaluate evaluates copies of the compiled mechanisms, as
-compiled or under rows of t/r/w/angle edits (_edited): it computes the
-element compliances at their element frames (elements.table_compliances),
-builds the member and limb slot transports in one pass, sums the members
-of each distinct limb (_limb_stack) and the limbs of each mechanism,
-inverts, and extracts the remote-center summary.  analyze_batch, analyze,
-mechanism_stiffness and limb_compliance compile their objects and evaluate
-them as they are; sweeps (analysis.run_sweep) compile the template once
-and evaluate grid rows as edits of its arrays.  Every stage runs for every item: a refused inversion
-gives the identity, so a faulty matrix stays with its own item.  The
-matrices of all stages are checked in one matrix_faults pass at the end,
-and _first_faults picks each item's first fault in the order a one-item
-run meets the checks, (limb slot, stage) by (limb slot, stage) and then
-the mechanism's own, as an integer code of errors.FAULTS, plus the
-condition number of a refused inversion; the exception is built from the
-code (errors.fault_error) only where the API returns or raises it.  A
-failed item leaves the other items untouched.
+compiled or each made of a limb row of t/r/w/angle edits (_edited) and a
+placement row of y/z edits (_placed): it computes the element compliances
+at their element frames (elements.table_compliances), builds the member
+and limb slot transports in one pass, sums the member terms J C J^T of
+each distinct limb (_limb_stack) and the limb slot terms of each mechanism
+(_slot_sums), inverts, and extracts the remote-center summary.  Each part
+is computed once for the rows it differs on: a member no edit touches has
+one transport and one term that every limb row shares, and a limb slot one
+transport per placement row.  analyze_batch, analyze, mechanism_stiffness
+and limb_compliance compile their objects and evaluate them as they are;
+sweeps (analysis.run_sweep) compile the template once and evaluate grid
+points as edits of its arrays.  Every stage runs for every item: a
+refused inversion gives the identity, so a faulty matrix stays with its
+own item.  The matrices of all stages are checked in one matrix_faults
+pass at the end, and _first_faults picks each item's first fault in the
+order a one-item run meets the checks, (limb slot, stage) by (limb slot,
+stage) and then the mechanism's own, as an integer code of errors.FAULTS,
+plus the condition number of a refused inversion; the exception is built
+from the code (errors.fault_error) only where the API returns or raises
+it.  A failed item leaves the other items untouched.
 """
 
 from __future__ import annotations
@@ -118,6 +122,30 @@ def _run_sums(terms, grid):
     return total
 
 
+# the most limb slot terms _slot_sums makes at once: a fresh stack much
+# larger (1024 terms, 295 kB) is mapped into memory page by page, which on
+# a 2-vCPU Xeon host costs more than computing its terms
+_SLOT_TERMS = 256
+
+
+def _slot_sums(j, k, j_grid, k_grid):
+    """In-order sums of J K J^T over the runs of limb slots of _runs grids:
+    j_grid holds the transport in `j` and k_grid the stiffness in `k` of
+    each slot; k_grid pads with len(k), where the term is zero.  The terms
+    are made a block of grid columns at a time, _SLOT_TERMS of them at
+    most unless one column has more, so a large batch makes no stack of
+    all its slots' terms."""
+    k = np.concatenate([k, np.zeros((1,) + k.shape[1:])])
+    total = np.zeros((len(j_grid),) + k.shape[1:])
+    width = max(1, _SLOT_TERMS // len(j_grid))
+    for start in range(0, j_grid.shape[1], width):
+        block = slice(start, start + width)
+        terms = congruence(j[j_grid[:, block]], k[k_grid[:, block]])
+        for c in range(terms.shape[1]):
+            total += terms[:, c]
+    return total
+
+
 @dataclass(frozen=True)
 class _Compiled:
     """Limb slots as the arrays the engine evaluates and a sweep edits."""
@@ -153,9 +181,10 @@ def _compile(slots, counts) -> _Compiled:
 def _edited(compiled: _Compiled, columns, rows):
     """The GEOMETRY table, the (rows, M) table row of each member and the
     (rows, M) member angles of the distinct limbs of `compiled` under each
-    of `rows` rows of t/r/w/angle values.  `columns` maps each edited name
-    to its (rows,) values; with no columns and one row, the limbs are as
-    compiled.
+    of `rows` rows of t/r/w/angle values, with the (M,) masks of the
+    members whose angle and whose table row the edit changes.  `columns`
+    maps each edited name to its (rows,) values; with no columns and one
+    row, the limbs are as compiled.
 
     The edit is the one the object-level oracle of tests/test_analysis.py
     (apply_parameters) makes with objects.  The checks the edited objects
@@ -167,24 +196,55 @@ def _edited(compiled: _Compiled, columns, rows):
     it is.
     """
     table = compiled.table
+    if not columns:
+        unedited = np.zeros(len(compiled.theta), dtype=bool)
+        return table, compiled.geom_of[None], compiled.theta[None], unedited, unedited
     geom_of = compiled.geom_of[None].repeat(rows, axis=0)
     retune = [name for name in ("t", "r", "w") if name in columns]
+    beams = int(np.count_nonzero(table["kind"] != HINGE))
+    retuned = (compiled.geom_of >= beams) & bool(retune)
     if retune:
         # every row retunes its own copy of the hinge rows, one per compiled
         # hinge; the beams are shared
-        beams = int(np.count_nonzero(table["kind"] != HINGE))
         hinges = np.tile(table[beams:], rows)
         for name in retune:
             hinges[name] = np.repeat(columns[name], len(table) - beams)
-        geom_of[:, compiled.geom_of >= beams] += np.arange(rows)[:, None] * (len(table) - beams)
+        geom_of[:, retuned] += np.arange(rows)[:, None] * (len(table) - beams)
         table = np.concatenate([table[:beams], hinges])
     theta = compiled.theta[None].repeat(rows, axis=0)
-    if "angle" in columns:
-        # re-lean every rotated member, keeping its side
-        leaned = compiled.theta != 0.0
+    # re-lean every rotated member, keeping its side
+    leaned = (compiled.theta != 0.0) & ("angle" in columns)
+    if leaned.any():
         theta[:, leaned] = np.copysign(np.radians(columns["angle"])[:, None],
                                        compiled.theta[leaned])
-    return table, geom_of, theta
+    return table, geom_of, theta, leaned, retuned
+
+
+def _placed(compiled: _Compiled, columns, rows):
+    """The (rows, S, 3) limb slot displacements of `compiled` under each of
+    `rows` rows of y/z values: y/z move every off-plane limb tip, keeping
+    its side.  `columns` maps each edited name to its (rows,) values."""
+    slot_r = compiled.slot_r[None].repeat(rows, axis=0)
+    for axis, name in ((1, "y"), (2, "z")):
+        if name in columns:
+            moved = compiled.slot_r[:, axis] != 0.0
+            slot_r[:, moved, axis] = np.copysign(columns[name][:, None],
+                                                 compiled.slot_r[moved, axis])
+    return slot_r
+
+
+def _shared(per_row, rows):
+    """The (rows, M) index of the terms of M members under `rows` edit rows
+    and the term count: a member in the (M,) mask per_row gets a term per
+    row, any other member one term that every row shares (those first)."""
+    edited = np.count_nonzero(per_row)
+    if not edited:
+        return np.arange(len(per_row))[None].repeat(rows, axis=0), len(per_row)
+    shared = len(per_row) - edited
+    index = np.empty((rows, len(per_row)), dtype=np.intp)
+    index[:, ~per_row] = np.arange(shared)
+    index[:, per_row] = shared + np.arange(rows * edited).reshape(rows, edited)
+    return index, shared + rows * edited
 
 
 def _limb_stack(elements, geom_of, transports, grid):
@@ -192,10 +252,10 @@ def _limb_stack(elements, geom_of, transports, grid):
     limbs, and the sums they symmetrize, which the caller checks.
 
     `elements` is an element stack (elements.table_compliances), `geom_of`
-    the element of each of M members, `transports` their (M, 6, 6)
+    the element of each of T member terms, `transports` their (T, 6, 6)
     displacement transports to the limb tip and `grid` the _runs grid of
-    each limb's consecutive members.  Each limb sums its members' J C J^T
-    in member order.
+    the terms of each limb's consecutive members.  Each limb sums its
+    members' J C J^T in member order.
     """
     total = _run_sums(congruence(transports, elements[geom_of]), grid)
     return symmetrize(total), total
@@ -218,10 +278,19 @@ _MECHANISM_CHECKS = 6
 _LIMB_CHECKS_AFTER_SUM = 2
 
 
-def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
+def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
     """The array core of the engine, for n copies of the compiled mechanisms,
     copy i made of the limbs of row row_of[i] of `columns` (see _edited)
-    with the (S, 3) limb slot displacements slot_r[i]; copy by copy.
+    placed by the (S, 3) limb slot displacements slot_r[place_of[i]] of the
+    (P, S, 3) placement rows slot_r (see _placed); copy by copy.
+
+    Each part is computed once for the rows it differs on.  A member whose
+    angle no edit changes has one transport to its limb tip, and a member
+    whose angle and table row no edit changes has one J C J^T term; every
+    row shares them.  Each limb slot of each placement row has one
+    transport to the reference point.  The limb sums gather the terms in
+    member order, so a sum adds the same terms in the same order however
+    many rows share them.
 
     Returns the (D, 6, 6) compliances of the distinct limbs of all rows,
     the (n, 6, 6) K and C stacks, the (n, 3) rows of (rcc height, ideal
@@ -231,7 +300,8 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     checks are, for each limb slot, the check of each member's element,
     then the limb's compliance sum, inversion and stiffness; and then the
     mechanism's _MECHANISM_CHECKS.  _first_faults reads each copy's first
-    fault off them.
+    fault off them.  When every check passed, the tables are zeros and NaN,
+    built without reading the checks one by one.
 
     Every matrix is computed for every copy, faulty or not: a refused
     inversion gives the identity, so a non-finite or singular matrix stays
@@ -240,38 +310,62 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     stages left.
     """
     rows = int(row_of.max()) + 1
-    table, geom_of, theta = _edited(compiled, columns, rows)
+    table, geom_of, theta, leaned, retuned = _edited(compiled, columns, rows)
     # the notch kernels first: their temporaries are a batch's largest arrays
     elements = table_compliances(table)
-    # the distinct limb of each limb slot, limbs numbered row by row
+    # the transport and the J C J^T term of each (row, member), shared by
+    # the rows where no edit changes them
+    moved_of, moved = _shared(leaned, rows)
+    term_of, terms = _shared(leaned | retuned, rows)
+    member_theta, member_r = np.empty(moved), np.empty((moved, 3))
+    member_theta[moved_of] = theta
+    member_r[moved_of] = compiled.r
+    term_geom, term_moved = np.empty(terms, dtype=np.intp), np.empty(terms, dtype=np.intp)
+    term_geom[term_of] = geom_of
+    term_moved[term_of] = moved_of
+    # the distinct limb and the limb slot transport of each limb slot of each
+    # copy: limbs numbered limb row by limb row, and transports placement
+    # row by placement row
+    count = len(compiled.limb_of)
     slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
-    slot_r = slot_r.reshape(-1, 3)
+    placed = (place_of[:, None] * count + np.arange(count)).ravel()
     # one transport pass: members move twists to their limb tip, limb slots
     # move wrenches to the reference point
-    m = theta.size
-    j = transports(np.concatenate([theta.ravel(), np.tile(compiled.slot_theta, len(row_of))]),
-                   np.concatenate([np.tile(compiled.r, (rows, 1)), slot_r]),
-                   np.arange(m + len(slots)) >= m)
+    j = transports(np.concatenate([member_theta, np.tile(compiled.slot_theta, len(slot_r))]),
+                   np.concatenate([member_r, slot_r.reshape(-1, 3)]),
+                   np.arange(moved + len(slot_r) * count) >= moved)
     member_grid = _runs(np.tile(compiled.lengths, rows), theta.size)
     slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
+    # the limb of each slot of each mechanism; the padding gets limb D, whose
+    # stiffness _slot_sums takes as zero
+    slot_limb = np.append(slots, len(compiled.lengths) * rows)[slot_grid]
     # legs (x, y, angle), tips in reference coordinates; padding gets NaN
     legs = np.full((len(slots) + 1, 3), np.nan)
-    legs[:-1, :2] = -slot_r[:, :2]
+    legs[:-1, :2] = -slot_r.reshape(-1, 3)[placed, :2]
     legs[:-1, 2] = _run_sums(theta.ravel(), member_grid)[slots]
     # a vanishing neck or a refused matrix overflows or divides by zero on
     # its own item's rows, which the checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_limb, c_sum = _limb_stack(elements, geom_of.ravel(), j[:m], member_grid)
+        c_limb, c_sum = _limb_stack(elements, term_geom, j[term_moved],
+                                    np.append(term_of.ravel(), terms)[member_grid])
         k_limb, limb_cond, limb_refused = invert_stack(c_limb)
-        k_sum = _run_sums(congruence(j[m:], symmetrize(k_limb)[slots]), slot_grid)
+        k_sum = _slot_sums(j[moved:], symmetrize(k_limb), np.append(placed, 0)[slot_grid],
+                           slot_limb)
         k = symmetrize(k_sum)
         c_inv, cond, refused = invert_stack(k)
         c = symmetrize(c_inv)
         heights, decoupled = _center_heights(c)
         ideal, ideal_faults = fourbar_centers(legs[slot_grid])
+    centers = np.column_stack([heights, ideal, np.abs(heights - ideal)])
 
     faults = matrix_faults(np.concatenate([elements, c_sum, k_limb, k_sum, c_inv]))
-    g, d, n = len(elements), len(c_sum), len(k_sum)
+    finite = np.isfinite(heights) & np.isfinite(ideal)
+    n = len(k_sum)
+    if not any(map(np.count_nonzero, (faults, limb_refused, refused, decoupled, ideal_faults,
+                                      ~finite))):
+        shape = (n, slot_grid.shape[1] * (member_grid.shape[1] + 3) + _MECHANISM_CHECKS)
+        return c_limb, k, c, centers, np.zeros(shape, dtype=faults.dtype), np.full(shape, np.nan)
+    g, d = len(elements), len(c_sum)
     # each limb's checks: its members' element checks, then its compliance
     # sum, inversion and stiffness; the last entry and row pass, for padding
     element_faults = np.append(faults[:g], 0)
@@ -283,23 +377,26 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r):
     limb[:d, -1] = faults[g + d:g + 2 * d]
     limb_conds = np.full(limb.shape, np.nan)
     limb_conds[:d, -2] = limb_cond
-    slot_limb = np.append(slots, d)[slot_grid]
     mechanism = np.column_stack([
         faults[-2 * n:-n], refused * SINGULAR_STIFFNESS, faults[-n:], decoupled * NO_CENTER,
-        ideal_faults, np.where(np.isfinite(heights) & np.isfinite(ideal), 0, CENTERS_NOT_FINITE)])
+        ideal_faults, np.where(finite, 0, CENTERS_NOT_FINITE)])
     mechanism_conds = np.full(mechanism.shape, np.nan)
     mechanism_conds[:, 1] = cond
     checks = np.concatenate([limb[slot_limb].reshape(n, -1), mechanism], axis=1)
     conds = np.concatenate([limb_conds[slot_limb].reshape(n, -1), mechanism_conds], axis=1)
-    return (c_limb, k, c, np.column_stack([heights, ideal, np.abs(heights - ideal)]),
-            checks, conds)
+    return c_limb, k, c, centers, checks, conds
+
+
+def _evaluate_as_compiled(compiled: _Compiled):
+    """_evaluate of the compiled mechanisms as they are: one row, no edit."""
+    first = np.zeros(1, dtype=np.intp)
+    return _evaluate(compiled, {}, first, compiled.slot_r[None], first)
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
     """Tip compliance of a serial chain: sum of J_i C_i J_i^T over members."""
     compiled = _compile(((limb, IDENTITY_PLACEMENT),), (1,))
-    c_limb, _, _, _, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
-                                               compiled.slot_r[None])
+    c_limb, _, _, _, checks, conds = _evaluate_as_compiled(compiled)
     # the checks up to the limb's compliance sum
     stop = -(_LIMB_CHECKS_AFTER_SUM + _MECHANISM_CHECKS)
     (fault,), _ = _first_faults(checks[:, :stop], conds[:, :stop])
@@ -311,8 +408,7 @@ def limb_compliance(limb: Limb) -> SpatialMatrix6:
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
     compiled = _compile(m.limbs, (len(m.limbs),))
-    _, k, _, _, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
-                                          compiled.slot_r[None])
+    _, k, _, _, checks, conds = _evaluate_as_compiled(compiled)
     # the checks up to the mechanism's stiffness sum
     stop = 1 - _MECHANISM_CHECKS
     (fault,), (cond,) = _first_faults(checks[:, :stop], conds[:, :stop])
@@ -448,8 +544,7 @@ def analyze_batch(mechanisms) -> list:
         return []
     compiled = _compile([pair for m in mechanisms for pair in m.limbs],
                         [len(m.limbs) for m in mechanisms])
-    _, k, c, centers, checks, conds = _evaluate(compiled, {}, np.zeros(1, dtype=np.intp),
-                                                compiled.slot_r[None])
+    _, k, c, centers, checks, conds = _evaluate_as_compiled(compiled)
     faults, cond = _first_faults(checks, conds)
     return [fault_error(f, q) if f else
             RccResult(SpatialMatrix6._checked(k[n], "stiffness"),

@@ -264,8 +264,19 @@ def _parse_limb(name, entries, elements, section_line):
     try:
         return Limb(name, tuple(members))
     except ValueError as exc:
-        raise MechanismFileError(str(exc), entries[0][0] if entries else section_line,
+        raise MechanismFileError(str(exc), _refused_line(name, entries, members, section_line),
                                  name) from None
+
+
+def _refused_line(name, entries, members, section_line):
+    """The line of the first member a limb of that member alone refuses (a
+    Limb checks its members one by one), or of the section when none is."""
+    for (lineno, _), member in zip(entries, members):
+        try:
+            Limb(name, (member,))
+        except ValueError:
+            return lineno
+    return section_line
 
 
 def _parse_mechanism_section(entries, limbs, section_line):

@@ -88,7 +88,8 @@ def matrix_faults(m):
     finite = np.isfinite(scale)     # the max of a matrix with a NaN or inf entry is not finite
     if not finite.all():
         m = np.where(finite[..., None, None], m, 0.0)
-    asym = np.abs(m - _swap(m)).max(axis=(-2, -1))
+    # M - M^T is antisymmetric, so its largest entry is its largest magnitude
+    asym = (m - _swap(m)).max(axis=(-2, -1))
     return np.where(finite, (asym > SYM_RTOL * scale) * NOT_SYMMETRIC, NOT_FINITE)
 
 
@@ -177,8 +178,10 @@ def transports(theta, r, force):
 
 
 def congruence(j, m):
-    """J M J^T for each pair of a stack of transports and matrices."""
-    return j @ m @ _swap(j)
+    """J M J^T for each pair of a stack of transports and matrices; J^T is
+    made C-contiguous first, which multiplies faster than the transposed
+    view and gives the same bits."""
+    return j @ m @ np.ascontiguousarray(_swap(j))
 
 
 def invert_stack(m):

@@ -408,6 +408,28 @@ class TestSweepSharing:
         assert calls == [20, 20, 20, 4]
 
 
+    def test_each_part_computed_once_for_the_rows_it_differs_on(self, counted_calls):
+        template = load_small_rcc().mechanism
+        built, terms = map(counted_calls, (spatial.transports, spatial.congruence))
+        run_sweep(self.SPEC, template)
+        # 16 angle rows re-lean the 2 rotated members; the other 4 members
+        # keep one transport and one J C J^T term, and the 4 limb slots have
+        # one transport per y row: 4 + 2 x 16 + 16 x 4
+        assert built == [100]
+        # the 36 member terms, then the limb slot terms, one per point and
+        # slot, at most 256 at a time: one slot column of the 256 points
+        assert terms == [36, 256, 256, 256, 256]
+        built.clear()
+        terms.clear()
+        run_sweep(SweepSpec({"t": (2.0, 3.0, 8), "r": (1.0, 1.5, 8)}, self.SPEC.objective),
+                  template)
+        # no angle or placement edit: 6 member and 4 slot transports; the
+        # 2 beam members' terms are shared, the 4 hinge members' are not;
+        # the 64 points' 4 slot columns make one block of 256 terms
+        assert built == [10]
+        assert terms == [2 + 64 * 4, 64]
+
+
 class TestOnePass:
     """The engine checks every stage's matrices in one matrix_faults pass and
     builds every transport in one rot_z/s_matrix pass."""
@@ -566,6 +588,26 @@ def _sweep_specs(draw):
 def test_run_sweep_equals_per_point_sweep(spec):
     template = load_small_rcc().mechanism
     assert run_sweep(spec, template).points() == per_point_sweep(spec, template)
+
+
+_LIMB_AXES = st.sampled_from(analysis.LIMB_PARAMETERS)
+_PLACEMENT_AXES = st.sampled_from(("y", "z"))
+
+
+@settings(max_examples=25)
+@given(names=st.tuples(_LIMB_AXES, _PLACEMENT_AXES).flatmap(st.permutations), data=st.data())
+def test_shared_rows_equal_points_run_alone_bitwise(names, data):
+    # a limb axis and a placement axis: the batch shares transports and
+    # terms across its rows, a batch of one point shares nothing
+    spec = SweepSpec({name: data.draw(_sweep_range(name)) for name in names},
+                     SweepObjective(rcc_height_target=28.6, stiffness_ratio_max=True))
+    template = load_small_rcc().mechanism
+    shared = run_sweep(spec, template)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "SWEEP_BATCH", 1)
+        alone = run_sweep(spec, template)
+    for column in ("params", "feasible", "score", "rcc_height", "k_diag", "fault", "cond"):
+        assert np.array_equal(getattr(shared, column), getattr(alone, column), equal_nan=True)
 
 
 # grid values and scores drawn from few values, so rows tie; a feasible

@@ -70,6 +70,9 @@ MEASURED_NEGATIVE = SWEEP_FILE.format(extra="[measured]\nmeasured y 8 10\nmeasur
 EMPTY_LIMB = SWEEP_FILE.format(extra="").replace(
     "[limb right]\nmember n r=42.85,-14.765,0 theta=0\nmember b r=10.4,0,0 theta=-20\n"
     "member n r=9.15,0,0 theta=0\n", "[limb right]\n")
+# the limb's second member leaves the member plane
+MEMBER_R_Z = SWEEP_FILE.format(extra="").replace("member b r=10.4,0,0 theta=20",
+                                                 "member b r=10.4,0,3 theta=20")
 # a power of these dimensions passes the float range
 HINGE_W_OVERFLOW = SWEEP_FILE.format(extra="").replace("t=2.82 w=5", "t=2.82 w=1e120")
 BEAM_L_OVERFLOW = SWEEP_FILE.format(extra="").replace("l=10.4", "l=1e120")
@@ -118,6 +121,8 @@ def _line_of(text, needle):
                                    "field 'z': measured stiffness must be positive, got -2.54"),
     ("validate", EMPTY_LIMB, f"error: line {_line_of(EMPTY_LIMB, '[limb right]')}, "
                              "field 'right': a limb needs at least one member"),
+    ("validate", MEMBER_R_Z, f"error: line {_line_of(MEMBER_R_Z, 'r=10.4,0,3')}, "
+                             "field 'left': limb 'left': member placements must have r_z = 0"),
     # no line to name: the file is valid, but the element check refuses it
     ("analyze", HINGE_W_OVERFLOW, "error: matrix entries must be finite"),
     ("analyze", BEAM_L_OVERFLOW, "error: matrix entries must be finite"),
@@ -125,7 +130,7 @@ def _line_of(text, needle):
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
         "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
         "nameless-limb", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
-        "hinge-w-overflow", "beam-l-overflow"])
+        "member-r-z", "hinge-w-overflow", "beam-l-overflow"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -136,10 +141,9 @@ def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
 
 
 def test_parser_reuse_keeps_output(tmp_path, capsys):
-    # main builds its parser once per process: an argparse error and an
-    # input error on the way leave a later call's output as in a fresh process
-    with pytest.raises(SystemExit):
-        main(["analyze", SMALL_RCC, "--no-such-flag"])
+    # main builds its parser once per process: a usage error and an input
+    # error on the way leave a later call's output as in a fresh process
+    assert main(["analyze", SMALL_RCC, "--no-such-flag"]) == 1
     assert main(["analyze", str(tmp_path / "missing.mech")]) == 1
     capsys.readouterr()
     out = tmp_path / "reused.txt"
@@ -154,6 +158,24 @@ def test_parser_reuse_keeps_output(tmp_path, capsys):
                            check=True)
     assert reused == fresh.stdout
     assert out.read_bytes() == fresh_out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [[], ["analyze"], ["bogus", "x"], ["analyze", "x", "--nope"]],
+                         ids=["no-command", "no-file", "unknown-command", "unknown-option"])
+def test_usage_error_is_an_input_error(capsys, argv):
+    # exit 2 is kept for numerical failure: a command line argparse refuses
+    # is an input error, one error line and no usage text
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: flexmech" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep", "creep"])
