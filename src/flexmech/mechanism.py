@@ -15,15 +15,15 @@ placement row of y/z edits (_placed): it computes the element compliances
 at their element frames (elements.table_compliances), builds the member
 and limb slot transports in one pass, sums the member terms J C J^T of
 each distinct limb (_limb_stack) and the limb slot terms of each mechanism
-(_slot_sums), inverts, and extracts the remote-center summary.  Each part
-is computed once for the rows it differs on: a member no edit touches has
-one transport and one term that every limb row shares, and a limb slot one
-transport per placement row.  analyze_batch, analyze, mechanism_stiffness
-and limb_compliance compile their objects and evaluate them as they are;
-sweeps (analysis.run_sweep) compile the template once and evaluate grid
-points as edits of its arrays.  Every stage runs for every item: a
-refused inversion gives the identity, so a faulty matrix stays with its
-own item.  The matrices of all stages are checked in one matrix_faults
+in order (_run_sums), inverts, and extracts the remote-center summary.
+Each part is computed once for the rows it differs on: a member no edit
+touches has one transport and one term that every limb row shares, and a
+limb slot one transport per placement row.  analyze_batch, analyze,
+mechanism_stiffness and limb_compliance compile their objects and evaluate
+them as they are; sweeps (analysis.run_sweep) compile the template once and
+evaluate grid points as edits of its arrays.  Every stage runs for every
+item: a refused inversion gives the identity, so a faulty matrix stays with
+its own item.  The matrices of all stages are checked in one matrix_faults
 pass at the end, and _first_faults picks each item's first fault in the
 order a one-item run meets the checks, (limb slot, stage) by (limb slot,
 stage) and then the mechanism's own, as an integer code of errors.FAULTS,
@@ -106,41 +106,34 @@ def _by_identity(objects):
 def _runs(lengths, size):
     """The (R, P) grid of the term indices of the consecutive runs of the
     given (R,) lengths in `size` terms, P the longest run; shorter runs are
-    padded with `size`, where _run_sums puts a zero that adds exact zeros."""
+    padded with `size`, the index of a term of zeros, which adds exact zeros."""
     slot = np.arange(lengths.max()) < lengths[:, None]
     grid = np.full(slot.shape, size)
     grid[slot] = np.arange(size)
     return grid
 
 
-def _run_sums(terms, grid):
-    """In-order sums of the runs of an (M, ...) stack given by a _runs grid."""
-    terms = np.concatenate([terms, np.zeros((1,) + terms.shape[1:])])
-    total = np.zeros((len(grid),) + terms.shape[1:])
-    for j in range(grid.shape[1]):
-        total += terms[grid[:, j]]
-    return total
+def _padded(terms):
+    """An (M, ...) stack with a term of zeros appended, at the index _runs
+    pads with."""
+    return np.concatenate([terms, np.zeros((1,) + terms.shape[1:])])
 
 
-# the most limb slot terms _slot_sums makes at once: a fresh stack much
-# larger (1024 terms, 295 kB) is mapped into memory page by page, which on
-# a 2-vCPU Xeon host costs more than computing its terms
-_SLOT_TERMS = 256
+# the most terms _run_sums makes at once: a fresh stack much larger (1024
+# 6x6 terms, 295 kB) is mapped into memory page by page, which on a 2-vCPU
+# Xeon host costs more than computing its terms
+_SUM_TERMS = 256
 
 
-def _slot_sums(j, k, j_grid, k_grid):
-    """In-order sums of J K J^T over the runs of limb slots of _runs grids:
-    j_grid holds the transport in `j` and k_grid the stiffness in `k` of
-    each slot; k_grid pads with len(k), where the term is zero.  The terms
-    are made a block of grid columns at a time, _SLOT_TERMS of them at
-    most unless one column has more, so a large batch makes no stack of
-    all its slots' terms."""
-    k = np.concatenate([k, np.zeros((1,) + k.shape[1:])])
-    total = np.zeros((len(j_grid),) + k.shape[1:])
-    width = max(1, _SLOT_TERMS // len(j_grid))
-    for start in range(0, j_grid.shape[1], width):
-        block = slice(start, start + width)
-        terms = congruence(j[j_grid[:, block]], k[k_grid[:, block]])
+def _run_sums(grid, terms_at):
+    """In-order sums of the R runs of a (R, P) _runs grid: terms_at(columns)
+    gives the (R, k, ...) terms of a slice of k of the grid's columns.  The
+    columns are taken a block at a time, _SUM_TERMS terms at most unless one
+    column has more, so no sum makes a stack of all its terms."""
+    total = 0.0
+    width = max(1, _SUM_TERMS // len(grid))
+    for start in range(0, grid.shape[1], width):
+        terms = terms_at(slice(start, start + width))
         for c in range(terms.shape[1]):
             total += terms[:, c]
     return total
@@ -196,9 +189,6 @@ def _edited(compiled: _Compiled, columns, rows):
     it is.
     """
     table = compiled.table
-    if not columns:
-        unedited = np.zeros(len(compiled.theta), dtype=bool)
-        return table, compiled.geom_of[None], compiled.theta[None], unedited, unedited
     geom_of = compiled.geom_of[None].repeat(rows, axis=0)
     retune = [name for name in ("t", "r", "w") if name in columns]
     beams = int(np.count_nonzero(table["kind"] != HINGE))
@@ -238,8 +228,6 @@ def _shared(per_row, rows):
     and the term count: a member in the (M,) mask per_row gets a term per
     row, any other member one term that every row shares (those first)."""
     edited = np.count_nonzero(per_row)
-    if not edited:
-        return np.arange(len(per_row))[None].repeat(rows, axis=0), len(per_row)
     shared = len(per_row) - edited
     index = np.empty((rows, len(per_row)), dtype=np.intp)
     index[:, ~per_row] = np.arange(shared)
@@ -257,7 +245,8 @@ def _limb_stack(elements, geom_of, transports, grid):
     the terms of each limb's consecutive members.  Each limb sums its
     members' J C J^T in member order.
     """
-    total = _run_sums(congruence(transports, elements[geom_of]), grid)
+    terms = _padded(congruence(transports, elements[geom_of]))
+    total = _run_sums(grid, lambda columns: terms[grid[:, columns]])
     return symmetrize(total), total
 
 
@@ -336,21 +325,24 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
                    np.arange(moved + len(slot_r) * count) >= moved)
     member_grid = _runs(np.tile(compiled.lengths, rows), theta.size)
     slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
-    # the limb of each slot of each mechanism; the padding gets limb D, whose
-    # stiffness _slot_sums takes as zero
+    # the limb and the transport of each slot of each mechanism; the padding
+    # gets limb D, whose stiffness is zero, and the first transport
     slot_limb = np.append(slots, len(compiled.lengths) * rows)[slot_grid]
+    slot_j = np.append(placed, 0)[slot_grid] + moved
     # legs (x, y, angle), tips in reference coordinates; padding gets NaN
     legs = np.full((len(slots) + 1, 3), np.nan)
     legs[:-1, :2] = -slot_r.reshape(-1, 3)[placed, :2]
-    legs[:-1, 2] = _run_sums(theta.ravel(), member_grid)[slots]
+    leans = _padded(theta.ravel())
+    legs[:-1, 2] = _run_sums(member_grid, lambda columns: leans[member_grid[:, columns]])[slots]
     # a vanishing neck or a refused matrix overflows or divides by zero on
     # its own item's rows, which the checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_limb, c_sum = _limb_stack(elements, term_geom, j[term_moved],
                                     np.append(term_of.ravel(), terms)[member_grid])
         k_limb, limb_cond, limb_refused = invert_stack(c_limb)
-        k_sum = _slot_sums(j[moved:], symmetrize(k_limb), np.append(placed, 0)[slot_grid],
-                           slot_limb)
+        k_slot = _padded(symmetrize(k_limb))
+        k_sum = _run_sums(slot_grid, lambda columns: congruence(j[slot_j[:, columns]],
+                                                                k_slot[slot_limb[:, columns]]))
         k = symmetrize(k_sum)
         c_inv, cond, refused = invert_stack(k)
         c = symmetrize(c_inv)
@@ -360,30 +352,32 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
 
     faults = matrix_faults(np.concatenate([elements, c_sum, k_limb, k_sum, c_inv]))
     finite = np.isfinite(heights) & np.isfinite(ideal)
-    n = len(k_sum)
+    # each copy's checks: each limb slot's, then the mechanism's
+    # (members, compliance sum, the checks after it)
+    limb_width = member_grid.shape[1] + 1 + _LIMB_CHECKS_AFTER_SUM
+    n, limb_checks = len(k_sum), slot_grid.shape[1] * limb_width
+    checks = np.zeros((n, limb_checks + _MECHANISM_CHECKS), dtype=faults.dtype)
+    conds = np.full(checks.shape, np.nan)
     if not any(map(np.count_nonzero, (faults, limb_refused, refused, decoupled, ideal_faults,
                                       ~finite))):
-        shape = (n, slot_grid.shape[1] * (member_grid.shape[1] + 3) + _MECHANISM_CHECKS)
-        return c_limb, k, c, centers, np.zeros(shape, dtype=faults.dtype), np.full(shape, np.nan)
+        return c_limb, k, c, centers, checks, conds
     g, d = len(elements), len(c_sum)
     # each limb's checks: its members' element checks, then its compliance
     # sum, inversion and stiffness; the last entry and row pass, for padding
     element_faults = np.append(faults[:g], 0)
-    members = element_faults[np.append(geom_of.ravel(), g)[member_grid]]
-    limb = np.zeros((d + 1, members.shape[1] + 3), dtype=faults.dtype)
-    limb[:d, :-3] = members
+    limb = np.zeros((d + 1, limb_width), dtype=faults.dtype)
+    limb[:d, :-3] = element_faults[np.append(geom_of.ravel(), g)[member_grid]]
     limb[:d, -3] = faults[g:g + d]
     limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
     limb[:d, -1] = faults[g + d:g + 2 * d]
     limb_conds = np.full(limb.shape, np.nan)
     limb_conds[:d, -2] = limb_cond
-    mechanism = np.column_stack([
+    checks[:, :limb_checks] = limb[slot_limb].reshape(n, -1)
+    conds[:, :limb_checks] = limb_conds[slot_limb].reshape(n, -1)
+    checks[:, limb_checks:] = np.column_stack([
         faults[-2 * n:-n], refused * SINGULAR_STIFFNESS, faults[-n:], decoupled * NO_CENTER,
         ideal_faults, np.where(finite, 0, CENTERS_NOT_FINITE)])
-    mechanism_conds = np.full(mechanism.shape, np.nan)
-    mechanism_conds[:, 1] = cond
-    checks = np.concatenate([limb[slot_limb].reshape(n, -1), mechanism], axis=1)
-    conds = np.concatenate([limb_conds[slot_limb].reshape(n, -1), mechanism_conds], axis=1)
+    conds[:, limb_checks + 1] = cond
     return c_limb, k, c, centers, checks, conds
 
 

@@ -259,24 +259,15 @@ def _parse_limb(name, entries, elements, section_line):
         elem_name = parts[1]
         if elem_name not in elements:
             raise MechanismFileError(f"dangling element reference {elem_name!r}", lineno, name)
-        placement = _placement(_kv(parts[2:], lineno, elem_name), lineno, elem_name)
-        members.append((elements[elem_name], placement))
+        member = (elements[elem_name],
+                  _placement(_kv(parts[2:], lineno, elem_name), lineno, elem_name))
+        # a member a limb of it alone refuses is named at its own line
+        _checked(Limb, lineno, name, name, (member,))
+        members.append(member)
     try:
         return Limb(name, tuple(members))
-    except ValueError as exc:
-        raise MechanismFileError(str(exc), _refused_line(name, entries, members, section_line),
-                                 name) from None
-
-
-def _refused_line(name, entries, members, section_line):
-    """The line of the first member a limb of that member alone refuses (a
-    Limb checks its members one by one), or of the section when none is."""
-    for (lineno, _), member in zip(entries, members):
-        try:
-            Limb(name, (member,))
-        except ValueError:
-            return lineno
-    return section_line
+    except ValueError as exc:  # an empty limb
+        raise MechanismFileError(str(exc), section_line, name) from None
 
 
 def _parse_mechanism_section(entries, limbs, section_line):
