@@ -1,12 +1,10 @@
 """Time-domain creep model and parametric design sweeps over the mechanism
 geometry.
 
-A sweep compiles its template once (mechanism._compile) and evaluates the
-grid in batches of SWEEP_BATCH points, one engine call (mechanism._evaluate)
-per batch.  Within a batch, a point is a limb row, its t/r/w/angle values,
-and a placement row, its y/z values; each distinct row is found from one
-integer key per point made of the point's per-axis grid indices
-(_grid_rows), and the engine computes each row's parts once.
+This module holds a sweep's spec, objective, scoring, ranking and columnar
+result.  What each sweep parameter edits (mechanism.SWEEP_EDITS) and how a
+grid is evaluated (mechanism.evaluate_grid, the engine's one sweep entry)
+belong to the engine.
 """
 
 from __future__ import annotations
@@ -18,9 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import mechanism
 from .errors import fault_error
-from .mechanism import AXIS_ROW, Mechanism
+from .mechanism import AXIS_ROW, SWEEP_EDITS, Mechanism, evaluate_grid
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
 GN_MAX_ITER = 200
@@ -134,13 +131,8 @@ def fit_creep(samples) -> CreepFit:
 # ---------------------------------------------------------------------------
 # parametric sweeps
 
-SWEEP_PARAMETERS = ("t", "r", "w", "angle", "y", "z")
-LIMB_PARAMETERS = ("t", "r", "w", "angle")     # the ones that reshape limbs
+SWEEP_PARAMETERS = tuple(SWEEP_EDITS)
 WEIGHT_TERMS = ("rcc", "ratio", "diag")          # the objective's terms, as _score names them
-# grid points per engine call: a batch's arrays are alive at once (the
-# notch kernels of 1024 fresh hinge geometries take about 20 MB), so this
-# bounds memory; results do not depend on it
-SWEEP_BATCH = 1024
 
 
 def check_stiffness_axis(axis):
@@ -167,9 +159,10 @@ def check_sweep_range(name, lo, hi, n):
     # a finite span keeps every grid value finite
     if n < 1 or not lo <= hi or not math.isfinite(hi - lo):
         raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
-    if name in ("t", "r", "w") and lo <= 0.0:
+    target, _ = SWEEP_EDITS[name]
+    if target == "hinge" and lo <= 0.0:
         raise ValueError(f"{name!r} range must stay positive")
-    if name == "angle" and not (0.0 < lo <= hi < 90.0):
+    if target == "member" and not (0.0 < lo <= hi < 90.0):
         raise ValueError("leg angle range must lie inside (0, 90) degrees")
 
 
@@ -218,11 +211,15 @@ class SweepSpec:
         object.__setattr__(self, "parameters", MappingProxyType(
             {name: (lo, hi, int(n)) for name, (lo, hi, n) in self.parameters.items()}))
 
+    def levels(self):
+        """The (n,) level values of each parameter, in insertion order."""
+        return {name: np.linspace(lo, hi, n) for name, (lo, hi, n) in self.parameters.items()}
+
     def grid_values(self):
         """The grid as an (N, P) array, one row of values per point: the
-        product of the ranges in parameter insertion order, the last
+        product of the levels in parameter insertion order, the last
         parameter varying fastest."""
-        axes = [np.linspace(lo, hi, n) for lo, hi, n in self.parameters.values()]
+        axes = self.levels().values()
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
@@ -284,41 +281,6 @@ def _score(objective: SweepObjective, rcc_height, k_diag):
     return score
 
 
-def _grid_rows(spec: SweepSpec, values, index, names):
-    """The distinct rows of the values of the parameters `names` among the
-    points of an (n, P) array of grid values, as a mapping of each name to
-    its (rows,) values, and the (n,) distinct row of each point.  A point's
-    row is told by one integer key made from its (n, P) per-axis grid
-    indices `index`, so no row of floats is compared."""
-    key = np.zeros(len(index), dtype=np.intp)
-    picked = []
-    for j, (name, (_, _, n)) in enumerate(spec.parameters.items()):
-        if name in names:
-            key = key * n + index[:, j]
-            picked.append((j, name))
-    _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
-    return {name: values[first, j] for j, name in picked}, row_of
-
-
-def _sweep_batch(spec: SweepSpec, compiled, values, index):
-    """The SweepResult columns from `feasible` to `cond`, in grid order, of
-    an (n, P) array of grid values and their per-axis grid indices,
-    evaluated as array edits of the compiled template (see run_sweep) in
-    one engine call."""
-    shaping, row_of = _grid_rows(spec, values, index, LIMB_PARAMETERS)
-    placing, place_of = _grid_rows(spec, values, index, ("y", "z"))
-    slot_r = mechanism._placed(compiled, placing, int(place_of.max()) + 1)
-    _, k, _, centers, checks, conds = mechanism._evaluate(compiled, shaping, row_of, slot_r,
-                                                          place_of)
-    faults, cond = mechanism._first_faults(checks, conds)
-    ok = faults == 0
-    rcc = np.where(ok, centers[:, 0], np.nan)
-    k_diag = np.where(ok[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)
-    score = np.full(len(values), np.inf)
-    score[ok] = _score(spec.objective, rcc[ok], k_diag[ok])
-    return ok, score, rcc, k_diag, faults, cond
-
-
 def _ranking(params, score, feasible):
     """The ranked row order (infeasible last, then score, then the grid
     values in spec order) as one stable lexsort."""
@@ -326,26 +288,21 @@ def _ranking(params, score, feasible):
 
 
 def run_sweep(spec: SweepSpec, template: Mechanism) -> SweepResult:
-    """Evaluate the full grid in batches of SWEEP_BATCH points and rank by
-    score (infeasible points last, each with the fault its analysis met).
+    """Evaluate the full grid and rank by score (infeasible points last, each
+    with the fault its analysis met).
 
-    The template is compiled once into arrays (mechanism._compile), and a
-    grid point is an edit of those arrays: each distinct row of t/r/w/angle
-    values overwrites the r/t/w columns of a copy of the hinge rows and
-    re-leans the rotated members (mechanism._edited), and each distinct row
-    of y/z values overwrites the limb slots' displacements
-    (mechanism._placed).  No geometry, placement, limb or mechanism object
-    is built, each batch makes one notch_kernels call at most, and the
-    results stay columns.
+    The engine evaluates the grid (mechanism.evaluate_grid): it compiles the
+    template once and makes each point an edit of its arrays, so no
+    geometry, placement, limb or mechanism object is built, each batch makes
+    one notch_kernels call at most, and the results stay columns.
     """
-    compiled = mechanism._compile(template.limbs, (len(template.limbs),))
     grid = spec.grid_values()
-    # the per-axis grid index of each point, in grid order
-    index = np.indices([n for _, _, n in spec.parameters.values()]).reshape(len(spec.parameters),
-                                                                           -1).T
-    batches = [_sweep_batch(spec, compiled, grid[i:i + SWEEP_BATCH], index[i:i + SWEEP_BATCH])
-               for i in range(0, len(grid), SWEEP_BATCH)]
-    feasible, score, rcc, k_diag, fault, cond = map(np.concatenate, zip(*batches))
+    k, centers, fault, cond = evaluate_grid(template, spec.levels())
+    feasible = fault == 0
+    rcc = np.where(feasible, centers[:, 0], np.nan)
+    k_diag = np.where(feasible[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)
+    score = np.full(len(grid), np.inf)
+    score[feasible] = _score(spec.objective, rcc[feasible], k_diag[feasible])
     order = _ranking(grid, score, feasible)
     return SweepResult(tuple(spec.parameters), grid[order], feasible[order], score[order],
                        rcc[order], k_diag[order], fault[order], cond[order])

@@ -130,6 +130,11 @@ def main(argv=None):
     except (FlexmechError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # an input can ask for more than memory holds, such as a sweep grid
+        # of 1e18 points
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

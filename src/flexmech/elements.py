@@ -20,7 +20,7 @@ objects into one row each, with the columns of GEOMETRY, and
 table_compliances computes a whole table as one stack, leaving the check
 to the caller, so the engine checks every stage in one pass.  Sweeps edit
 the table's columns instead of building geometry objects
-(mechanism._edited).  The notch kernels are cached by (r, t, w) and the
+(mechanism.SWEEP_EDITS).  The notch kernels are cached by (r, t, w) and the
 beam torsion coefficients by aspect ratio; past KERNEL_CACHE_SIZE keys,
 the oldest go first.
 """
@@ -178,15 +178,16 @@ def table_compliances(table):
 
 def _row_entries(row, k, beta):
     """The entries of one table row, with the next kernels from k (a hinge)
-    or the next torsion coefficient from beta (a beam).  Python float **
-    raises where * and / give inf, so a row with a power past the float
-    range gets inf entries, which the check reports as not finite."""
+    or the next torsion coefficient from beta (a beam).  Python float
+    arithmetic raises where numpy gives inf: ** past the float range, and /
+    by a power or product that underflows to 0.  Such a row gets inf
+    entries, which the check reports as not finite."""
     kind, r, _, w, h1, l, s, e, gs = row
     try:
         if kind == HINGE:
             return _hinge_entries(w, e, gs, r + h1, *next(k))
         return _beam_entries(l, w, s, e, gs, next(beta))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return (math.inf,) * len(_ENTRIES)
 
 

@@ -51,6 +51,9 @@ def _gauss_legendre(n):
 _GL_X, _GL_W = _gauss_legendre(GL_NODES)
 
 
+# a vanishing or huge dimension overflows, divides by zero or makes NaN on
+# its own notch or beam, which the element checks report as not finite
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def torsion_beta(aspect):
     """Saint-Venant shape coefficient for rectangles of side ratio >= 1.
 
@@ -68,6 +71,7 @@ def torsion_beta(aspect):
     return float(beta) if beta.ndim == 0 else beta
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def notch_kernels(r, t, w):
     """The three strip-integration kernels (k1, k3, kt) of a notch as a float
     triple, or of G notches from (G,) arrays of r, t and w as a (G, 3) array.
@@ -105,10 +109,8 @@ def notch_kernels(r, t, w):
     long_s = np.maximum(h, w)
     short_s = np.minimum(h, w)
     i_t = torsion_beta(long_s / short_s) * long_s * short_s**3
-    # a vanishing neck overflows to inf, which the element checks report
-    with np.errstate(over="ignore", divide="ignore"):
-        integrands = np.stack([1.0 / h, h**-3, 1.0 / i_t], axis=1)           # (G, 3, n)
-        # (1, n) @ (n, 1) per notch and kernel: a plain dot, which a
-        # (3, n) @ (n,) product would not round alike
-        k = (dx[:, None, None, :] @ integrands[..., None])[..., 0, 0]
+    integrands = np.stack([1.0 / h, h**-3, 1.0 / i_t], axis=1)               # (G, 3, n)
+    # (1, n) @ (n, 1) per notch and kernel: a plain dot, which a (3, n) @ (n,)
+    # product would not round alike
+    k = (dx[:, None, None, :] @ integrands[..., None])[..., 0, 0]
     return tuple(k[0].tolist()) if scalar else k

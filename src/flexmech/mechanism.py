@@ -10,8 +10,8 @@ All assembly runs through one batched engine on stacked (..., 6, 6) arrays,
 with one object front: _compile reads limb slots into arrays (_Compiled),
 telling limbs and geometries apart by identity, so a shared object is
 computed once.  _evaluate evaluates copies of the compiled mechanisms, as
-compiled or each made of a limb row of t/r/w/angle edits (_edited) and a
-placement row of y/z edits (_placed): it computes the element compliances
+compiled or each made of a limb row and a placement row of the sweep edits
+(SWEEP_EDITS, applied by _edited): it computes the element compliances
 at their element frames (elements.table_compliances), builds the member
 and limb slot transports in one pass, sums the member terms J C J^T of
 each distinct limb (_limb_stack) and the limb slot terms of each mechanism
@@ -20,16 +20,17 @@ Each part is computed once for the rows it differs on: a member no edit
 touches has one transport and one term that every limb row shares, and a
 limb slot one transport per placement row.  analyze_batch, analyze,
 mechanism_stiffness and limb_compliance compile their objects and evaluate
-them as they are; sweeps (analysis.run_sweep) compile the template once and
-evaluate grid points as edits of its arrays.  Every stage runs for every
-item: a refused inversion gives the identity, so a faulty matrix stays with
-its own item.  The matrices of all stages are checked in one matrix_faults
-pass at the end, and _first_faults picks each item's first fault in the
-order a one-item run meets the checks, (limb slot, stage) by (limb slot,
-stage) and then the mechanism's own, as an integer code of errors.FAULTS,
-plus the condition number of a refused inversion; the exception is built
-from the code (errors.fault_error) only where the API returns or raises
-it.  A failed item leaves the other items untouched.
+them as they are; evaluate_grid, the engine's one sweep entry
+(analysis.run_sweep), compiles the template once and evaluates grid points
+as edits of its arrays.  Every stage runs for every item: a refused
+inversion gives the identity, so a faulty matrix stays with its own item.
+The matrices of all stages are checked in one matrix_faults pass at the
+end, and _first_faults picks each item's first fault in the order a
+one-item run meets the checks, (limb slot, stage) by (limb slot, stage)
+and then the mechanism's own, as an integer code of errors.FAULTS, plus
+the condition number of a refused inversion; the exception is built from
+the code (errors.fault_error) only where the API returns or raises it.  A
+failed item leaves the other items untouched.
 """
 
 from __future__ import annotations
@@ -139,6 +140,19 @@ def _run_sums(grid, terms_at):
     return total
 
 
+# each sweep parameter and what it edits, keyed by its [sweep] name: t, r
+# and w a GEOMETRY column of every hinge row; angle (degrees) every rotated
+# member's angle and y and z an axis of every off-plane limb slot
+# displacement, each keeping its side.  Hinge and member edits make a grid
+# point's limb row, slot edits its placement row.
+SWEEP_EDITS = {"t": ("hinge", "t"), "r": ("hinge", "r"), "w": ("hinge", "w"),
+               "angle": ("member", None), "y": ("slot", 1), "z": ("slot", 2)}
+# grid points per engine call: a batch's arrays are alive at once (the
+# notch kernels of 1024 fresh hinge geometries take about 20 MB), so this
+# bounds memory; results do not depend on it
+SWEEP_BATCH = 1024
+
+
 @dataclass(frozen=True)
 class _Compiled:
     """Limb slots as the arrays the engine evaluates and a sweep edits."""
@@ -171,56 +185,49 @@ def _compile(slots, counts) -> _Compiled:
                      np.array(counts))
 
 
-def _edited(compiled: _Compiled, columns, rows):
-    """The GEOMETRY table, the (rows, M) table row of each member and the
-    (rows, M) member angles of the distinct limbs of `compiled` under each
-    of `rows` rows of t/r/w/angle values, with the (M,) masks of the
-    members whose angle and whose table row the edit changes.  `columns`
-    maps each edited name to its (rows,) values; with no columns and one
-    row, the limbs are as compiled.
+def _edited(compiled: _Compiled, columns, rows, places):
+    """The arrays of `compiled` under `rows` limb rows and `places` placement
+    rows of SWEEP_EDITS edits: the GEOMETRY table, the (rows, M) table row
+    and angle of each member of the distinct limbs, the (M,) masks of the
+    members whose angle and whose table row an edit changes, and the
+    (places, S, 3) limb slot displacements.  `columns` is a sequence of
+    (name, values) pairs, a limb edit's values one per limb row and a slot
+    edit's one per placement row; with no pairs and one row of each kind,
+    the arrays are as compiled.
 
     The edit is the one the object-level oracle of tests/test_analysis.py
     (apply_parameters) makes with objects.  The checks the edited objects
     would run hold by SweepSpec's range checks (check_sweep_range): a
-    t/r/w range starts above 0 and has a finite span, so every grid value
-    is the finite positive dimension HingeGeometry requires; an angle range
-    lies inside (0, 90) degrees, so a re-leaned member angle is finite and
-    inside (-2 pi, 2 pi), where FramePlacement's normalization leaves it as
-    it is.
+    hinge column's range starts above 0 and has a finite span, so every
+    grid value is the finite positive dimension HingeGeometry requires; an
+    angle range lies inside (0, 90) degrees, so a re-leaned member angle is
+    finite and inside (-2 pi, 2 pi), where FramePlacement's normalization
+    leaves it as it is.
     """
     table = compiled.table
-    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
-    retune = [name for name in ("t", "r", "w") if name in columns]
     beams = int(np.count_nonzero(table["kind"] != HINGE))
-    retuned = (compiled.geom_of >= beams) & bool(retune)
-    if retune:
-        # every row retunes its own copy of the hinge rows, one per compiled
-        # hinge; the beams are shared
-        hinges = np.tile(table[beams:], rows)
-        for name in retune:
-            hinges[name] = np.repeat(columns[name], len(table) - beams)
-        geom_of[:, retuned] += np.arange(rows)[:, None] * (len(table) - beams)
-        table = np.concatenate([table[:beams], hinges])
+    hinges = len(table) - beams
+    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
     theta = compiled.theta[None].repeat(rows, axis=0)
-    # re-lean every rotated member, keeping its side
-    leaned = (compiled.theta != 0.0) & ("angle" in columns)
-    if leaned.any():
-        theta[:, leaned] = np.copysign(np.radians(columns["angle"])[:, None],
-                                       compiled.theta[leaned])
-    return table, geom_of, theta, leaned, retuned
-
-
-def _placed(compiled: _Compiled, columns, rows):
-    """The (rows, S, 3) limb slot displacements of `compiled` under each of
-    `rows` rows of y/z values: y/z move every off-plane limb tip, keeping
-    its side.  `columns` maps each edited name to its (rows,) values."""
-    slot_r = compiled.slot_r[None].repeat(rows, axis=0)
-    for axis, name in ((1, "y"), (2, "z")):
-        if name in columns:
-            moved = compiled.slot_r[:, axis] != 0.0
-            slot_r[:, moved, axis] = np.copysign(columns[name][:, None],
-                                                 compiled.slot_r[moved, axis])
-    return slot_r
+    slot_r = compiled.slot_r[None].repeat(places, axis=0)
+    leaned = retuned = np.zeros(len(compiled.theta), dtype=bool)
+    for name, values in columns:
+        target, column = SWEEP_EDITS[name]
+        if target == "hinge":
+            if table is compiled.table:
+                # every row retunes its own copy of the hinge rows, one per
+                # compiled hinge; the beams are shared
+                table = np.concatenate([table[:beams], np.tile(table[beams:], rows)])
+                retuned = compiled.geom_of >= beams
+                geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
+            table[column][beams:] = np.repeat(values, hinges)
+        elif target == "member":
+            leaned = compiled.theta != 0.0
+            theta[:, leaned] = np.copysign(np.radians(values)[:, None], compiled.theta[leaned])
+        else:
+            moved = compiled.slot_r[:, column] != 0.0
+            slot_r[:, moved, column] = np.copysign(values[:, None], compiled.slot_r[moved, column])
+    return table, geom_of, theta, leaned, retuned, slot_r
 
 
 def _shared(per_row, rows):
@@ -267,11 +274,15 @@ _MECHANISM_CHECKS = 6
 _LIMB_CHECKS_AFTER_SUM = 2
 
 
-def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
+# one copy of the compiled mechanisms: limb row 0 placed by placement row 0
+_ONE_COPY = np.zeros(1, dtype=np.intp)
+
+
+def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_COPY):
     """The array core of the engine, for n copies of the compiled mechanisms,
-    copy i made of the limbs of row row_of[i] of `columns` (see _edited)
-    placed by the (S, 3) limb slot displacements slot_r[place_of[i]] of the
-    (P, S, 3) placement rows slot_r (see _placed); copy by copy.
+    copy i made of the limbs of limb row row_of[i] placed by the limb slot
+    displacements of placement row place_of[i] of the edits `columns` (see
+    _edited); copy by copy.  With no edit arguments, one copy as compiled.
 
     Each part is computed once for the rows it differs on.  A member whose
     angle no edit changes has one transport to its limb tip, and a member
@@ -299,7 +310,8 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
     stages left.
     """
     rows = int(row_of.max()) + 1
-    table, geom_of, theta, leaned, retuned = _edited(compiled, columns, rows)
+    table, geom_of, theta, leaned, retuned, slot_r = _edited(compiled, columns, rows,
+                                                             int(place_of.max()) + 1)
     # the notch kernels first: their temporaries are a batch's largest arrays
     elements = table_compliances(table)
     # the transport and the J C J^T term of each (row, member), shared by
@@ -381,16 +393,10 @@ def _evaluate(compiled: _Compiled, columns, row_of, slot_r, place_of):
     return c_limb, k, c, centers, checks, conds
 
 
-def _evaluate_as_compiled(compiled: _Compiled):
-    """_evaluate of the compiled mechanisms as they are: one row, no edit."""
-    first = np.zeros(1, dtype=np.intp)
-    return _evaluate(compiled, {}, first, compiled.slot_r[None], first)
-
-
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
     """Tip compliance of a serial chain: sum of J_i C_i J_i^T over members."""
     compiled = _compile(((limb, IDENTITY_PLACEMENT),), (1,))
-    c_limb, _, _, _, checks, conds = _evaluate_as_compiled(compiled)
+    c_limb, _, _, _, checks, conds = _evaluate(compiled)
     # the checks up to the limb's compliance sum
     stop = -(_LIMB_CHECKS_AFTER_SUM + _MECHANISM_CHECKS)
     (fault,), _ = _first_faults(checks[:, :stop], conds[:, :stop])
@@ -402,7 +408,7 @@ def limb_compliance(limb: Limb) -> SpatialMatrix6:
 def mechanism_stiffness(m: Mechanism) -> SpatialMatrix6:
     """Reference-point stiffness: sum of J_F K_limb J_F^T over limbs."""
     compiled = _compile(m.limbs, (len(m.limbs),))
-    _, k, _, _, checks, conds = _evaluate_as_compiled(compiled)
+    _, k, _, _, checks, conds = _evaluate(compiled)
     # the checks up to the mechanism's stiffness sum
     stop = 1 - _MECHANISM_CHECKS
     (fault,), (cond,) = _first_faults(checks[:, :stop], conds[:, :stop])
@@ -538,7 +544,7 @@ def analyze_batch(mechanisms) -> list:
         return []
     compiled = _compile([pair for m in mechanisms for pair in m.limbs],
                         [len(m.limbs) for m in mechanisms])
-    _, k, c, centers, checks, conds = _evaluate_as_compiled(compiled)
+    _, k, c, centers, checks, conds = _evaluate(compiled)
     faults, cond = _first_faults(checks, conds)
     return [fault_error(f, q) if f else
             RccResult(SpatialMatrix6._checked(k[n], "stiffness"),
@@ -552,3 +558,39 @@ def analyze(m: Mechanism) -> RccResult:
     if isinstance(result, Exception):
         raise result
     return result
+
+
+def evaluate_grid(template: Mechanism, levels):
+    """K, the remote-center rows and the first fault of each point of a sweep
+    grid of `template`: the product of the (n,) level values of each
+    SWEEP_EDITS name of the mapping `levels`, in its order, the last name
+    varying fastest.  The template is compiled once, and each batch of
+    SWEEP_BATCH points is one _evaluate call; a point's limb row and
+    placement row are told by integer keys of its level indices, so no row
+    of floats is compared.
+
+    Returns the (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal
+    center, rotational precision), and the (N,) fault codes and condition
+    numbers of _first_faults, in grid order.
+    """
+    compiled = _compile(template.limbs, (len(template.limbs),))
+    names, values = list(levels), list(levels.values())
+    sizes = [len(v) for v in values]
+    # the level index of each point along each name, in grid order
+    index = np.indices(sizes).reshape(len(sizes), -1).T
+    batches = []
+    for start in range(0, len(index), SWEEP_BATCH):
+        batch = index[start:start + SWEEP_BATCH]
+        columns, row_ofs = [], []
+        # the limb rows, then the placement rows
+        for placing in (False, True):
+            picked = [j for j, n in enumerate(names) if (SWEEP_EDITS[n][0] == "slot") == placing]
+            key = np.zeros(len(batch), dtype=np.intp)
+            for j in picked:
+                key = key * sizes[j] + batch[:, j]
+            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+            columns += [(names[j], values[j][batch[first, j]]) for j in picked]
+            row_ofs.append(row_of)
+        _, k, _, centers, checks, conds = _evaluate(compiled, columns, *row_ofs)
+        batches.append((k, centers, *_first_faults(checks, conds)))
+    return tuple(map(np.concatenate, zip(*batches)))

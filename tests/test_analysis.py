@@ -123,11 +123,6 @@ def test_non_finite_measurements_rejected(build, message):
         build()
 
 
-def two_leg_template(theta_deg=20.0):
-    mat_limbs = load_small_rcc().mechanism
-    return mat_limbs
-
-
 class TestSweepSpec:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
@@ -304,7 +299,7 @@ class TestRunSweep:
         spec = SweepSpec({"angle": (15.0, 25.0, 3), "t": (1e-9, 3.2, 3)},
                          SweepObjective(rcc_height_target=28.6))
         whole = run_sweep(spec, template).points()
-        monkeypatch.setattr(analysis, "SWEEP_BATCH", 4)
+        monkeypatch.setattr(mechanism, "SWEEP_BATCH", 4)
         assert run_sweep(spec, template).points() == whole
 
     def test_spec_refuses_ranges_a_variant_or_placement_would_refuse(self):
@@ -402,7 +397,7 @@ class TestSweepSharing:
         run_sweep(spec, template)
         assert calls == [64]
         calls.clear()
-        monkeypatch.setattr(analysis, "SWEEP_BATCH", 20)
+        monkeypatch.setattr(mechanism, "SWEEP_BATCH", 20)
         run_sweep(SweepSpec({"t": (2.11234, 3.11234, 8), "r": (1.11234, 1.61234, 8)},
                             self.SPEC.objective), template)
         assert calls == [20, 20, 20, 4]
@@ -458,7 +453,7 @@ class TestOnePass:
         run_sweep(TestSweepSharing.SPEC, load_small_rcc().mechanism)
         assert len(faults) == 1
         faults.clear()
-        monkeypatch.setattr(analysis, "SWEEP_BATCH", 100)
+        monkeypatch.setattr(mechanism, "SWEEP_BATCH", 100)
         run_sweep(TestSweepSharing.SPEC, load_small_rcc().mechanism)
         assert len(faults) == 3
 
@@ -552,8 +547,10 @@ def points_table(points):
     # w**3 passes the float range: the point is infeasible, the sweep goes on
     ("vary w 1e120 1e120 1\ntarget rcc_height 28.6\n", {"matrix entries must be finite"}),
     ("vary t 1e-120 1e-120 1\ntarget rcc_height 28.6\n", {"matrix entries must be finite"}),
+    # w**3 underflows to 0 and the hinge formulas divide by it
+    ("vary w 1e-200 1e-200 1\ntarget rcc_height 28.6\n", {"matrix entries must be finite"}),
 ], ids=["placement", "geometry-with-singular-point", "w", "z", "y-through-mid-plane",
-        "t-x-angle-with-singular-t", "w-overflow", "vanishing-t"])
+        "t-x-angle-with-singular-t", "w-overflow", "vanishing-t", "w-underflow"])
 def test_run_sweep_table_matches_per_point_analyze(section, reasons):
     lines = read_lines(data_path("small_rcc.mech")) + ["[sweep]\n"] + section.splitlines(True)
     parsed = parse_lines(lines)
@@ -598,7 +595,7 @@ def test_run_sweep_equals_per_point_sweep(spec):
     # a batch shares transports and member terms across its rows; a batch
     # of one point shares nothing, and gives the same bits
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "SWEEP_BATCH", 1)
+        patch.setattr(mechanism, "SWEEP_BATCH", 1)
         assert _column_bits(run_sweep(spec, template)) == _column_bits(batched)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import flexmech
+import flexmech.elements as elements
 from flexmech.cli import main
 from flexmech.fixtures import data_path
 
@@ -76,6 +77,9 @@ MEMBER_R_Z = SWEEP_FILE.format(extra="").replace("member b r=10.4,0,0 theta=20",
 # a power of these dimensions passes the float range
 HINGE_W_OVERFLOW = SWEEP_FILE.format(extra="").replace("t=2.82 w=5", "t=2.82 w=1e120")
 BEAM_L_OVERFLOW = SWEEP_FILE.format(extra="").replace("l=10.4", "l=1e120")
+# a power or product of these dimensions underflows to 0, and the formulas divide by it
+HINGE_W_UNDERFLOW = SWEEP_FILE.format(extra="").replace("t=2.82 w=5", "t=2.82 w=1e-200")
+BEAM_S_UNDERFLOW = SWEEP_FILE.format(extra="").replace("s=5.32", "s=1e-200")
 
 
 def _line_of(text, needle):
@@ -126,11 +130,14 @@ def _line_of(text, needle):
     # no line to name: the file is valid, but the element check refuses it
     ("analyze", HINGE_W_OVERFLOW, "error: matrix entries must be finite"),
     ("analyze", BEAM_L_OVERFLOW, "error: matrix entries must be finite"),
+    ("analyze", HINGE_W_UNDERFLOW, "error: matrix entries must be finite"),
+    ("analyze", BEAM_S_UNDERFLOW, "error: matrix entries must be finite"),
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
         "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
         "nameless-limb", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
-        "member-r-z", "hinge-w-overflow", "beam-l-overflow"])
+        "member-r-z", "hinge-w-overflow", "beam-l-overflow", "hinge-w-underflow",
+        "beam-s-underflow"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -138,6 +145,36 @@ def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     out, err = capfd.readouterr()
     assert message in err and err.count("\n") == 1
     assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
+
+
+@pytest.mark.parametrize("old, new", [
+    ("t=2.82", "t=1e308"), ("r=1.25", "r=1e308"), ("r=1.25", "r=5e-324"),
+    ("t=2.82", "t=1e-200"), ("t=2.82", "t=1e-308"), ("w=5 h1", "w=1e308 h1"),
+    ("s=5.32", "s=1e308"),
+], ids=["t-1e308", "r-1e308", "r-5e-324", "t-1e-200", "t-1e-308", "hinge-w-1e308",
+        "beam-s-1e308"])
+def test_extreme_dimension_warns_nothing(tmp_path, capsys, monkeypatch, old, new):
+    # the suite turns warnings into errors, so a warning from the kernels
+    # would fail the run; empty caches make the kernels run for this design
+    monkeypatch.setattr(elements, "_kernel_cache", {})
+    monkeypatch.setattr(elements, "_beta_cache", {})
+    text = Path(SMALL_RCC).read_text()
+    assert old in text
+    path = tmp_path / "extreme.mech"
+    path.write_text(text.replace(old, new))
+    assert main(["analyze", str(path)]) in (0, 1)
+    err = capsys.readouterr().err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+def test_unallocatable_sweep_grid_is_an_input_error(tmp_path, capsys):
+    # a grid count no machine can allocate; a smaller one might be allocated
+    path = tmp_path / "huge.mech"
+    path.write_text(SWEEP_FILE.format(extra="[sweep]\nvary t 1 2 1e18\ntarget rcc_height 28\n"))
+    assert main(["sweep", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ") and captured.err.count("\n") == 1
 
 
 def test_parser_reuse_keeps_output(tmp_path, capsys):

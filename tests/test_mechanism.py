@@ -2,6 +2,7 @@
 remote-center extraction, deflection and deviation reporting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,24 +211,21 @@ class TestMechanismStiffness:
             acc += np.linalg.inv(c_ref.m)
         np.testing.assert_allclose(k_direct, acc, rtol=1e-6)
 
-    def test_material_scaling(self):
-        m = small_rcc()
-        k1 = mechanism_stiffness(m).m
-        scale = 3.7
-        scaled_limbs = []
-        for limb, placement in m.limbs:
-            members = tuple((
-                g.__class__(**{**{f: getattr(g, f) for f in
-                                  ("r", "t", "w", "h1") if hasattr(g, f)},
-                               **({"l": g.l, "s": g.s} if hasattr(g, "l") else {}),
-                               "material": scaled(g.material, scale)}), p)
-                for g, p in limb.members)
-            scaled_limbs.append((Limb(limb.name, members), placement))
-        m2 = Mechanism(tuple(scaled_limbs), m.reference)
-        k2 = mechanism_stiffness(m2).m
-        np.testing.assert_allclose(k2, scale * k1, rtol=1e-9)
-        c1, c2 = invert(mechanism_stiffness(m)), invert(mechanism_stiffness(m2))
-        assert center_of_compliance(c2) == pytest.approx(center_of_compliance(c1), rel=1e-9)
+    @settings(max_examples=40)
+    @given(m=MECHANISMS, s=st.floats(1e-3, 1e3))
+    @example(m=small_rcc(), s=3.7)
+    def test_material_scaling(self, m, s):
+        # K is of degree 1 in the moduli: E and G scaled by s give K s and
+        # C / s, and leave the rcc height where it was
+        m2 = Mechanism(tuple(
+            (Limb(limb.name, tuple((replace(g, material=scaled(g.material, s)), p)
+                                   for g, p in limb.members)), placement)
+            for limb, placement in m.limbs), m.reference)
+        r1, r2 = analyze(m), analyze(m2)
+        for a, b in ((r2.k.m, s * r1.k.m), (r2.c.m * s, r1.c.m)):
+            scale = np.sqrt(np.outer(np.diag(b), np.diag(b)))
+            assert (np.abs(a - b) <= 1e-9 * scale).all()
+        assert r2.rcc_height == pytest.approx(r1.rcc_height, rel=1e-9)
 
     def test_parallel_monotonicity(self):
         m = small_rcc()
