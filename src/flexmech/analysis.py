@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import fault_error
-from .mechanism import AXIS_ROW, SWEEP_EDITS, Mechanism, evaluate_grid
+from .mechanism import AXIS_ROW, SWEEP_EDITS, Mechanism, check_edit_range, evaluate_grid
 
 GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
 GN_MAX_ITER = 200
@@ -151,7 +151,9 @@ def check_stiffness_target(axis, target):
 
 
 def check_sweep_range(name, lo, hi, n):
-    """Reject an unknown sweep parameter or a range it cannot take."""
+    """Reject an unknown sweep parameter or a range it cannot take: a
+    fractional or nonpositive count or an empty or infinite span here, and
+    a range the parameter's edit cannot take in mechanism.check_edit_range."""
     if name not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {name!r}")
     if not float(n).is_integer():
@@ -159,11 +161,7 @@ def check_sweep_range(name, lo, hi, n):
     # a finite span keeps every grid value finite
     if n < 1 or not lo <= hi or not math.isfinite(hi - lo):
         raise ValueError(f"bad range for {name!r}: ({lo}, {hi}, {n})")
-    target, _ = SWEEP_EDITS[name]
-    if target == "hinge" and lo <= 0.0:
-        raise ValueError(f"{name!r} range must stay positive")
-    if target == "member" and not (0.0 < lo <= hi < 90.0):
-        raise ValueError("leg angle range must lie inside (0, 90) degrees")
+    check_edit_range(name, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -212,15 +210,9 @@ class SweepSpec:
             {name: (lo, hi, int(n)) for name, (lo, hi, n) in self.parameters.items()}))
 
     def levels(self):
-        """The (n,) level values of each parameter, in insertion order."""
+        """The (n,) level values of each parameter, in insertion order; the
+        grid is their product (mechanism.evaluate_grid)."""
         return {name: np.linspace(lo, hi, n) for name, (lo, hi, n) in self.parameters.items()}
-
-    def grid_values(self):
-        """The grid as an (N, P) array, one row of values per point: the
-        product of the levels in parameter insertion order, the last
-        parameter varying fastest."""
-        axes = self.levels().values()
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -296,8 +288,7 @@ def run_sweep(spec: SweepSpec, template: Mechanism) -> SweepResult:
     geometry, placement, limb or mechanism object is built, each batch makes
     one notch_kernels call at most, and the results stay columns.
     """
-    grid = spec.grid_values()
-    k, centers, fault, cond = evaluate_grid(template, spec.levels())
+    grid, k, centers, fault, cond = evaluate_grid(template, spec.levels())
     feasible = fault == 0
     rcc = np.where(feasible, centers[:, 0], np.nan)
     k_diag = np.where(feasible[:, None], np.diagonal(k, axis1=1, axis2=2), np.nan)

@@ -147,10 +147,22 @@ def _run_sums(grid, terms_at):
 # point's limb row, slot edits its placement row.
 SWEEP_EDITS = {"t": ("hinge", "t"), "r": ("hinge", "r"), "w": ("hinge", "w"),
                "angle": ("member", None), "y": ("slot", 1), "z": ("slot", 2)}
+
 # grid points per engine call: a batch's arrays are alive at once (the
 # notch kernels of 1024 fresh hinge geometries take about 20 MB), so this
 # bounds memory; results do not depend on it
 SWEEP_BATCH = 1024
+
+
+def check_edit_range(name, lo, hi):
+    """Reject a range [lo, hi] that the SWEEP_EDITS edit of `name` cannot
+    take: a hinge column must stay above 0 and a member angle inside
+    (0, 90) degrees.  The caller has checked the name and that lo <= hi."""
+    target, _ = SWEEP_EDITS[name]
+    if target == "hinge" and lo <= 0.0:
+        raise ValueError(f"{name!r} range must stay positive")
+    if target == "member" and not (0.0 < lo <= hi < 90.0):
+        raise ValueError("leg angle range must lie inside (0, 90) degrees")
 
 
 @dataclass(frozen=True)
@@ -197,12 +209,12 @@ def _edited(compiled: _Compiled, columns, rows, places):
 
     The edit is the one the object-level oracle of tests/test_analysis.py
     (apply_parameters) makes with objects.  The checks the edited objects
-    would run hold by SweepSpec's range checks (check_sweep_range): a
-    hinge column's range starts above 0 and has a finite span, so every
-    grid value is the finite positive dimension HingeGeometry requires; an
-    angle range lies inside (0, 90) degrees, so a re-leaned member angle is
-    finite and inside (-2 pi, 2 pi), where FramePlacement's normalization
-    leaves it as it is.
+    would run hold by SweepSpec's range checks (check_sweep_range, which
+    calls check_edit_range): a hinge column's range starts above 0 and has
+    a finite span, so every grid value is the finite positive dimension
+    HingeGeometry requires; an angle range lies inside (0, 90) degrees, so
+    a re-leaned member angle is finite and inside (-2 pi, 2 pi), where
+    FramePlacement's normalization leaves it as it is.
     """
     table = compiled.table
     beams = int(np.count_nonzero(table["kind"] != HINGE))
@@ -561,17 +573,18 @@ def analyze(m: Mechanism) -> RccResult:
 
 
 def evaluate_grid(template: Mechanism, levels):
-    """K, the remote-center rows and the first fault of each point of a sweep
-    grid of `template`: the product of the (n,) level values of each
-    SWEEP_EDITS name of the mapping `levels`, in its order, the last name
-    varying fastest.  The template is compiled once, and each batch of
+    """The values, K, the remote-center rows and the first fault of each
+    point of a sweep grid of `template`: the product of the (n,) level values
+    of each SWEEP_EDITS name of the mapping `levels`, in its order, the last
+    name varying fastest.  The template is compiled once, and each batch of
     SWEEP_BATCH points is one _evaluate call; a point's limb row and
     placement row are told by integer keys of its level indices, so no row
     of floats is compared.
 
-    Returns the (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal
-    center, rotational precision), and the (N,) fault codes and condition
-    numbers of _first_faults, in grid order.
+    Returns, in grid order, the (N, P) grid values, one row per point, the
+    (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal center,
+    rotational precision), and the (N,) fault codes and condition numbers
+    of _first_faults.
     """
     compiled = _compile(template.limbs, (len(template.limbs),))
     names, values = list(levels), list(levels.values())
@@ -593,4 +606,5 @@ def evaluate_grid(template: Mechanism, levels):
             row_ofs.append(row_of)
         _, k, _, centers, checks, conds = _evaluate(compiled, columns, *row_ofs)
         batches.append((k, centers, *_first_faults(checks, conds)))
-    return tuple(map(np.concatenate, zip(*batches)))
+    grid = np.stack([v[i] for v, i in zip(values, index.T)], axis=-1)
+    return (grid, *map(np.concatenate, zip(*batches)))

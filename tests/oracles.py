@@ -5,6 +5,7 @@ engine; these are the textbook one-item forms of the same quantities, each
 with its argument checks, so a test can hold the engine against them.
 """
 
+import itertools
 import math
 
 from flexmech.kernels import notch_kernels, torsion_beta
@@ -77,9 +78,9 @@ def scaled(material: Material, factor):
 
 
 def grid(spec):
-    """A SweepSpec's grid as one name -> value dict per point, in
-    grid_values() order."""
-    for values in spec.grid_values().tolist():
+    """A SweepSpec's grid as one name -> value dict per point: the product
+    of its levels in spec order, the last parameter varying fastest."""
+    for values in itertools.product(*(v.tolist() for v in spec.levels().values())):
         yield dict(zip(spec.parameters, values))
 
 
