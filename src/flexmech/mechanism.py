@@ -197,6 +197,17 @@ def _compile(slots, counts) -> _Compiled:
                      np.array(counts))
 
 
+def _edit_mask(compiled: _Compiled, name):
+    """The (M,) member mask or, for a slot edit, the (S,) limb slot mask of
+    what the SWEEP_EDITS edit of `name` changes."""
+    target, column = SWEEP_EDITS[name]
+    if target == "hinge":
+        return compiled.table["kind"][compiled.geom_of] == HINGE
+    if target == "member":
+        return compiled.theta != 0.0
+    return compiled.slot_r[:, column] != 0.0
+
+
 def _edited(compiled: _Compiled, columns, rows, places):
     """The arrays of `compiled` under `rows` limb rows and `places` placement
     rows of SWEEP_EDITS edits: the GEOMETRY table, the (rows, M) table row
@@ -230,14 +241,14 @@ def _edited(compiled: _Compiled, columns, rows, places):
                 # every row retunes its own copy of the hinge rows, one per
                 # compiled hinge; the beams are shared
                 table = np.concatenate([table[:beams], np.tile(table[beams:], rows)])
-                retuned = compiled.geom_of >= beams
+                retuned = _edit_mask(compiled, name)
                 geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
             table[column][beams:] = np.repeat(values, hinges)
         elif target == "member":
-            leaned = compiled.theta != 0.0
+            leaned = _edit_mask(compiled, name)
             theta[:, leaned] = np.copysign(np.radians(values)[:, None], compiled.theta[leaned])
         else:
-            moved = compiled.slot_r[:, column] != 0.0
+            moved = _edit_mask(compiled, name)
             slot_r[:, moved, column] = np.copysign(values[:, None], compiled.slot_r[moved, column])
     return table, geom_of, theta, leaned, retuned, slot_r
 
@@ -584,10 +595,14 @@ def evaluate_grid(template: Mechanism, levels):
     Returns, in grid order, the (N, P) grid values, one row per point, the
     (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal center,
     rotational precision), and the (N,) fault codes and condition numbers
-    of _first_faults.
+    of _first_faults.  A name whose edit changes nothing in the template
+    (_edit_mask) is a ValueError, as every row would be the template.
     """
     compiled = _compile(template.limbs, (len(template.limbs),))
     names, values = list(levels), list(levels.values())
+    for name in names:
+        if not _edit_mask(compiled, name).any():
+            raise ValueError(f"sweep parameter {name!r} edits nothing in this mechanism")
     sizes = [len(v) for v in values]
     # the level index of each point along each name, in grid order
     index = np.indices(sizes).reshape(len(sizes), -1).T

@@ -5,6 +5,11 @@ All files share one set of rules: '#' starts a comment, blank lines are
 skipped, tokens split on whitespace, options are key=value, numbers must be
 finite, and every error names its line and field (MechanismFileError).
 
+Every record line of every file is read by one reader (_records) against
+one table (GRAMMAR) of each head's positional tokens and options; the
+section parsers look up names, convert numbers and build objects.  Creep
+traces and the reference matrix are number columns (numeric_rows).
+
 Mechanism file layout (units fixed to mm / degrees / N, declared in a
 mandatory header)::
 
@@ -59,6 +64,26 @@ UNITS_HEADER = "units mm deg N"
 CREEP_COLUMNS = ("time_s", "force_n")
 MEASURED_AXES = ("x", "y", "z")     # measured stiffnesses are translational, in N/mm
 
+# every record line: head -> (usage, (fewest, most) positional tokens after
+# the head, required options, optional options).  README "Mechanism files"
+# lists the same grammar.
+GRAMMAR = {
+    "material": ("material <name> E=<N/mm2> nu=<ratio> [G=<N/mm2>]", (1, 1), ("E", "nu"), ("G",)),
+    "joint": ("joint <variant> joint=<Nm/rad> max_load=<Nm> [cross=<Nm/rad|->]", (1, 1),
+              ("joint", "max_load"), ("cross",)),
+    "hinge": ("hinge <name> material=<name> r=<mm> t=<mm> w=<mm> [h1=<mm>]", (1, 1),
+              ("material", "r", "t", "w"), ("h1",)),
+    "beam": ("beam <name> material=<name> l=<mm> w=<mm> s=<mm>", (1, 1),
+             ("material", "l", "w", "s"), ()),
+    "member": ("member <element> r=<x>,<y>,<z> [theta=<deg>]", (1, 1), ("r",), ("theta",)),
+    "limb": ("limb <name> r=<x>,<y>,<z> [theta=<deg>]", (1, 1), ("r",), ("theta",)),
+    "vary": ("vary <name> <lo> <hi> <n>", (4, 4), (), ()),
+    "target": ("target rcc_height <mm> [weight=<w>]", (2, 2), (), ("weight",)),
+    "maximize": ("maximize stiffness_ratio [weight=<w>]", (1, 1), (), ("weight",)),
+    "target_k": ("target_k <axis> <N/mm> [weight=<w>]", (2, 2), (), ("weight",)),
+    "measured": ("measured <axis> <value> [<high>]", (2, 3), (), ()),
+}
+
 
 @dataclass(frozen=True)
 class ParsedMechanism:
@@ -99,14 +124,47 @@ def _num(token, lineno, field):
     return v
 
 
-def _kv(tokens, lineno, context):
-    out = {}
-    for tok in tokens:
-        key, eq, val = tok.partition("=")
-        if not eq:
-            raise MechanismFileError(f"expected key=value, got {tok!r}", lineno, context)
-        out[key] = val
-    return out
+def _checked(build, lineno, field, *args):
+    """build(*args), its ValueError an input error at the line and field."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise MechanismFileError(str(exc), lineno, field) from None
+
+
+def _records(entries, section, heads):
+    """(line number, head, positional tokens, options dict) of each line of
+    a section whose heads are `heads`; a line that breaks its GRAMMAR entry
+    is an error at the line, naming the option or the head where one is."""
+    records = []
+    for lineno, line in entries:
+        head, *tokens = line.split()
+        if head not in heads:
+            raise MechanismFileError(f"unexpected {section} line {line!r}", lineno)
+        usage, (fewest, most), required, optional = GRAMMAR[head]
+        words = []
+        options = {}
+        for token in tokens:
+            key, eq, value = token.partition("=")
+            if not eq:
+                words.append(token)
+            elif key in options:
+                raise MechanismFileError(f"repeated option {key!r}", lineno, key)
+            elif key in required or key in optional:
+                options[key] = value
+            elif required or optional:
+                raise MechanismFileError(f"unknown option {key!r}; expected '{usage}'", lineno, key)
+            else:
+                raise MechanismFileError(f"'{head}' takes no options, got {key}=", lineno, key)
+        if len(words) < fewest:
+            raise MechanismFileError(f"expected '{usage}', got {line!r}", lineno)
+        if len(words) > most:
+            raise MechanismFileError(f"unexpected token {words[most]!r} in {line!r}", lineno, head)
+        for key in required:
+            if key not in options:
+                raise MechanismFileError(f"{head} needs {' and '.join(required)}", lineno, key)
+        records.append((lineno, head, words, options))
+    return records
 
 
 def numeric_rows(entries, columns):
@@ -123,21 +181,11 @@ def numeric_rows(entries, columns):
 
 def _parse_materials(entries, source="<materials>"):
     out = {}
-    for lineno, line in entries:
-        parts = line.split()
-        if parts[0] != "material" or len(parts) < 2:
-            raise MechanismFileError(f"expected 'material <name> E=.. nu=..', got {line!r}",
-                                     lineno)
-        name = parts[1]
-        kv = {k: _num(v, lineno, k) for k, v in _kv(parts[2:], lineno, name).items()}
-        if "E" not in kv or "nu" not in kv:
-            raise MechanismFileError("material needs E and nu", lineno, name)
+    for lineno, _, (name,), options in _records(entries, "materials", ("material",)):
+        v = {key: _num(value, lineno, key) for key, value in options.items()}
         if name in out:
             raise MechanismFileError(f"duplicate material {name!r}", lineno, name)
-        try:
-            out[name] = Material(name, kv["E"], kv["nu"], kv.get("G"))
-        except ValueError as exc:
-            raise MechanismFileError(str(exc), lineno, name) from None
+        out[name] = _checked(Material, lineno, name, name, v["E"], v["nu"], v.get("G"))
     if not out:
         raise MechanismFileError(f"no materials found in {source}")
     return out
@@ -160,38 +208,26 @@ def load_joint_catalog(lines):
 
         joint <variant> cross=<Nm/rad|-> joint=<Nm/rad> max_load=<Nm>
 
-    Only the cross stiffness may be '-' (not measured).
+    Only the cross stiffness may be '-' (not measured) or left out.
     """
     records = []
-    for lineno, line in text_entries(lines):
-        parts = line.split()
-        if parts[0] != "joint" or len(parts) < 2:
-            raise MechanismFileError(
-                f"expected 'joint <variant> cross=.. joint=.. max_load=..', got {line!r}", lineno)
-        variant = parts[1]
-        kv = {}
-        for key, value in _kv(parts[2:], lineno, variant).items():
+    for lineno, _, (variant,), options in _records(text_entries(lines), "catalog", ("joint",)):
+        values = {}
+        for key, value in options.items():
             if value == "-" and key != "cross":
                 raise MechanismFileError("only cross may be '-' (unmeasured)", lineno, key)
-            kv[key] = None if value == "-" else _num(value, lineno, key)
-        try:
-            records.append(MeasuredJointRecord(variant, kv.get("cross"),
-                                               kv["joint"], kv["max_load"]))
-        except KeyError as exc:
-            raise MechanismFileError(f"missing field {exc}", lineno, variant) from None
-        except ValueError as exc:
-            raise MechanismFileError(str(exc), lineno, variant) from None
+            values[key] = None if value == "-" else _num(value, lineno, key)
+        records.append(_checked(MeasuredJointRecord, lineno, variant, variant,
+                                values.get("cross"), values["joint"], values["max_load"]))
     return records
 
 
-def _placement(kv, lineno, context):
-    if "r" not in kv:
-        raise MechanismFileError("missing displacement r=x,y,z", lineno, context)
-    parts = kv["r"].split(",")
+def _placement(options, lineno):
+    parts = options["r"].split(",")
     if len(parts) != 3:
-        raise MechanismFileError(f"r needs three components, got {kv['r']!r}", lineno, context)
-    r = tuple(_num(p, lineno, "r") for p in parts)
-    theta = _num(kv["theta"], lineno, "theta") if "theta" in kv else 0.0
+        raise MechanismFileError(f"r needs three components, got {options['r']!r}", lineno, "r")
+    r = tuple([_num(p, lineno, "r") for p in parts])
+    theta = _num(options["theta"], lineno, "theta") if "theta" in options else 0.0
     return FramePlacement.from_degrees(theta, r)
 
 
@@ -220,90 +256,53 @@ def _split_sections(entries):
 
 def _parse_elements(entries, materials):
     elements = {}
-    for lineno, line in entries:
-        parts = line.split()
-        if len(parts) < 3 or parts[0] not in ("hinge", "beam"):
-            raise MechanismFileError(
-                f"expected 'hinge <name> ...' or 'beam <name> ...', got {line!r}", lineno)
-        kind, name = parts[0], parts[1]
+    for lineno, kind, (name,), options in _records(entries, "elements", ("hinge", "beam")):
         if name in elements:
             raise MechanismFileError(f"duplicate element {name!r}", lineno, name)
-        kv = _kv(parts[2:], lineno, name)
-        if "material" not in kv:
-            raise MechanismFileError("element needs material=<name>", lineno, name)
-        mat_name = kv.pop("material")
+        mat_name = options.pop("material")
         if mat_name not in materials:
             raise MechanismFileError(f"unknown material {mat_name!r}", lineno, name)
-        nums = {k: _num(v, lineno, k) for k, v in kv.items()}
-        try:
-            if kind == "hinge":
-                elements[name] = HingeGeometry(nums["r"], nums["t"], nums["w"],
-                                               nums.get("h1", 0.0), materials[mat_name])
-            else:
-                elements[name] = BeamGeometry(nums["l"], nums["w"], nums["s"],
-                                              materials[mat_name])
-        except KeyError as exc:
-            raise MechanismFileError(f"missing field {exc}", lineno, name) from None
-        except ValueError as exc:
-            raise MechanismFileError(str(exc), lineno, name) from None
+        v = {key: _num(value, lineno, key) for key, value in options.items()}
+        if kind == "hinge":
+            elements[name] = _checked(HingeGeometry, lineno, name, v["r"], v["t"], v["w"],
+                                      v.get("h1", 0.0), materials[mat_name])
+        else:
+            elements[name] = _checked(BeamGeometry, lineno, name, v["l"], v["w"], v["s"],
+                                      materials[mat_name])
     return elements
 
 
 def _parse_limb(name, entries, elements, section_line):
     members = []
-    for lineno, line in entries:
-        parts = line.split()
-        if parts[0] != "member" or len(parts) < 3:
-            raise MechanismFileError(f"expected 'member <element> r=.. theta=..', got {line!r}",
-                                     lineno, name)
-        elem_name = parts[1]
+    for lineno, _, (elem_name,), options in _records(entries, "limb", ("member",)):
         if elem_name not in elements:
             raise MechanismFileError(f"dangling element reference {elem_name!r}", lineno, name)
-        member = (elements[elem_name],
-                  _placement(_kv(parts[2:], lineno, elem_name), lineno, elem_name))
+        member = (elements[elem_name], _placement(options, lineno))
         # a member a limb of it alone refuses is named at its own line
         _checked(Limb, lineno, name, name, (member,))
         members.append(member)
-    try:
-        return Limb(name, tuple(members))
-    except ValueError as exc:  # an empty limb
-        raise MechanismFileError(str(exc), section_line, name) from None
+    # an empty limb is named at its section header
+    return _checked(Limb, section_line, name, name, tuple(members))
 
 
 def _parse_mechanism_section(entries, limbs, section_line):
-    reference = "reference point"
-    placed = []
+    # the reference line is free text, so it is taken out before the records
+    references = []
+    records = []
     for lineno, line in entries:
-        parts = line.split()
-        if parts[0] == "reference":
-            reference = line.split(None, 1)[1] if len(parts) > 1 else reference
-        elif parts[0] == "limb":
-            if len(parts) < 3:
-                raise MechanismFileError(f"expected 'limb <name> r=..', got {line!r}", lineno)
-            limb_name = parts[1]
-            if limb_name not in limbs:
-                raise MechanismFileError(f"unknown limb {limb_name!r}", lineno, limb_name)
-            placed.append((limbs[limb_name], _placement(_kv(parts[2:], lineno, limb_name),
-                                                        lineno, limb_name)))
+        words = line.split(None, 1)
+        if words[0] != "reference":
+            records.append((lineno, line))
+        elif references:
+            raise MechanismFileError("duplicate reference line", lineno, "reference")
         else:
-            raise MechanismFileError(f"unexpected mechanism line {line!r}", lineno)
-    try:
-        return Mechanism(tuple(placed), reference)
-    except ValueError as exc:
-        raise MechanismFileError(str(exc), section_line) from None
-
-
-def _checked(check, lineno, field, *args):
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise MechanismFileError(str(exc), lineno, field) from None
-
-
-# objective lines: head -> (second token, weight term, token count)
-_OBJECTIVE_LINES = {"target": ("rcc_height", "rcc", 3),
-                    "maximize": ("stiffness_ratio", "ratio", 2),
-                    "target_k": (None, "diag", 3)}
+            references.append(words[1] if len(words) > 1 else "reference point")
+    placed = []
+    for lineno, _, (limb_name,), options in _records(records, "mechanism", ("limb",)):
+        if limb_name not in limbs:
+            raise MechanismFileError(f"unknown limb {limb_name!r}", lineno, limb_name)
+        placed.append((limbs[limb_name], _placement(options, lineno)))
+    return _checked(Mechanism, section_line, None, tuple(placed), *references)
 
 
 def _parse_sweep(entries, section_line):
@@ -313,60 +312,43 @@ def _parse_sweep(entries, section_line):
     diag_targets = {}
     weights = {}
     objectives = set()
-    for lineno, line in entries:
-        parts = line.split()
-        bare = [p for p in parts if "=" not in p]
-        kv = _kv([p for p in parts if "=" in p], lineno, "sweep")
-        head = bare[0] if bare else None
+    for lineno, head, (key, *values), options in _records(
+            entries, "sweep", ("vary", "target", "maximize", "target_k")):
         if head == "vary":
-            if kv:
-                key = next(iter(kv))
-                raise MechanismFileError(f"'vary' takes no options, got {key}=", lineno, key)
-            if len(bare) != 5:
-                raise MechanismFileError(f"expected 'vary <name> <lo> <hi> <n>', got {line!r}", lineno)
-            name = bare[1]
-            lo, hi, n = (_num(tok, lineno, name) for tok in bare[2:])
-            _checked(check_sweep_range, lineno, name, name, lo, hi, n)
-            if name in parameters:
-                raise MechanismFileError(f"duplicate sweep parameter {name!r}", lineno, name)
-            parameters[name] = (lo, hi, n)
+            lo, hi, n = (_num(token, lineno, key) for token in values)
+            _checked(check_sweep_range, lineno, key, key, lo, hi, n)
+            if key in parameters:
+                raise MechanismFileError(f"duplicate sweep parameter {key!r}", lineno, key)
+            parameters[key] = (lo, hi, n)
             continue
-        objective = _OBJECTIVE_LINES.get(head)
-        if objective is None or len(bare) < objective[2] or objective[0] not in (None, bare[1]):
-            raise MechanismFileError(f"unexpected sweep line {line!r}", lineno)
-        _, term, count = objective
-        if len(bare) > count:
-            raise MechanismFileError(f"unexpected token {bare[count]!r} in {line!r}",
-                                     lineno, head)
-        for key in kv:
-            if key != "weight":
-                raise MechanismFileError(f"unknown option {key!r}; the only option is weight=",
-                                         lineno, key)
-        if (head, bare[1]) in objectives:
-            raise MechanismFileError(f"duplicate objective '{head} {bare[1]}'", lineno, bare[1])
-        objectives.add((head, bare[1]))
-        if head == "target":
-            target_rcc = _num(bare[2], lineno, "rcc_height")
-        elif head == "maximize":
+        if (head, key) in objectives:
+            raise MechanismFileError(f"duplicate objective '{head} {key}'", lineno, key)
+        objectives.add((head, key))
+        if head == "target_k":
+            term = "diag"
+            _checked(check_stiffness_axis, lineno, key, key)
+            diag_targets[key] = _num(values[0], lineno, key)
+            _checked(check_stiffness_target, lineno, key, key, diag_targets[key])
+        elif (head, key) == ("target", "rcc_height"):
+            term = "rcc"
+            target_rcc = _num(values[0], lineno, key)
+        elif (head, key) == ("maximize", "stiffness_ratio"):
+            term = "ratio"
             ratio_max = True
         else:
-            _checked(check_stiffness_axis, lineno, bare[1], bare[1])
-            diag_targets[bare[1]] = _num(bare[2], lineno, bare[1])
-            _checked(check_stiffness_target, lineno, bare[1], bare[1], diag_targets[bare[1]])
-        weight = _num(kv["weight"], lineno, "weight") if "weight" in kv else 1.0
+            raise MechanismFileError(f"unknown objective '{head} {key}'", lineno, key)
+        weight = _num(options["weight"], lineno, "weight") if "weight" in options else 1.0
         # the target_k lines share one weight term, so they must agree on it
         shared = weights.get("diag", 1.0)
         if head == "target_k" and len(diag_targets) > 1 and weight != shared:
             raise MechanismFileError(f"target_k weight {weight:g} differs from the earlier "
                                      f"target_k weight {shared:g}; one weight applies to all "
                                      "target_k lines", lineno, "weight")
-        if "weight" in kv:
+        if "weight" in options:
             weights[term] = weight
-    try:
-        return SweepSpec(parameters,
-                         SweepObjective(target_rcc, ratio_max, diag_targets or None, weights))
-    except ValueError as exc:
-        raise MechanismFileError(str(exc), section_line) from None
+    objective = _checked(SweepObjective, section_line, None, target_rcc, ratio_max,
+                         diag_targets or None, weights)
+    return _checked(SweepSpec, section_line, None, parameters, objective)
 
 
 def parse_measured(entries):
@@ -375,18 +357,13 @@ def parse_measured(entries):
     Reads a [measured] section or a standalone measured-data file.
     """
     measured = {}
-    for lineno, line in entries:
-        parts = line.split()
-        if parts[0] != "measured" or len(parts) not in (3, 4):
-            raise MechanismFileError(
-                f"expected 'measured <axis> <value> [<high>]', got {line!r}", lineno)
-        axis = parts[1]
+    for lineno, _, (axis, *tokens), _ in _records(entries, "measured", ("measured",)):
         if axis not in MEASURED_AXES:
             raise MechanismFileError(f"unknown measured axis {axis!r}; expected one of "
                                      f"{', '.join(MEASURED_AXES)}", lineno, axis)
         if axis in measured:
             raise MechanismFileError(f"duplicate measured axis {axis!r}", lineno, axis)
-        values = tuple(_num(token, lineno, axis) for token in parts[2:])
+        values = tuple(_num(token, lineno, axis) for token in tokens)
         for v in values:
             if v <= 0.0:
                 raise MechanismFileError(f"measured stiffness must be positive, got {v:g}",

@@ -1,6 +1,7 @@
 """Creep model/fit and parametric sweep tests."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -260,7 +261,9 @@ class TestRunSweep:
         # grid point is flagged infeasible and the run still completes
         mat = load_small_rcc().materials["copolyester"]
         beam = BeamGeometry(10.4, 5.0, 5.32, mat)
-        limb = Limb("v", ((beam, FramePlacement(0.0, (10.0, 0.0, 0.0))),))
+        hinge = HingeGeometry(1.25, 2.82, 5.0, 0.0, mat)
+        limb = Limb("v", ((hinge, FramePlacement(0.0, (20.4, 0.0, 0.0))),
+                          (beam, FramePlacement(0.0, (10.0, 0.0, 0.0)))))
         template = Mechanism(((limb, FramePlacement(0.0, (0.0, 5.0, 0.0))),
                               (limb, FramePlacement(0.0, (0.0, -5.0, 0.0)))))
         spec = SweepSpec({"t": (2.0, 3.0, 2)}, SweepObjective())
@@ -268,6 +271,22 @@ class TestRunSweep:
         assert len(points) == 2
         assert all(not p.feasible for p in points)
         assert all("infinity" in p.reason for p in points)
+
+    @pytest.mark.parametrize("name, pattern, replacement", [
+        ("z", r",-?8\.65", ",0"),                        # every limb slot at z = 0
+        ("angle", r"theta=-?20", "theta=0"),             # no rotated member
+        ("t", "member notch ", "member column "),        # no hinge member
+        ("r", "member notch ", "member column "),
+        ("w", "member notch ", "member column "),
+    ], ids=["z", "angle", "t", "r", "w"])
+    def test_parameter_that_edits_nothing_rejected(self, name, pattern, replacement):
+        # every grid row would be the unedited template, labelled with values
+        # it was never evaluated at
+        text = re.sub(pattern, replacement, "".join(read_lines(data_path("small_rcc.mech"))))
+        template = parse_lines(text.splitlines()).mechanism
+        spec = SweepSpec({name: (1.0, 5.0, 3)}, SweepObjective())
+        with pytest.raises(ValueError, match=f"sweep parameter '{name}' edits nothing"):
+            run_sweep(spec, template)
 
     def test_tie_break_lexicographic(self):
         template = load_small_rcc().mechanism

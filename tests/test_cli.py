@@ -1,17 +1,23 @@
 """CLI behavior: subcommands, exit codes, determinism of machine output."""
 
+import contextlib
 import errno
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flexmech
 import flexmech.elements as elements
 from flexmech.cli import main
 from flexmech.fixtures import data_path
+from flexmech.mechfile import GRAMMAR
 
 SMALL_RCC = data_path("small_rcc.mech")
 CREEP = data_path("creep_22n.dat")
@@ -71,6 +77,7 @@ MEASURED_NEGATIVE = SWEEP_FILE.format(extra="[measured]\nmeasured y 8 10\nmeasur
 EMPTY_LIMB = SWEEP_FILE.format(extra="").replace(
     "[limb right]\nmember n r=42.85,-14.765,0 theta=0\nmember b r=10.4,0,0 theta=-20\n"
     "member n r=9.15,0,0 theta=0\n", "[limb right]\n")
+MISSPELT_THETA = SWEEP_FILE.format(extra="").replace("theta=20", "teta=20")
 # the limb's second member leaves the member plane
 MEMBER_R_Z = SWEEP_FILE.format(extra="").replace("member b r=10.4,0,0 theta=20",
                                                  "member b r=10.4,0,3 theta=20")
@@ -127,6 +134,8 @@ def _line_of(text, needle):
                              "field 'right': a limb needs at least one member"),
     ("validate", MEMBER_R_Z, f"error: line {_line_of(MEMBER_R_Z, 'r=10.4,0,3')}, "
                              "field 'left': limb 'left': member placements must have r_z = 0"),
+    ("validate", MISSPELT_THETA, f"error: line {_line_of(MISSPELT_THETA, 'teta=20')}, "
+                                 "field 'teta': unknown option 'teta'"),
     # no line to name: the file is valid, but the element check refuses it
     ("analyze", HINGE_W_OVERFLOW, "error: matrix entries must be finite"),
     ("analyze", BEAM_L_OVERFLOW, "error: matrix entries must be finite"),
@@ -136,8 +145,8 @@ def _line_of(text, needle):
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
         "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
         "nameless-limb", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
-        "member-r-z", "hinge-w-overflow", "beam-l-overflow", "hinge-w-underflow",
-        "beam-s-underflow"])
+        "member-r-z", "misspelt-member-option", "hinge-w-overflow", "beam-l-overflow",
+        "hinge-w-underflow", "beam-s-underflow"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -145,6 +154,52 @@ def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     out, err = capfd.readouterr()
     assert message in err and err.count("\n") == 1
     assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
+
+
+BUNDLED_LINES = Path(SMALL_RCC).read_text().splitlines()
+# (index, head) of each record line of the bundled design
+BUNDLED_RECORDS = [(i, line.split()[0]) for i, line in enumerate(BUNDLED_LINES)
+                   if line.split()[:1] and line.split()[0] in GRAMMAR]
+
+
+@st.composite
+def _mutated_design(draw):
+    """The bundled design with one record line broken by one grammar
+    mutation, and the number of that line."""
+    at, head = draw(st.sampled_from(BUNDLED_RECORDS))
+    tokens = BUNDLED_LINES[at].split()
+    required = GRAMMAR[head][2]
+    options = [token for token in tokens if "=" in token]
+    present = [token for token in options if token.partition("=")[0] in required]
+    mutation = draw(st.sampled_from(["unknown option", "stray token"]
+                                    + ["repeated option"] * bool(options)
+                                    + ["missing option"] * bool(present)))
+    if mutation == "missing option":
+        tokens.remove(draw(st.sampled_from(present)))
+    else:
+        if mutation == "unknown option":
+            token = "zz=1"
+        elif mutation == "repeated option":
+            token = draw(st.sampled_from(options))
+        else:
+            # never a number, so it cannot pass as an optional positional value
+            token = draw(st.from_regex(r"[a-z]{1,8}", fullmatch=True))
+        tokens.insert(draw(st.integers(1, len(tokens))), token)
+    return at + 1, "\n".join(BUNDLED_LINES[:at] + [" ".join(tokens)] + BUNDLED_LINES[at + 1:])
+
+
+@settings(deadline=None)
+@given(_mutated_design())
+def test_grammar_mutation_is_one_error_at_its_line(mutated):
+    lineno, text = mutated
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.mech"
+        path.write_text(text + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    assert code == 1 and out.getvalue() == ""
+    assert re.fullmatch(f"error: line {lineno}[,:] [^\n]*\n", err.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("old, new", [

@@ -1,10 +1,13 @@
 """Mechanism file parsing, error reporting and round-trip serialization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import data_path, load_small_rcc
-from flexmech.mechfile import parse_lines, parse_mechanism, serialize
+from flexmech.mechfile import GRAMMAR, load_joint_catalog, parse_lines, parse_mechanism, serialize
 
 GOOD = """\
 flexmech mechanism format 1
@@ -203,6 +206,13 @@ class TestErrors:
                            match=f"^line {at + 1}, field '{field}': {message}"):
             parse_lines(bad)
 
+    def test_second_reference_line_names_its_line(self):
+        good = lines(GOOD)
+        at = good.index("reference middle of upper platform") + 1
+        with pytest.raises(MechanismFileError,
+                           match=f"^line {at + 1}, field 'reference': duplicate reference line$"):
+            parse_lines(good[:at] + ["reference other point"] + good[at:])
+
     def test_member_out_of_plane_rejected(self):
         bad = [line.replace("r=42.85,14.765,0", "r=42.85,14.765,3") for line in lines(GOOD)]
         with pytest.raises(MechanismFileError, match="r_z = 0"):
@@ -305,3 +315,158 @@ def test_repeated_section_names_its_header(section, body):
 def test_parse_from_installed_data_file():
     parsed = parse_mechanism(data_path("small_rcc.mech"))
     assert len(parsed.mechanism.limbs) == 4
+
+
+JOINTS = ["# catalog", "joint a cross=5 joint=3 max_load=1"]
+USAGE = {head: usage for head, (usage, *_) in GRAMMAR.items()}
+
+
+# (a good line, the line put in its place, the field named, the message)
+RECORD_ERRORS = [
+    # a head the section does not take
+    ("material soft E=60 nu=0.48", "materials soft E=60 nu=0.48", None,
+     "unexpected materials line 'materials soft E=60 nu=0.48'"),
+    ("joint a cross=5 joint=3 max_load=1", "joints a joint=3 max_load=1", None,
+     "unexpected catalog line 'joints a joint=3 max_load=1'"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "rod b material=soft l=10.4 w=5 s=5.32", None,
+     "unexpected elements line 'rod b material=soft l=10.4 w=5 s=5.32'"),
+    ("member b r=10.4,0,0 theta=20", "members b r=10.4,0,0 theta=20", None,
+     "unexpected limb line 'members b r=10.4,0,0 theta=20'"),
+    ("limb left r=-2.5,10.325,-8.65", "limbs left r=-2.5,10.325,-8.65", None,
+     "unexpected mechanism line 'limbs left r=-2.5,10.325,-8.65'"),
+    ("vary t 2.0 4.0 3", "very t 2.0 4.0 3", None, "unexpected sweep line 'very t 2.0 4.0 3'"),
+    ("measured y 8.3 10", "measure y 8.3 10", None,
+     "unexpected measured line 'measure y 8.3 10'"),
+    # too few positional tokens
+    ("material soft E=60 nu=0.48", "material E=60 nu=0.48", None,
+     f"expected '{USAGE['material']}', got 'material E=60 nu=0.48'"),
+    ("joint a cross=5 joint=3 max_load=1", "joint joint=3 max_load=1", None,
+     f"expected '{USAGE['joint']}', got 'joint joint=3 max_load=1'"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0", "hinge material=soft r=1.25 t=2.82 w=5",
+     None, f"expected '{USAGE['hinge']}', got 'hinge material=soft r=1.25 t=2.82 w=5'"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "beam material=soft l=10.4 w=5 s=5.32", None,
+     f"expected '{USAGE['beam']}', got 'beam material=soft l=10.4 w=5 s=5.32'"),
+    ("member b r=10.4,0,0 theta=20", "member r=10.4,0,0 theta=20", None,
+     f"expected '{USAGE['member']}', got 'member r=10.4,0,0 theta=20'"),
+    ("limb left r=-2.5,10.325,-8.65", "limb r=-2.5,10.325,-8.65", None,
+     f"expected '{USAGE['limb']}', got 'limb r=-2.5,10.325,-8.65'"),
+    ("vary t 2.0 4.0 3", "vary t 2.0 4.0", None,
+     f"expected '{USAGE['vary']}', got 'vary t 2.0 4.0'"),
+    ("target rcc_height 28.6 weight=2", "target rcc_height weight=2", None,
+     f"expected '{USAGE['target']}', got 'target rcc_height weight=2'"),
+    ("maximize stiffness_ratio weight=0.5", "maximize weight=0.5", None,
+     f"expected '{USAGE['maximize']}', got 'maximize weight=0.5'"),
+    ("target_k z 2.4", "target_k z", None, f"expected '{USAGE['target_k']}', got 'target_k z'"),
+    ("measured y 8.3 10", "measured y", None, f"expected '{USAGE['measured']}', got 'measured y'"),
+    # a stray positional token
+    ("material soft E=60 nu=0.48", "material soft E=60 nu=0.48 x", "material",
+     "unexpected token 'x' in 'material soft E=60 nu=0.48 x'"),
+    ("joint a cross=5 joint=3 max_load=1", "joint a b joint=3 max_load=1", "joint",
+     "unexpected token 'b' in 'joint a b joint=3 max_load=1'"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0", "hinge n m material=soft r=1 t=2 w=5",
+     "hinge", "unexpected token 'm' in 'hinge n m material=soft r=1 t=2 w=5'"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "beam b c material=soft l=10 w=5 s=5", "beam",
+     "unexpected token 'c' in 'beam b c material=soft l=10 w=5 s=5'"),
+    ("member b r=10.4,0,0 theta=20", "member b 20 r=10.4,0,0", "member",
+     "unexpected token '20' in 'member b 20 r=10.4,0,0'"),
+    ("limb left r=-2.5,10.325,-8.65", "limb left right r=-2.5,10.325,-8.65", "limb",
+     "unexpected token 'right' in 'limb left right r=-2.5,10.325,-8.65'"),
+    ("vary t 2.0 4.0 3", "vary t 2.0 4.0 3 4", "vary",
+     "unexpected token '4' in 'vary t 2.0 4.0 3 4'"),
+    ("target rcc_height 28.6 weight=2", "target rcc_height 28.6 29", "target",
+     "unexpected token '29' in 'target rcc_height 28.6 29'"),
+    ("maximize stiffness_ratio weight=0.5", "maximize stiffness_ratio now", "maximize",
+     "unexpected token 'now' in 'maximize stiffness_ratio now'"),
+    ("target_k z 2.4", "target_k z 2.4 3", "target_k",
+     "unexpected token '3' in 'target_k z 2.4 3'"),
+    ("measured y 8.3 10", "measured y 8.3 10 12", "measured",
+     "unexpected token '12' in 'measured y 8.3 10 12'"),
+    # an unknown option
+    ("material soft E=60 nu=0.48", "material soft E=60 nu=0.48 g=20", "g",
+     f"unknown option 'g'; expected '{USAGE['material']}'"),
+    ("joint a cross=5 joint=3 max_load=1", "joint a crosss=5 joint=3 max_load=1", "crosss",
+     f"unknown option 'crosss'; expected '{USAGE['joint']}'"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0", "hinge n material=soft r=1 t=2 w=5 hl=0",
+     "hl", f"unknown option 'hl'; expected '{USAGE['hinge']}'"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "beam b material=soft l=10 w=5 s=5 h1=0",
+     "h1", f"unknown option 'h1'; expected '{USAGE['beam']}'"),
+    ("member b r=10.4,0,0 theta=20", "member b r=10.4,0,0 teta=20", "teta",
+     f"unknown option 'teta'; expected '{USAGE['member']}'"),
+    ("limb left r=-2.5,10.325,-8.65", "limb left r=-2.5,10.325,-8.65 angle=3", "angle",
+     f"unknown option 'angle'; expected '{USAGE['limb']}'"),
+    ("vary t 2.0 4.0 3", "vary t 2.0 4.0 3 n=3", "n", "'vary' takes no options, got n="),
+    ("target rcc_height 28.6 weight=2", "target rcc_height 28.6 wieght=2", "wieght",
+     f"unknown option 'wieght'; expected '{USAGE['target']}'"),
+    ("maximize stiffness_ratio weight=0.5", "maximize stiffness_ratio scale=2", "scale",
+     f"unknown option 'scale'; expected '{USAGE['maximize']}'"),
+    ("target_k z 2.4", "target_k z 2.4 w=2", "w",
+     f"unknown option 'w'; expected '{USAGE['target_k']}'"),
+    ("measured y 8.3 10", "measured y 8.3 high=10", "high",
+     "'measured' takes no options, got high="),
+    # a repeated option
+    ("material soft E=60 nu=0.48", "material soft E=60 nu=0.48 E=61", "E",
+     "repeated option 'E'"),
+    ("joint a cross=5 joint=3 max_load=1", "joint a joint=3 joint=4 max_load=1", "joint",
+     "repeated option 'joint'"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0",
+     "hinge n material=soft r=1.25 r=2 t=2.82 w=5", "r", "repeated option 'r'"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "beam b material=soft l=10 w=5 s=5 s=6", "s",
+     "repeated option 's'"),
+    ("member b r=10.4,0,0 theta=20", "member b r=10.4,0,0 theta=20 theta=25", "theta",
+     "repeated option 'theta'"),
+    ("limb left r=-2.5,10.325,-8.65", "limb left r=-2.5,10.325,-8.65 r=0,0,0", "r",
+     "repeated option 'r'"),
+    ("target rcc_height 28.6 weight=2", "target rcc_height 28.6 weight=2 weight=3", "weight",
+     "repeated option 'weight'"),
+    ("maximize stiffness_ratio weight=0.5", "maximize stiffness_ratio weight=1 weight=1",
+     "weight", "repeated option 'weight'"),
+    ("target_k z 2.4", "target_k z 2.4 weight=1 weight=1", "weight",
+     "repeated option 'weight'"),
+    # a missing option
+    ("material soft E=60 nu=0.48", "material soft E=60", "nu", "material needs E and nu"),
+    ("joint a cross=5 joint=3 max_load=1", "joint a cross=5 joint=3", "max_load",
+     "joint needs joint and max_load"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0", "hinge n material=soft r=1.25 w=5", "t",
+     "hinge needs material and r and t and w"),
+    ("beam  b material=soft l=10.4 w=5 s=5.32", "beam b l=10.4 w=5 s=5.32", "material",
+     "beam needs material and l and w and s"),
+    ("member b r=10.4,0,0 theta=20", "member b theta=20", "r", "member needs r"),
+    ("limb left r=-2.5,10.325,-8.65", "limb left theta=5", "r", "limb needs r"),
+    # a record the reader passes but its section refuses
+    ("member b r=10.4,0,0 theta=20", "member b r=10.4,0 theta=20", "r",
+     "r needs three components, got '10.4,0'"),
+    ("target rcc_height 28.6 weight=2", "target rcc 28.6", "rcc",
+     "unknown objective 'target rcc'"),
+    ("maximize stiffness_ratio weight=0.5", "maximize rcc_height", "rcc_height",
+     "unknown objective 'maximize rcc_height'"),
+]
+
+
+@pytest.mark.parametrize("sample, line, field, message", RECORD_ERRORS,
+                         ids=[line for _, line, _, _ in RECORD_ERRORS])
+def test_record_error_names_its_line(sample, line, field, message):
+    # each line kind and each grammar error, at the line that has it
+    joint = sample.startswith("joint ")
+    good = JOINTS if joint else lines(GOOD)
+    at = good.index(sample)
+    bad = good[:at] + [line] + good[at + 1:]
+    where = f"line {at + 1}" + ("" if field is None else f", field '{field}'")
+    with pytest.raises(MechanismFileError, match=f"^{re.escape(f'{where}: {message}')}$"):
+        (load_joint_catalog if joint else parse_lines)(bad)
+
+
+def test_readme_lists_the_grammar():
+    # README "Mechanism files" gives each line kind's usage as written here,
+    # and each usage names its head and options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for head, (usage, (fewest, most), required, optional) in GRAMMAR.items():
+        assert f"`{usage}`" in readme, head
+        words = usage.split()
+        assert words[0] == head
+        positional = [w for w in words[1:] if "=" not in w]
+        assert (len([w for w in positional if not w.startswith("[")]), len(positional)) \
+            == (fewest, most)
+        assert [w.partition("=")[0] for w in words if "=" in w and not w.startswith("[")] \
+            == list(required)
+        assert [w[1:].partition("=")[0] for w in words if "=" in w and w.startswith("[")] \
+            == list(optional)
