@@ -18,7 +18,13 @@ each distinct limb (_limb_stack) and the limb slot terms of each mechanism
 in order (_run_sums), inverts, and extracts the remote-center summary.
 Each part is computed once for the rows it differs on: a member no edit
 touches has one transport and one term that every limb row shares, and a
-limb slot one transport per placement row.  analyze_batch, analyze,
+limb slot one transport per placement row.  _evaluate has two halves: the
+integer one is a plan (_plan), every index array its gathers need, which
+depends only on the compiled topology, the edit masks and the copies' rows
+and so is made once per such layout and kept, read-only, in a cache bounded
+by PLAN_CACHE_BYTES; the float one runs on every call, as algebra on the
+arrays the plan gathers, with the same operations in the same order
+whether the plan was fresh or kept.  analyze_batch, analyze,
 mechanism_stiffness and limb_compliance compile their objects and evaluate
 them as they are; evaluate_grid, the engine's one sweep entry
 (analysis.run_sweep), compiles the template once and evaluates grid points
@@ -44,7 +50,7 @@ from .elements import HINGE, BeamGeometry, HingeGeometry, geometry_table, table_
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
 from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, invert, invert_stack,
-                      matrix_faults, symmetrize, transports)
+                      matrix_faults, symmetrize, transports, transposed)
 
 # stiffness axis name -> diagonal index of the stiffness matrix (0-based)
 AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
@@ -208,15 +214,15 @@ def _edit_mask(compiled: _Compiled, name):
     return compiled.slot_r[:, column] != 0.0
 
 
-def _edited(compiled: _Compiled, columns, rows, places):
-    """The arrays of `compiled` under `rows` limb rows and `places` placement
-    rows of SWEEP_EDITS edits: the GEOMETRY table, the (rows, M) table row
-    and angle of each member of the distinct limbs, the (M,) masks of the
-    members whose angle and whose table row an edit changes, and the
-    (places, S, 3) limb slot displacements.  `columns` is a sequence of
+def _edited(compiled: _Compiled, plan, columns):
+    """The arrays of `compiled` under the SWEEP_EDITS edits `columns` laid
+    out by `plan` (_plan): the GEOMETRY table, the (rows, M) angle of each
+    member of the distinct limbs per limb row, and the (places, S, 3) limb
+    slot displacements per placement row.  `columns` is a sequence of
     (name, values) pairs, a limb edit's values one per limb row and a slot
     edit's one per placement row; with no pairs and one row of each kind,
-    the arrays are as compiled.
+    the arrays are as compiled.  A hinge edit retunes every limb row's own
+    copy of the hinge rows, one per compiled hinge; the beams are shared.
 
     The edit is the one the object-level oracle of tests/test_analysis.py
     (apply_parameters) makes with objects.  The checks the edited objects
@@ -227,30 +233,18 @@ def _edited(compiled: _Compiled, columns, rows, places):
     a re-leaned member angle is finite and inside (-2 pi, 2 pi), where
     FramePlacement's normalization leaves it as it is.
     """
-    table = compiled.table
-    beams = int(np.count_nonzero(table["kind"] != HINGE))
-    hinges = len(table) - beams
-    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
-    theta = compiled.theta[None].repeat(rows, axis=0)
-    slot_r = compiled.slot_r[None].repeat(places, axis=0)
-    leaned = retuned = np.zeros(len(compiled.theta), dtype=bool)
-    for name, values in columns:
+    table = compiled.table if plan.table_rows is None else compiled.table[plan.table_rows]
+    theta = compiled.theta[None].repeat(plan.rows, axis=0)
+    slot_r = compiled.slot_r[None].repeat(plan.places, axis=0)
+    for (name, values), mask in zip(columns, plan.masks):
         target, column = SWEEP_EDITS[name]
         if target == "hinge":
-            if table is compiled.table:
-                # every row retunes its own copy of the hinge rows, one per
-                # compiled hinge; the beams are shared
-                table = np.concatenate([table[:beams], np.tile(table[beams:], rows)])
-                retuned = _edit_mask(compiled, name)
-                geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
-            table[column][beams:] = np.repeat(values, hinges)
+            table[column][plan.beams:] = values[plan.hinge_row]
         elif target == "member":
-            leaned = _edit_mask(compiled, name)
-            theta[:, leaned] = np.copysign(np.radians(values)[:, None], compiled.theta[leaned])
+            theta[:, mask] = np.copysign(np.radians(values)[:, None], compiled.theta[mask])
         else:
-            moved = _edit_mask(compiled, name)
-            slot_r[:, moved, column] = np.copysign(values[:, None], compiled.slot_r[moved, column])
-    return table, geom_of, theta, leaned, retuned, slot_r
+            slot_r[:, mask, column] = np.copysign(values[:, None], compiled.slot_r[mask, column])
+    return table, theta, slot_r
 
 
 def _shared(per_row, rows):
@@ -265,17 +259,18 @@ def _shared(per_row, rows):
     return index, shared + rows * edited
 
 
-def _limb_stack(elements, geom_of, transports, grid):
+def _limb_stack(elements, geom_of, transports, transposes, grid):
     """The array core of limb assembly: the (D, 6, 6) tip compliances of D
     limbs, and the sums they symmetrize, which the caller checks.
 
     `elements` is an element stack (elements.table_compliances), `geom_of`
     the element of each of T member terms, `transports` their (T, 6, 6)
-    displacement transports to the limb tip and `grid` the _runs grid of
-    the terms of each limb's consecutive members.  Each limb sums its
-    members' J C J^T in member order.
+    displacement transports to the limb tip, `transposes` those transposed
+    (spatial.transposed), and `grid` the _runs grid of the terms of each
+    limb's consecutive members.  Each limb sums its members' J C J^T in
+    member order.
     """
-    terms = _padded(congruence(transports, elements[geom_of]))
+    terms = _padded(congruence(transports, elements[geom_of], transposes))
     total = _run_sums(grid, lambda columns: terms[grid[:, columns]])
     return symmetrize(total), total
 
@@ -300,6 +295,144 @@ _LIMB_CHECKS_AFTER_SUM = 2
 # one copy of the compiled mechanisms: limb row 0 placed by placement row 0
 _ONE_COPY = np.zeros(1, dtype=np.intp)
 
+# the plans kept (_plan, _grid_plan): past this many bytes of index arrays,
+# the oldest go first, as the kernels do past elements.KERNEL_CACHE_SIZE
+# keys, and a plan larger than this alone is used but not kept, so the
+# cache never holds more.  The plan of a SWEEP_BATCH (1024-point) batch of
+# the bundled design takes 100-320 kB, and of one analyze call 0.5 kB.
+PLAN_CACHE_BYTES = 4 * 2**20
+_plans = {}
+
+
+def _cached_plan(key, build):
+    """The plan of `key` from _plans, built by build() if it is not there."""
+    plan = _plans.get(key)
+    if plan is None:
+        plan = build()
+        if plan.nbytes <= PLAN_CACHE_BYTES:
+            _plans[key] = plan
+            while sum(kept.nbytes for kept in _plans.values()) > PLAN_CACHE_BYTES:
+                del _plans[next(iter(_plans))]
+    return plan
+
+
+def _read_only(*arrays):
+    """The total bytes of the given arrays, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Every index array _evaluate reads for one layout of copies, read-only:
+    the integer half of the engine (_build_plan)."""
+
+    rows: int                   # limb rows
+    places: int                 # placement rows
+    beams: int                  # beam rows of the GEOMETRY table, its head
+    table_rows: np.ndarray      # compiled table row of each edited table row; None: as compiled
+    hinge_row: np.ndarray       # limb row of each edited table row past the beams
+    masks: tuple                # what each edit column changes (_edit_mask)
+    member_src: np.ndarray      # flat (limb row, member) of each member transport
+    member_of: np.ndarray       # member of each member transport
+    slot_src: np.ndarray        # limb slot of each limb slot transport, placement row by row
+    force: np.ndarray           # transport kind: member transports, then wrench ones
+    term_geom: np.ndarray       # element of each J C J^T term
+    term_moved: np.ndarray      # transport of each term
+    limb_terms: np.ndarray      # _runs grid of each (limb row, limb)'s terms
+    member_grid: np.ndarray     # _runs grid of each (limb row, limb)'s flat members
+    element_of: np.ndarray      # element of each entry of member_grid, padding past the table
+    slot_limb: np.ndarray       # (n, L) limb of each slot of each copied mechanism
+    slot_j: np.ndarray          # (n, L) wrench transport of each, padding the first
+    limb_width: int             # checks per limb slot
+    mech_slot: np.ndarray       # (mechanisms, L) limb slots of each compiled mechanism, padding 0
+    mech_pad: np.ndarray        # (mechanisms, L) mask of the padding
+    mech_base: np.ndarray       # (mechanisms,) flat offset of each row of mech_slot
+    copy_side: np.ndarray       # (n,) flat (placement row, mechanism) of each copied mechanism
+    copy_tip: np.ndarray        # (n,) first limb slot transport of its placement row
+    copy_leg: np.ndarray        # (n,) first (limb row, limb) of its limb row
+    nbytes: int
+
+
+def _plan(compiled: _Compiled, names, row_of, place_of):
+    """The _Plan of copies row_of/place_of of `compiled` under edits of the
+    SWEEP_EDITS `names`, from _plans when a plan of the same integer inputs
+    was made: the GEOMETRY kinds, the compiled topology (geom_of, lengths,
+    limb_of, counts), the names and their edit masks, and the rows."""
+    masks = tuple(_edit_mask(compiled, name) for name in names)
+    key = (names, compiled.table["kind"].tobytes(), compiled.geom_of.tobytes(),
+           compiled.lengths.tobytes(), compiled.limb_of.tobytes(), compiled.counts.tobytes(),
+           row_of.tobytes(), place_of.tobytes(), *(mask.tobytes() for mask in masks))
+    return _cached_plan(key, lambda: _build_plan(compiled, names, masks, row_of, place_of))
+
+
+def _build_plan(compiled: _Compiled, names, masks, row_of, place_of):
+    """The _Plan of _plan's arguments: which terms and transports the rows
+    share (_shared), the member, limb slot and mechanism runs (_runs), and
+    the gathers of the check tables and of the four-bar legs."""
+    kinds = compiled.table["kind"]
+    beams = int(np.count_nonzero(kinds != HINGE))
+    hinges = len(kinds) - beams
+    rows, places = int(row_of.max()) + 1, int(place_of.max()) + 1
+    size, limbs, count = len(compiled.geom_of), len(compiled.lengths), len(compiled.limb_of)
+    targets = [SWEEP_EDITS[name][0] for name in names]
+    retuned = leaned = np.zeros(size, dtype=bool)
+    table_rows = hinge_row = None
+    elements = len(kinds)
+    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
+    for target, mask in zip(targets, masks):
+        if target == "member":
+            leaned = mask
+        elif target == "hinge" and table_rows is None:
+            retuned = mask
+            table_rows = np.concatenate([np.arange(beams), np.tile(np.arange(beams, len(kinds)),
+                                                                   rows)])
+            hinge_row = np.repeat(np.arange(rows), hinges)
+            elements = len(table_rows)
+            geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
+    # the transport and the J C J^T term of each (row, member), shared by
+    # the rows where no edit changes them, and the (row, member) each
+    # transport is made from (for a shared one, any row's is the same)
+    moved_of, moved = _shared(leaned, rows)
+    term_of, terms = _shared(leaned | retuned, rows)
+    member_src = np.empty(moved, dtype=np.intp)
+    member_src[moved_of] = np.arange(rows * size).reshape(rows, size)
+    term_geom, term_moved = np.empty(terms, dtype=np.intp), np.empty(terms, dtype=np.intp)
+    term_geom[term_of] = geom_of
+    term_moved[term_of] = moved_of
+    # the distinct limb and the limb slot transport of each limb slot of each
+    # copy: limbs numbered limb row by limb row, and transports placement
+    # row by placement row; the padding of a mechanism's slots gets limb
+    # rows x D, whose stiffness is zero, and the first transport
+    slots = (row_of[:, None] * limbs + compiled.limb_of).ravel()
+    placed = (place_of[:, None] * count + np.arange(count)).ravel()
+    member_grid = _runs(np.tile(compiled.lengths, rows), rows * size)
+    slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
+    # the four-bar legs: each compiled mechanism's slots, and each copied
+    # mechanism's (placement row, mechanism) and limb row
+    mech_grid = _runs(compiled.counts, count)
+    mech_pad = mech_grid == count
+    mechanisms = len(compiled.counts)
+    place_rep, row_rep = (np.repeat(of, mechanisms) for of in (place_of, row_of))
+    plan = dict(
+        rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
+        masks=masks, member_src=member_src, member_of=member_src % size,
+        slot_src=np.tile(np.arange(count), places),
+        force=np.arange(moved + places * count) >= moved, term_geom=term_geom,
+        term_moved=term_moved, limb_terms=np.append(term_of.ravel(), terms)[member_grid],
+        member_grid=member_grid,
+        element_of=np.append(geom_of.ravel(), elements)[member_grid],
+        slot_limb=np.append(slots, limbs * rows)[slot_grid],
+        slot_j=np.append(placed, 0)[slot_grid] + moved,
+        limb_width=member_grid.shape[1] + 1 + _LIMB_CHECKS_AFTER_SUM,
+        mech_slot=np.where(mech_pad, 0, mech_grid), mech_pad=mech_pad,
+        mech_base=np.arange(0, mech_grid.size, mech_grid.shape[1]),
+        copy_side=place_rep * mechanisms + np.tile(np.arange(mechanisms), len(row_of)),
+        copy_tip=place_rep * count, copy_leg=row_rep * limbs)
+    arrays = [a for a in plan.values() if isinstance(a, np.ndarray)]
+    return _Plan(**plan, nbytes=_read_only(*arrays, *masks))
+
 
 def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_COPY):
     """The array core of the engine, for n copies of the compiled mechanisms,
@@ -307,12 +440,15 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     displacements of placement row place_of[i] of the edits `columns` (see
     _edited); copy by copy.  With no edit arguments, one copy as compiled.
 
-    Each part is computed once for the rows it differs on.  A member whose
-    angle no edit changes has one transport to its limb tip, and a member
-    whose angle and table row no edit changes has one J C J^T term; every
-    row shares them.  Each limb slot of each placement row has one
-    transport to the reference point.  The limb sums gather the terms in
-    member order, so a sum adds the same terms in the same order however
+    The integer half is the plan (_plan): which transports and terms each
+    row shares and every gather below, made once per layout of copies and
+    kept.  What follows is the float half, algebra on arrays gathered by
+    the plan.  Each part is computed once for the rows it differs on.  A
+    member whose angle no edit changes has one transport to its limb tip,
+    and a member whose angle and table row no edit changes has one J C J^T
+    term; every row shares them.  Each limb slot of each placement row has
+    one transport to the reference point.  The limb sums gather the terms
+    in member order, so a sum adds the same terms in the same order however
     many rows share them.
 
     Returns the (D, 6, 6) compliances of the distinct limbs of all rows,
@@ -332,65 +468,45 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     matrix_faults pass at the end.  A failed copy's rows hold whatever its
     stages left.
     """
-    rows = int(row_of.max()) + 1
-    table, geom_of, theta, leaned, retuned, slot_r = _edited(compiled, columns, rows,
-                                                             int(place_of.max()) + 1)
+    plan = _plan(compiled, tuple(name for name, _ in columns), row_of, place_of)
+    table, theta, slot_r = _edited(compiled, plan, columns)
     # the notch kernels first: their temporaries are a batch's largest arrays
     elements = table_compliances(table)
-    # the transport and the J C J^T term of each (row, member), shared by
-    # the rows where no edit changes them
-    moved_of, moved = _shared(leaned, rows)
-    term_of, terms = _shared(leaned | retuned, rows)
-    member_theta, member_r = np.empty(moved), np.empty((moved, 3))
-    member_theta[moved_of] = theta
-    member_r[moved_of] = compiled.r
-    term_geom, term_moved = np.empty(terms, dtype=np.intp), np.empty(terms, dtype=np.intp)
-    term_geom[term_of] = geom_of
-    term_moved[term_of] = moved_of
-    # the distinct limb and the limb slot transport of each limb slot of each
-    # copy: limbs numbered limb row by limb row, and transports placement
-    # row by placement row
-    count = len(compiled.limb_of)
-    slots = (row_of[:, None] * len(compiled.lengths) + compiled.limb_of).ravel()
-    placed = (place_of[:, None] * count + np.arange(count)).ravel()
     # one transport pass: members move twists to their limb tip, limb slots
     # move wrenches to the reference point
-    j = transports(np.concatenate([member_theta, np.tile(compiled.slot_theta, len(slot_r))]),
-                   np.concatenate([member_r, slot_r.reshape(-1, 3)]),
-                   np.arange(moved + len(slot_r) * count) >= moved)
-    member_grid = _runs(np.tile(compiled.lengths, rows), theta.size)
-    slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
-    # the limb and the transport of each slot of each mechanism; the padding
-    # gets limb D, whose stiffness is zero, and the first transport
-    slot_limb = np.append(slots, len(compiled.lengths) * rows)[slot_grid]
-    slot_j = np.append(placed, 0)[slot_grid] + moved
-    # legs (x, y, angle), tips in reference coordinates; padding gets NaN
-    legs = np.full((len(slots) + 1, 3), np.nan)
-    legs[:-1, :2] = -slot_r.reshape(-1, 3)[placed, :2]
+    j = transports(np.concatenate([theta.ravel()[plan.member_src],
+                                   compiled.slot_theta[plan.slot_src]]),
+                   np.concatenate([compiled.r[plan.member_of], slot_r.reshape(-1, 3)]),
+                   plan.force)
+    jt = transposed(j)
+    # each (limb row, limb)'s leg angle, its members' angles summed in order
     leans = _padded(theta.ravel())
-    legs[:-1, 2] = _run_sums(member_grid, lambda columns: leans[member_grid[:, columns]])[slots]
+    lean = _run_sums(plan.member_grid, lambda columns: leans[plan.member_grid[:, columns]])
+
+    def slot_terms(columns):
+        at = plan.slot_j[:, columns]
+        return congruence(j[at], k_slot[plan.slot_limb[:, columns]], jt[at])
+
     # a vanishing neck or a refused matrix overflows or divides by zero on
     # its own item's rows, which the checks report
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c_limb, c_sum = _limb_stack(elements, term_geom, j[term_moved],
-                                    np.append(term_of.ravel(), terms)[member_grid])
+        c_limb, c_sum = _limb_stack(elements, plan.term_geom, j[plan.term_moved],
+                                    jt[plan.term_moved], plan.limb_terms)
         k_limb, limb_cond, limb_refused = invert_stack(c_limb)
         k_slot = _padded(symmetrize(k_limb))
-        k_sum = _run_sums(slot_grid, lambda columns: congruence(j[slot_j[:, columns]],
-                                                                k_slot[slot_limb[:, columns]]))
+        k_sum = _run_sums(plan.slot_j, slot_terms)
         k = symmetrize(k_sum)
         c_inv, cond, refused = invert_stack(k)
         c = symmetrize(c_inv)
         heights, decoupled = _center_heights(c)
-        ideal, ideal_faults = fourbar_centers(legs[slot_grid])
+        ideal, ideal_faults = _copied_centers(plan, compiled.limb_of, -slot_r[..., :2], lean)
     centers = np.column_stack([heights, ideal, np.abs(heights - ideal)])
 
     faults = matrix_faults(np.concatenate([elements, c_sum, k_limb, k_sum, c_inv]))
     finite = np.isfinite(heights) & np.isfinite(ideal)
     # each copy's checks: each limb slot's, then the mechanism's
     # (members, compliance sum, the checks after it)
-    limb_width = member_grid.shape[1] + 1 + _LIMB_CHECKS_AFTER_SUM
-    n, limb_checks = len(k_sum), slot_grid.shape[1] * limb_width
+    n, limb_checks = len(k_sum), plan.slot_limb.shape[1] * plan.limb_width
     checks = np.zeros((n, limb_checks + _MECHANISM_CHECKS), dtype=faults.dtype)
     conds = np.full(checks.shape, np.nan)
     if not any(map(np.count_nonzero, (faults, limb_refused, refused, decoupled, ideal_faults,
@@ -399,21 +515,35 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     g, d = len(elements), len(c_sum)
     # each limb's checks: its members' element checks, then its compliance
     # sum, inversion and stiffness; the last entry and row pass, for padding
-    element_faults = np.append(faults[:g], 0)
-    limb = np.zeros((d + 1, limb_width), dtype=faults.dtype)
-    limb[:d, :-3] = element_faults[np.append(geom_of.ravel(), g)[member_grid]]
+    limb = np.zeros((d + 1, plan.limb_width), dtype=faults.dtype)
+    limb[:d, :-3] = np.append(faults[:g], 0)[plan.element_of]
     limb[:d, -3] = faults[g:g + d]
     limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
     limb[:d, -1] = faults[g + d:g + 2 * d]
     limb_conds = np.full(limb.shape, np.nan)
     limb_conds[:d, -2] = limb_cond
-    checks[:, :limb_checks] = limb[slot_limb].reshape(n, -1)
-    conds[:, :limb_checks] = limb_conds[slot_limb].reshape(n, -1)
+    checks[:, :limb_checks] = limb[plan.slot_limb].reshape(n, -1)
+    conds[:, :limb_checks] = limb_conds[plan.slot_limb].reshape(n, -1)
     checks[:, limb_checks:] = np.column_stack([
         faults[-2 * n:-n], refused * SINGULAR_STIFFNESS, faults[-n:], decoupled * NO_CENTER,
         ideal_faults, np.where(finite, 0, CENTERS_NOT_FINITE)])
     conds[:, limb_checks + 1] = cond
     return c_limb, k, c, centers, checks, conds
+
+
+def _copied_centers(plan, limb_of, tips, lean):
+    """fourbar_centers of each copied mechanism of `plan`, from the
+    (places, S, 2) limb tip (x, y) of each placement row and the leg angle
+    of each (limb row, limb).  A leg's y is its placement row's, so each
+    side's first leg is found once per (placement row, mechanism), and only
+    the two legs found are gathered per copy."""
+    # the padding gets y = 0, on neither side
+    firsts, one_sided = _sides(np.where(plan.mech_pad, 0.0, tips[:, plan.mech_slot, 1]))
+    legs = plan.mech_slot.ravel()[firsts + plan.mech_base].reshape(2, -1)[:, plan.copy_side]
+    first_tip, second_tip = tips.reshape(-1, 2)[plan.copy_tip + legs]
+    first_angle, second_angle = lean[plan.copy_leg + limb_of[legs]]
+    return _crossings(*first_tip.T, first_angle, *second_tip.T, second_angle,
+                      one_sided.ravel()[plan.copy_side])
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
@@ -475,18 +605,34 @@ def fourbar_centers(legs):
     arithmetic overflows give a non-finite height; callers that must not
     warn run it under np.errstate."""
     rows = np.arange(len(legs))
-    pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
-    # the first leg of each side
-    x1, y1, a1 = legs[rows, pos.argmax(axis=1)].T
-    x2, y2, a2 = legs[rows, neg.argmax(axis=1)].T
+    (first, second), one_sided = _sides(legs[..., 1])
+    return _crossings(*legs[rows, first].T, *legs[rows, second].T, one_sided)
+
+
+# y > 0, then -y > 0 (y < 0), of each leg y
+_SIDES = np.array([1.0, -1.0])
+
+
+def _sides(y):
+    """The index of the first leg with y > 0 and of the first with y < 0
+    along the last axis of an array of leg y coordinates, stacked as one
+    (2, ...) array, and the mask of the rows without both (y = 0 or NaN is
+    on neither side)."""
+    sides = np.multiply.outer(_SIDES, y) > 0.0
+    return sides.argmax(axis=-1), ~sides.any(axis=-1).all(axis=0)
+
+
+def _crossings(x1, y1, a1, x2, y2, a2, one_sided):
+    """The heights and fault codes of fourbar_centers from the (N,) tip
+    (x, y) and angle of the first leg of each side, and the (N,) one-sided
+    mask."""
     sin = np.sin(a2 - a1)
     parallel = np.abs(sin) < 1e-12
     # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
     # (a parallel pair divides by 1 instead; its height is masked below)
     s1 = ((x2 - x1) * np.sin(a2) - (y2 - y1) * np.cos(a2)) / np.where(parallel, 1.0, sin)
     heights = x1 + s1 * np.cos(a1)
-    faults = np.where(pos.any(axis=1) & neg.any(axis=1),
-                      np.where(parallel, PARALLEL_LEGS, 0), ONE_SIDED)
+    faults = np.where(one_sided, ONE_SIDED, np.where(parallel, PARALLEL_LEGS, 0))
     return np.where(faults == 0, heights, np.nan), faults
 
 
@@ -583,6 +729,46 @@ def analyze(m: Mechanism) -> RccResult:
     return result
 
 
+@dataclass(frozen=True)
+class _GridPlan:
+    """The level indices of a sweep grid, read-only (_grid_plan)."""
+
+    index: np.ndarray           # (N, P) level index of each point along each name
+    order: tuple                # the names' positions, limb edits first, then slot edits
+    batches: tuple              # per batch: (level indices of its rows per name, row_of, place_of)
+    nbytes: int
+
+
+def _grid_plan(sizes, placing):
+    """The _GridPlan of a grid of the given level counts whose names are
+    slot edits where `placing` holds, from _plans once made: each batch of
+    SWEEP_BATCH points, its limb rows and placement rows told by integer
+    keys of the level indices, and the level of each row along each name."""
+    return _cached_plan(("grid", sizes, placing, SWEEP_BATCH),
+                        lambda: _build_grid_plan(sizes, placing))
+
+
+def _build_grid_plan(sizes, placing):
+    index = np.indices(sizes).reshape(len(sizes), -1).T
+    # the limb rows, then the placement rows
+    picks = [[j for j, slot in enumerate(placing) if slot == kind] for kind in (False, True)]
+    batches, arrays = [], [index]
+    for start in range(0, len(index), SWEEP_BATCH):
+        batch = index[start:start + SWEEP_BATCH]
+        levels, row_ofs = [None] * len(sizes), []
+        for picked in picks:
+            key = np.zeros(len(batch), dtype=np.intp)
+            for j in picked:
+                key = key * sizes[j] + batch[:, j]
+            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+            for j in picked:
+                levels[j] = batch[first, j]
+            row_ofs.append(row_of)
+        arrays += levels + row_ofs
+        batches.append((tuple(levels), *row_ofs))
+    return _GridPlan(index, tuple(picks[0] + picks[1]), tuple(batches), _read_only(*arrays))
+
+
 def evaluate_grid(template: Mechanism, levels):
     """The values, K, the remote-center rows and the first fault of each
     point of a sweep grid of `template`: the product of the (n,) level values
@@ -590,7 +776,8 @@ def evaluate_grid(template: Mechanism, levels):
     name varying fastest.  The template is compiled once, and each batch of
     SWEEP_BATCH points is one _evaluate call; a point's limb row and
     placement row are told by integer keys of its level indices, so no row
-    of floats is compared.
+    of floats is compared, and those keys depend only on the level counts,
+    so a grid of the same shape reuses them (_grid_plan).
 
     Returns, in grid order, the (N, P) grid values, one row per point, the
     (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal center,
@@ -603,23 +790,12 @@ def evaluate_grid(template: Mechanism, levels):
     for name in names:
         if not _edit_mask(compiled, name).any():
             raise ValueError(f"sweep parameter {name!r} edits nothing in this mechanism")
-    sizes = [len(v) for v in values]
-    # the level index of each point along each name, in grid order
-    index = np.indices(sizes).reshape(len(sizes), -1).T
+    grid_plan = _grid_plan(tuple(len(v) for v in values),
+                           tuple(SWEEP_EDITS[name][0] == "slot" for name in names))
     batches = []
-    for start in range(0, len(index), SWEEP_BATCH):
-        batch = index[start:start + SWEEP_BATCH]
-        columns, row_ofs = [], []
-        # the limb rows, then the placement rows
-        for placing in (False, True):
-            picked = [j for j, n in enumerate(names) if (SWEEP_EDITS[n][0] == "slot") == placing]
-            key = np.zeros(len(batch), dtype=np.intp)
-            for j in picked:
-                key = key * sizes[j] + batch[:, j]
-            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
-            columns += [(names[j], values[j][batch[first, j]]) for j in picked]
-            row_ofs.append(row_of)
-        _, k, _, centers, checks, conds = _evaluate(compiled, columns, *row_ofs)
+    for levels_at, row_of, place_of in grid_plan.batches:
+        columns = [(names[j], values[j][levels_at[j]]) for j in grid_plan.order]
+        _, k, _, centers, checks, conds = _evaluate(compiled, columns, row_of, place_of)
         batches.append((k, centers, *_first_faults(checks, conds)))
-    grid = np.stack([v[i] for v, i in zip(values, index.T)], axis=-1)
+    grid = np.stack([v[i] for v, i in zip(values, grid_plan.index.T)], axis=-1)
     return (grid, *map(np.concatenate, zip(*batches)))

@@ -1,12 +1,17 @@
 """Twist/wrench algebra on 6x6 spatial matrices.
 
-The array functions (rot_z, s_matrix, transports, congruence,
+The array functions (rot_z, s_matrix, transports, transposed, congruence,
 matrix_faults, symmetrize, invert_stack) take one matrix or a stack
 (..., 6, 6); the batched assembly engine runs on them, and invert applies
 invert_stack to one SpatialMatrix6, a wrapper of one checked matrix.
 invert_stack refuses a matrix on the 1-norm condition number of its
 diagonally equilibrated form, read off the inverse it computes anyway; the
-figure is the same in any units.
+figure is the same in any units.  With d = diag(M)^-1/2 it is
+max_j d_j (d^T |M|)_j times max_j ((1/d)^T |M^-1|)_j / d_j: two
+vector-matrix products per matrix, with no stack of scales.  matrix_faults
+reads the largest entry magnitude as max(max m_ij, -min m_ij) and the
+asymmetry off the 15 pairs above the diagonal, with no stack of |M| or of
+M - M^T.
 
 Conventions (fixed package-wide):
   - units N, mm, rad; wrench = (Fx, Fy, Fz, Mx, My, Mz), twist = (dx, dy, dz,
@@ -80,16 +85,28 @@ def _swap(m):
     return m.swapaxes(-1, -2)
 
 
+# the flat indices of the 15 entries above the diagonal of a 6x6 matrix,
+# then of their mirror images below it
+_PAIRS = np.concatenate([np.ravel_multi_index(ij, (6, 6)) for ij in
+                         (np.triu_indices(6, 1), np.triu_indices(6, 1)[::-1])])
+
+
 def matrix_faults(m):
     """Fault code of each matrix in a (..., 6, 6) stack: 0 valid,
     NOT_FINITE, or NOT_SYMMETRIC (asymmetry beyond SYM_RTOL of the largest
-    entry).  SpatialMatrix6 applies the same rule to one matrix."""
-    scale = np.abs(m).max(axis=(-2, -1))
+    entry).  SpatialMatrix6 applies the same rule to one matrix.
+
+    The largest entry magnitude is max(max m_ij, -min m_ij), and the
+    asymmetry max |m_ij - m_ji| over the 15 pairs above the diagonal:
+    m_ji - m_ij is exactly -(m_ij - m_ji), so the pairs below it add
+    nothing.  So no stack of |M| or of M - M^T is made."""
+    flat = m.reshape(m.shape[:-2] + (36,))
+    scale = np.maximum(flat.max(axis=-1), -flat.min(axis=-1))
     finite = np.isfinite(scale)     # the max of a matrix with a NaN or inf entry is not finite
     if not finite.all():
-        m = np.where(finite[..., None, None], m, 0.0)
-    # M - M^T is antisymmetric, so its largest entry is its largest magnitude
-    asym = (m - _swap(m)).max(axis=(-2, -1))
+        flat = np.where(finite[..., None], flat, 0.0)
+    pairs = flat[..., _PAIRS]
+    asym = np.abs(pairs[..., :15] - pairs[..., 15:]).max(axis=-1)
     return np.where(finite, (asym > SYM_RTOL * scale) * NOT_SYMMETRIC, NOT_FINITE)
 
 
@@ -177,11 +194,17 @@ def transports(theta, r, force):
     return j
 
 
-def congruence(j, m):
-    """J M J^T for each pair of a stack of transports and matrices; J^T is
-    made C-contiguous first, which multiplies faster than the transposed
-    view and gives the same bits."""
-    return j @ m @ np.ascontiguousarray(_swap(j))
+def transposed(j):
+    """J^T of each matrix in a stack, C-contiguous: it multiplies faster
+    than the transposed view and gives the same bits."""
+    return np.ascontiguousarray(_swap(j))
+
+
+def congruence(j, m, jt=None):
+    """J M J^T for each pair of a stack of transports and matrices; `jt`,
+    when given, is transposed(j), made once for the stacks j is gathered
+    from."""
+    return j @ m @ (transposed(j) if jt is None else jt)
 
 
 def invert_stack(m):
@@ -191,10 +214,12 @@ def invert_stack(m):
 
     The condition number is the 1-norm one of the equilibrated matrix D M D,
     D = diag(M)^-1/2: ||D M D||_1 ||D^-1 M^-1 D^-1||_1, read off the inverse,
-    so it does not depend on units.  A matrix with a non-positive diagonal
-    entry, a non-finite entry or an exact zero pivot gets inf.  A refused
-    matrix is inverted as the identity, so one singular matrix leaves the
-    rest of the stack intact.
+    so it does not depend on units.  Column j of D M D sums to
+    d_j (d^T |M|)_j, and column j of D^-1 M^-1 D^-1 to ((1/d)^T |M^-1|)_j / d_j,
+    so each 1-norm is one vector-matrix product per matrix and a row max.  A
+    matrix with a non-positive diagonal entry, a non-finite entry or an exact
+    zero pivot gets inf.  A refused matrix is inverted as the identity, so
+    one singular matrix leaves the rest of the stack intact.
     """
     try:
         inv = np.linalg.inv(m)
@@ -206,9 +231,8 @@ def invert_stack(m):
     # a non-positive diagonal makes the scaling, and so the figure, NaN or inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d = 1.0 / np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
-        scale = d[..., :, None] * d[..., None, :]
-        cond = (np.abs(m * scale).sum(axis=-2).max(axis=-1)
-                * np.abs(inv / scale).sum(axis=-2).max(axis=-1))
+        cond = ((d[..., None, :] @ np.abs(m))[..., 0, :] * d).max(axis=-1) * (
+            ((1.0 / d)[..., None, :] @ np.abs(inv))[..., 0, :] / d).max(axis=-1)
     refused = ~(cond <= COND_LIMIT)
     if refused.any():
         cond = np.where(np.isnan(cond), np.inf, cond)

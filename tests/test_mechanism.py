@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import flexmech.mechanism as mech
 import flexmech.spatial as spatial
 from flexmech.elements import BeamGeometry, HingeGeometry, element_compliance
+from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
 from flexmech.errors import SingularMatrixError, fault_error
 from flexmech.fixtures import load_reference_stiffness, load_small_rcc
 from flexmech.materials import Material
@@ -704,3 +705,140 @@ def test_single_item_entry_points_equal_analyze_bitwise(m):
     assert (_outcome(lambda: invert(mechanism_stiffness(m)).m)
             == _outcome(lambda: analyze(m).c.m))
     assert _outcome(lambda: ideal_fourbar_center(m)) == _outcome(lambda: analyze(m).ideal_center)
+
+
+def _engine_bits(mechanisms):
+    """The bytes of everything _evaluate returns for analyze_batch's compile
+    of `mechanisms`: limb compliances, K, C, centre rows, fault codes and
+    condition numbers."""
+    compiled = mech._compile([pair for m in mechanisms for pair in m.limbs],
+                             [len(m.limbs) for m in mechanisms])
+    return [(a.dtype, a.shape, a.tobytes()) for a in mech._evaluate(compiled)]
+
+
+def _cold(f):
+    """f() run with an empty plan cache, which is restored afterwards."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mech, "_plans", {})
+        return f()
+
+
+# the faulty designs of FAULT_CASES, so cold and warm runs also compare
+# the fault tables
+FAULTY = st.sampled_from([case[0] for case in FAULT_CASES.values()]).map(lambda build: build())
+
+
+@settings(max_examples=40)
+@given(ms=st.lists(st.one_of(MECHANISMS, FAULTY), min_size=1, max_size=3))
+def test_cold_plan_equals_warm_plan_bitwise(ms):
+    cold = _cold(lambda: _engine_bits(ms))
+    _engine_bits(ms)            # the plan is cached from here on
+    assert _engine_bits(ms) == cold
+    warm = analyze_batch(ms)
+    for want, got in zip(_cold(lambda: analyze_batch(ms)), warm):
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert np.array_equal(got.k.m, want.k.m) and np.array_equal(got.c.m, want.c.m)
+            assert (got.rcc_height, got.ideal_center, got.rotational_precision) == \
+                (want.rcc_height, want.ideal_center, want.rotational_precision)
+
+
+class TestPlan:
+    """The engine's integer half is a plan made once per layout of copies
+    and kept (mechanism._plan); the float half runs on every call."""
+
+    def test_identity_and_order_get_their_own_plan_and_cold_result(self, monkeypatch):
+        monkeypatch.setattr(mech, "_plans", {})
+        shared, fresh = repeated_design(False), repeated_design(True)
+        # limb slots (a, a, b, b, c, c) placed as (a, b, a, b, c, c)
+        reordered = Mechanism(tuple(shared.limbs[i] for i in (0, 2, 1, 3, 4, 5)))
+        seen = []
+        for m in (shared, fresh, reordered):
+            warm = _engine_bits([m])
+            assert len(mech._plans) == len(seen) + 1
+            assert _cold(lambda: _engine_bits([m])) == warm
+            seen.append(warm)
+        # equal objects give the same K, shared or not
+        assert seen[0][1] == seen[1][1]
+
+    def test_warm_calls_of_a_known_layout_build_no_plan(self, monkeypatch):
+        monkeypatch.setattr(mech, "_plans", {})
+        built = []
+        for name in ("_build_plan", "_build_grid_plan", "_shared", "_runs"):
+            function = getattr(mech, name)
+            monkeypatch.setattr(mech, name, lambda *a, f=function, n=name: (built.append(n),
+                                                                             f(*a))[1])
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: (built.append("unique"),
+                                                           unique(*a, **k))[1])
+        analyze(design(2, long={1}))
+        assert "_build_plan" in built
+        built.clear()
+        # new numbers, the same topology: the plan is reused
+        analyze(design(2, long={1}, lean=23.0, y=11.0, hinge=hinged(2.5)))
+        mechanism_stiffness(design(2, long={1}, lean=17.0, hinge=hinged(3.1)))
+        assert built == []
+        objective = SweepObjective(rcc_height_target=28.6)
+        run_sweep(SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 13.0, 16)}, objective),
+                  small_rcc())
+        assert {"_build_plan", "_build_grid_plan", "_shared", "_runs", "unique"} <= set(built)
+        built.clear()
+        # a second sweep of the same grid shape, over other ranges
+        run_sweep(SweepSpec({"angle": (14.0, 25.0, 16), "y": (9.0, 12.0, 16)}, objective),
+                  small_rcc())
+        assert built == []
+
+    def test_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(mech, "_plans", {})
+        monkeypatch.setattr(mech, "PLAN_CACHE_BYTES", 200_000)
+        objective = SweepObjective(rcc_height_target=28.6)
+        for pairs in range(1, 5):
+            for long in ((), (0,), (pairs - 1,)):
+                analyze(design(pairs, long=set(long)))
+                assert sum(p.nbytes for p in mech._plans.values()) <= 200_000
+        for n in (2, 7, 16, 40):
+            run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
+                      small_rcc())
+            assert sum(p.nbytes for p in mech._plans.values()) <= 200_000
+        # the oldest went first: the last sweep's plans are kept
+        assert ("grid", (40, 40), (False, False), mech.SWEEP_BATCH) in mech._plans
+        # a plan larger than the bound alone is used, not kept
+        monkeypatch.setattr(mech, "_plans", {})
+        monkeypatch.setattr(mech, "PLAN_CACHE_BYTES", 1_000)
+        analyze(design(4, long={0, 1, 2, 3}))
+        assert mech._plans == {}
+
+    def test_plan_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(mech, "_plans", {})
+        analyze(small_rcc())
+        run_sweep(SweepSpec({"angle": (12.0, 30.0, 4), "t": (2.0, 3.0, 3), "y": (8.0, 13.0, 2)},
+                            SweepObjective(rcc_height_target=28.6)), small_rcc())
+        assert {type(p).__name__ for p in mech._plans.values()} == {"_Plan", "_GridPlan"}
+        arrays = []
+        for plan in mech._plans.values():
+            for value in vars(plan).values():
+                items = value if isinstance(value, tuple) else (value,)
+                for item in items:
+                    arrays += [a for a in (item if isinstance(item, tuple) else (item,))
+                               if isinstance(a, np.ndarray)]
+        assert len(arrays) > 30
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = a
+
+
+@settings(max_examples=30)
+@given(m=MECHANISMS)
+def test_every_compliance_and_stiffness_is_positive_definite(m):
+    # invert_stack refuses on the condition number and a non-positive
+    # diagonal only, so a well-conditioned indefinite matrix would pass it;
+    # a Cholesky factor exists only for a positive definite matrix
+    result = analyze(m)
+    for limb, _ in m.limbs:
+        for geom, _ in limb.members:
+            np.linalg.cholesky(element_compliance(geom).m)
+        np.linalg.cholesky(limb_compliance(limb).m)
+    np.linalg.cholesky(result.k.m)
+    np.linalg.cholesky(result.c.m)
