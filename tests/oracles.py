@@ -8,6 +8,8 @@ with its argument checks, so a test can hold the engine against them.
 import itertools
 import math
 
+import mpmath
+
 from flexmech.kernels import notch_kernels, torsion_beta
 from flexmech.materials import Material
 from flexmech.spatial import FramePlacement, SpatialMatrix6, congruence, rot_z, transports
@@ -20,6 +22,18 @@ def rect_torsion_constant(side_a, side_b):
     long_s = max(side_a, side_b)
     short_s = min(side_a, side_b)
     return torsion_beta(long_s / short_s) * long_s * short_s**3
+
+
+def saint_venant_beta(aspect):
+    """beta of a rectangle of side ratio `aspect` >= 1 from the whole odd-n
+    Saint-Venant series, in 30-digit mpmath: the tanh terms up to n = 61,
+    then the tail sum_{n odd >= 63} 1/n^5 = zeta(5, 31.5) / 32 (Hurwitz
+    zeta), where tanh(n pi aspect / 2) is 1 to 80 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(aspect)
+        series = mpmath.fsum(mpmath.tanh(n * mpmath.pi * a / 2) / mpmath.mpf(n)**5
+                             for n in range(1, 62, 2)) + mpmath.zeta(5, 31.5) / 32
+        return float((1 - 192 / mpmath.pi**5 * series / a) / 3)
 
 
 def notch_thickness(x, r, t):

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from flexmech.elements import HingeGeometry, element_compliance
 from flexmech.fixtures import load_small_rcc
 from flexmech.kernels import notch_kernels, torsion_beta
 from flexmech.materials import Material
-from oracles import notch_thickness, rect_torsion_constant
+from oracles import notch_thickness, rect_torsion_constant, saint_venant_beta
 
 # paper-scale notch plus off-nominal geometries
 GEOMETRIES = [
@@ -28,6 +29,10 @@ GEOMETRIES = [
     (3.0, 0.9, 2.5),
     (2.0, 6.0, 4.0),
 ]
+
+
+# sum_{n odd >= 41} 1/n^5 = zeta(5, 20.5) / 32 (Hurwitz zeta)
+ODD_TAIL_41 = float(mpmath.zeta(5, 20.5) / 32)
 
 
 def brute_force_kernels(r, t, w, strips=1_000_000):
@@ -40,8 +45,10 @@ def brute_force_kernels(r, t, w, strips=1_000_000):
     short_s = np.minimum(w, h)
     aspect = long_s / short_s
     n = np.arange(1, 40, 2, dtype=float)
+    # the whole series: from n = 41 on, tanh is 1 in float at aspect >= 1
     series = np.tanh(0.5 * np.pi * aspect[:, None] * n[None, :]) / n[None, :] ** 5
-    beta = (1.0 - (192.0 / np.pi**5) * series.sum(axis=1) / aspect) / 3.0
+    series = series.sum(axis=1) + ODD_TAIL_41
+    beta = (1.0 - (192.0 / np.pi**5) * series / aspect) / 3.0
     it = beta * long_s * short_s**3
     return {
         "k1": float(np.sum(1.0 / h) * dx),
@@ -64,7 +71,9 @@ def paros_weisbord_k1(r, t):
 
 class TestTorsionBeta:
     def test_square(self):
-        assert torsion_beta(1.0) == pytest.approx(0.14057702514, abs=1e-9)
+        # the whole series: 0.1405770149552; the sum truncated at n = 39
+        # gave 0.1405770251
+        assert torsion_beta(1.0) == pytest.approx(saint_venant_beta(1.0), abs=1e-9)
 
     def test_square_section_it(self):
         it = torsion_beta(1.0) * 5.0 * 5.0**3
@@ -86,16 +95,12 @@ class TestTorsionBeta:
             torsion_beta(np.array([2.0, 0.5]))
 
     def test_matches_scalar_series_loop(self):
-        def loop_beta(aspect):
-            s = sum(math.tanh(0.5 * n * math.pi * aspect) / n**5 for n in range(1, 40, 2))
-            return (1.0 - (192.0 / math.pi**5) * s / aspect) / 3.0
-
         aspects = np.linspace(1.0, 30.0, 100)
         batch = torsion_beta(aspects)
         assert batch.shape == aspects.shape
         assert isinstance(torsion_beta(2.0), float)
-        # same terms, summed in another order: a few ulps apart at most
-        np.testing.assert_allclose(batch, [loop_beta(a) for a in aspects], rtol=1e-14)
+        # the 30-digit sum of the whole series: a few ulps apart at most
+        np.testing.assert_allclose(batch, [saint_venant_beta(a) for a in aspects], rtol=1e-14)
         np.testing.assert_allclose([torsion_beta(a) for a in aspects], batch, rtol=1e-14)
 
 
