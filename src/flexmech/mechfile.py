@@ -7,7 +7,9 @@ finite, and every error names its line and field (MechanismFileError).
 
 Every record line of every file is read by one reader (_records) against
 one table (GRAMMAR) of each head's positional tokens and options; the
-section parsers look up names, convert numbers and build objects.  Creep
+section parsers look up names, convert numbers and build objects.  Every
+name, in a limb section header and at a record's name position, follows
+one rule (NAME_RULE) and is an error at its own line otherwise.  Creep
 traces and the reference matrix are number columns (numeric_rows).
 
 Mechanism file layout (units fixed to mm / degrees / N, declared in a
@@ -83,6 +85,19 @@ GRAMMAR = {
     "target_k": ("target_k <axis> <N/mm> [weight=<w>]", (2, 2), (), ("weight",)),
     "measured": ("measured <axis> <value> [<high>]", (2, 3), (), ()),
 }
+
+
+# the one rule for a name, in a [limb <name>] header and at a record's name
+# position (GRAMMAR's <name>, <variant> and <element>); README states it
+NAME_RULE = "one token, with no '=', '[' or ']'"
+_NAME_TOKENS = ("<name>", "<variant>", "<element>")
+
+
+def _name(text, lineno):
+    """`text`, or an error at the line if it breaks NAME_RULE."""
+    if len(text.split()) != 1 or any(c in text for c in "=[]"):
+        raise MechanismFileError(f"name {text!r} is not {NAME_RULE}", lineno)
+    return text
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,9 @@ def _records(entries, section, heads):
         for key in required:
             if key not in options:
                 raise MechanismFileError(f"{head} needs {' and '.join(required)}", lineno, key)
+        for word, token in zip(words, usage.split()[1:]):
+            if token in _NAME_TOKENS:
+                _name(word, lineno)
         records.append((lineno, head, words, options))
     return records
 
@@ -390,7 +408,7 @@ def parse_lines(lines) -> ParsedMechanism:
         elif words[:1] == ["limb"]:
             if len(words) == 1:
                 raise MechanismFileError("limb section needs a name: [limb <name>]", lineno)
-            limb_name = words[1]
+            limb_name = _name(words[1], lineno)
             if limb_name in limbs:
                 raise MechanismFileError(f"duplicate limb section {limb_name!r}", lineno)
             limbs[limb_name] = _parse_limb(limb_name, entries, elements, lineno)

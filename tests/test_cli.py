@@ -71,6 +71,8 @@ MIXED_TARGET_K_WEIGHTS = SWEEP_FILE.format(
 ZERO_TARGET_K = SWEEP_FILE.format(extra="[sweep]\nvary t 2 3 2\ntarget_k x 150\ntarget_k y 0\n")
 LIMBS_HEADER = SWEEP_FILE.format(extra="").replace("[limb right]", "[limbs]")
 NAMELESS_LIMB = SWEEP_FILE.format(extra="").replace("[limb right]", "[limb]")
+SPACED_LIMB = SWEEP_FILE.format(extra="").replace("[limb right]", "[limb right arm]")
+OPTION_LIMB = SWEEP_FILE.format(extra="").replace("[limb right]", "[limb a=b]")
 MEASURED_Q = SWEEP_FILE.format(extra="[measured]\nmeasured z 2.5\nmeasured q 2.54\n")
 MEASURED_ZERO = SWEEP_FILE.format(extra="[measured]\nmeasured z 0\n")
 MEASURED_NEGATIVE = SWEEP_FILE.format(extra="[measured]\nmeasured y 8 10\nmeasured z -2.54\n")
@@ -124,6 +126,10 @@ def _line_of(text, needle):
                                "unknown section [limbs]"),
     ("validate", NAMELESS_LIMB, f"error: line {_line_of(NAMELESS_LIMB, '[limb]')}: "
                                 "limb section needs a name"),
+    ("validate", SPACED_LIMB, f"error: line {_line_of(SPACED_LIMB, '[limb right arm]')}: "
+                              "name 'right arm' is not one token, with no '=', '[' or ']'"),
+    ("validate", OPTION_LIMB, f"error: line {_line_of(OPTION_LIMB, '[limb a=b]')}: "
+                              "name 'a=b' is not one token, with no '=', '[' or ']'"),
     ("validate", MEASURED_Q, f"error: line {_line_of(MEASURED_Q, 'measured q')}, field 'q': "
                              "unknown measured axis 'q'"),
     ("analyze", MEASURED_ZERO, f"error: line {_line_of(MEASURED_ZERO, 'measured z')}, "
@@ -144,7 +150,7 @@ def _line_of(text, needle):
 ], ids=["material-line", "weight-only-analyze", "weight-only-sweep", "misspelt-option-sweep",
         "creep-nan", "repeated-vary", "repeated-target", "repeated-measured", "repeated-sweep",
         "repeated-mechanism", "mixed-target-k-weights", "zero-target-k", "limbs-header",
-        "nameless-limb", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
+        "nameless-limb", "spaced-limb-name", "option-limb-name", "measured-axis", "measured-zero", "measured-negative", "empty-limb",
         "member-r-z", "misspelt-member-option", "hinge-w-overflow", "beam-l-overflow",
         "hinge-w-underflow", "beam-s-underflow"])
 def test_input_error_names_file_line(tmp_path, capfd, command, text, message):

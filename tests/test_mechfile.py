@@ -7,7 +7,7 @@ import pytest
 
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import data_path, load_small_rcc
-from flexmech.mechfile import GRAMMAR, load_joint_catalog, parse_lines, parse_mechanism, serialize
+from flexmech.mechfile import GRAMMAR, NAME_RULE, load_joint_catalog, parse_lines, parse_mechanism, serialize
 
 GOOD = """\
 flexmech mechanism format 1
@@ -337,6 +337,17 @@ RECORD_ERRORS = [
     ("vary t 2.0 4.0 3", "very t 2.0 4.0 3", None, "unexpected sweep line 'very t 2.0 4.0 3'"),
     ("measured y 8.3 10", "measure y 8.3 10", None,
      "unexpected measured line 'measure y 8.3 10'"),
+    # a name that breaks the name rule, at each name position
+    ("material soft E=60 nu=0.48", "material [soft] E=60 nu=0.48", None,
+     "name '[soft]' is not one token, with no '=', '[' or ']'"),
+    ("joint a cross=5 joint=3 max_load=1", "joint a] joint=3 max_load=1", None,
+     "name 'a]' is not one token, with no '=', '[' or ']'"),
+    ("hinge n material=soft r=1.25 t=2.82 w=5 h1=0", "hinge [n material=soft r=1.25 t=2.82 w=5",
+     None, "name '[n' is not one token, with no '=', '[' or ']'"),
+    ("member b r=10.4,0,0 theta=20", "member b[1] r=10.4,0,0 theta=20", None,
+     "name 'b[1]' is not one token, with no '=', '[' or ']'"),
+    ("limb left r=-2.5,10.325,-8.65", "limb [left] r=-2.5,10.325,-8.65", None,
+     "name '[left]' is not one token, with no '=', '[' or ']'"),
     # too few positional tokens
     ("material soft E=60 nu=0.48", "material E=60 nu=0.48", None,
      f"expected '{USAGE['material']}', got 'material E=60 nu=0.48'"),
@@ -470,3 +481,5 @@ def test_readme_lists_the_grammar():
             == list(required)
         assert [w[1:].partition("=")[0] for w in words if "=" in w and w.startswith("[")] \
             == list(optional)
+    # and the one name rule
+    assert NAME_RULE in readme
