@@ -336,7 +336,6 @@ class _Plan:
     masks: tuple                # what each edit column changes (_edit_mask)
     member_src: np.ndarray      # flat (limb row, member) of each member transport
     member_of: np.ndarray       # member of each member transport
-    slot_src: np.ndarray        # limb slot of each limb slot transport, placement row by row
     force: np.ndarray           # transport kind: member transports, then wrench ones
     term_geom: np.ndarray       # element of each J C J^T term
     term_moved: np.ndarray      # transport of each term
@@ -418,7 +417,6 @@ def _build_plan(compiled: _Compiled, names, masks, row_of, place_of):
     plan = dict(
         rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
         masks=masks, member_src=member_src, member_of=member_src % size,
-        slot_src=np.tile(np.arange(count), places),
         force=np.arange(moved + places * count) >= moved, term_geom=term_geom,
         term_moved=term_moved, limb_terms=np.append(term_of.ravel(), terms)[member_grid],
         member_grid=member_grid,
@@ -475,7 +473,7 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     # one transport pass: members move twists to their limb tip, limb slots
     # move wrenches to the reference point
     j = transports(np.concatenate([theta.ravel()[plan.member_src],
-                                   compiled.slot_theta[plan.slot_src]]),
+                                   np.tile(compiled.slot_theta, plan.places)]),
                    np.concatenate([compiled.r[plan.member_of], slot_r.reshape(-1, 3)]),
                    plan.force)
     jt = transposed(j)
