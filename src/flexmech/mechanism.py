@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,10 +324,10 @@ def _read_only(*arrays):
     return sum(a.nbytes for a in arrays)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Every index array _evaluate reads for one layout of copies, read-only:
-    the integer half of the engine (_build_plan)."""
+    the integer half of the engine (_build_plan).  A NamedTuple, as its
+    class costs a tenth of a frozen dataclass's at import."""
 
     rows: int                   # limb rows
     places: int                 # placement rows
@@ -727,8 +728,7 @@ def analyze(m: Mechanism) -> RccResult:
     return result
 
 
-@dataclass(frozen=True)
-class _GridPlan:
+class _GridPlan(NamedTuple):
     """The level indices of a sweep grid, read-only (_grid_plan)."""
 
     index: np.ndarray           # (N, P) level index of each point along each name

@@ -6,8 +6,8 @@ matrix_faults, symmetrize, invert_stack) take one matrix or a stack
 invert_stack to one SpatialMatrix6, a wrapper of one checked matrix.
 invert_stack refuses a matrix on the 1-norm condition number of its
 diagonally equilibrated form, read off the inverse it computes anyway; the
-figure is the same in any units.  With d = diag(M)^-1/2 it is
-max_j d_j (d^T |M|)_j times max_j ((1/d)^T |M^-1|)_j / d_j: two
+figure is the same in any units.  With root = diag(M)^1/2 and d = 1 / root
+it is max_j d_j (d^T |M|)_j times max_j root_j (root^T |M^-1|)_j: two
 vector-matrix products per matrix, with no stack of scales.  matrix_faults
 reads the largest entry magnitude as max(max m_ij, -min m_ij) and the
 asymmetry off the 15 pairs above the diagonal, with no stack of |M| or of
@@ -214,9 +214,10 @@ def invert_stack(m):
 
     The condition number is the 1-norm one of the equilibrated matrix D M D,
     D = diag(M)^-1/2: ||D M D||_1 ||D^-1 M^-1 D^-1||_1, read off the inverse,
-    so it does not depend on units.  Column j of D M D sums to
-    d_j (d^T |M|)_j, and column j of D^-1 M^-1 D^-1 to ((1/d)^T |M^-1|)_j / d_j,
-    so each 1-norm is one vector-matrix product per matrix and a row max.  A
+    so it does not depend on units.  With d = 1 / root, root = diag(M)^1/2,
+    column j of D M D sums to d_j (d^T |M|)_j, and column j of
+    D^-1 M^-1 D^-1 to root_j (root^T |M^-1|)_j, so each 1-norm is one
+    vector-matrix product per matrix and a row max.  A
     matrix with a non-positive diagonal entry, a non-finite entry or an exact
     zero pivot gets inf.  A refused matrix is inverted as the identity, so
     one singular matrix leaves the rest of the stack intact.
@@ -230,9 +231,10 @@ def invert_stack(m):
         inv = np.where(exact, np.inf, np.linalg.inv(np.where(exact, np.eye(6), m)))
     # a non-positive diagonal makes the scaling, and so the figure, NaN or inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = 1.0 / np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
+        root = np.sqrt(np.diagonal(m, axis1=-2, axis2=-1))
+        d = 1.0 / root
         cond = ((d[..., None, :] @ np.abs(m))[..., 0, :] * d).max(axis=-1) * (
-            ((1.0 / d)[..., None, :] @ np.abs(inv))[..., 0, :] / d).max(axis=-1)
+            (root[..., None, :] @ np.abs(inv))[..., 0, :] * root).max(axis=-1)
     refused = ~(cond <= COND_LIMIT)
     if refused.any():
         cond = np.where(np.isnan(cond), np.inf, cond)

@@ -815,13 +815,14 @@ class TestPlan:
         run_sweep(SweepSpec({"angle": (12.0, 30.0, 4), "t": (2.0, 3.0, 3), "y": (8.0, 13.0, 2)},
                             SweepObjective(rcc_height_target=28.6)), small_rcc())
         assert {type(p).__name__ for p in mech._plans.values()} == {"_Plan", "_GridPlan"}
-        arrays = []
-        for plan in mech._plans.values():
-            for value in vars(plan).values():
-                items = value if isinstance(value, tuple) else (value,)
-                for item in items:
-                    arrays += [a for a in (item if isinstance(item, tuple) else (item,))
-                               if isinstance(a, np.ndarray)]
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            return [a for item in value for a in arrays_in(item)] if isinstance(value, tuple) \
+                else []
+
+        arrays = arrays_in(tuple(mech._plans.values()))
         assert len(arrays) > 30
         for a in arrays:
             assert not a.flags.writeable
