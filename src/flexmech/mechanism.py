@@ -19,12 +19,12 @@ in order (_run_sums), inverts, and extracts the remote-center summary.
 Each part is computed once for the rows it differs on: a member no edit
 touches has one transport and one term that every limb row shares, and a
 limb slot one transport per placement row.  _evaluate has two halves: the
-integer one is a plan (_plan), every index array its gathers need, which
-depends only on the compiled topology, the edit masks and the copies' rows
-and so is made once per such layout and kept, read-only, in a cache bounded
-by PLAN_CACHE_BYTES; the float one runs on every call, as algebra on the
-arrays the plan gathers, with the same operations in the same order
-whether the plan was fresh or kept.  analyze_batch, analyze,
+integer one is a plan (flexmech.plan), every index array its gathers need,
+which depends only on the compiled topology, the edit masks and the
+copies' rows and so is made once per such layout and kept, read-only; the
+float one runs on every call, as algebra on the arrays the plan gathers,
+with the same operations in the same order whether the plan was fresh or
+kept.  analyze_batch, analyze,
 mechanism_stiffness and limb_compliance compile their objects and evaluate
 them as they are; evaluate_grid, the engine's one sweep entry
 (analysis.run_sweep), compiles the template once and evaluates grid points
@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from . import plan as plans
 from .elements import HINGE, BeamGeometry, HingeGeometry, geometry_table, table_compliances
 from .errors import (CENTERS_NOT_FINITE, NO_CENTER, ONE_SIDED, PARALLEL_LEGS, SINGULAR_COMPLIANCE,
                      SINGULAR_STIFFNESS, fault_error)
@@ -111,19 +111,9 @@ def _by_identity(objects):
     return list(first.values()), np.array([index[id(o)] for o in objects], dtype=np.intp)
 
 
-def _runs(lengths, size):
-    """The (R, P) grid of the term indices of the consecutive runs of the
-    given (R,) lengths in `size` terms, P the longest run; shorter runs are
-    padded with `size`, the index of a term of zeros, which adds exact zeros."""
-    slot = np.arange(lengths.max()) < lengths[:, None]
-    grid = np.full(slot.shape, size)
-    grid[slot] = np.arange(size)
-    return grid
-
-
 def _padded(terms):
-    """An (M, ...) stack with a term of zeros appended, at the index _runs
-    pads with."""
+    """An (M, ...) stack with a term of zeros appended, at the index
+    plan.runs pads with."""
     return np.concatenate([terms, np.zeros((1,) + terms.shape[1:])])
 
 
@@ -134,7 +124,7 @@ _SUM_TERMS = 256
 
 
 def _run_sums(grid, terms_at):
-    """In-order sums of the R runs of a (R, P) _runs grid: terms_at(columns)
+    """In-order sums of the R runs of a (R, P) plan.runs grid: terms_at(columns)
     gives the (R, k, ...) terms of a slice of k of the grid's columns.  The
     columns are taken a block at a time, _SUM_TERMS terms at most unless one
     column has more, so no sum makes a stack of all its terms."""
@@ -248,18 +238,6 @@ def _edited(compiled: _Compiled, plan, columns):
     return table, theta, slot_r
 
 
-def _shared(per_row, rows):
-    """The (rows, M) index of the terms of M members under `rows` edit rows
-    and the term count: a member in the (M,) mask per_row gets a term per
-    row, any other member one term that every row shares (those first)."""
-    edited = np.count_nonzero(per_row)
-    shared = len(per_row) - edited
-    index = np.empty((rows, len(per_row)), dtype=np.intp)
-    index[:, ~per_row] = np.arange(shared)
-    index[:, per_row] = shared + np.arange(rows * edited).reshape(rows, edited)
-    return index, shared + rows * edited
-
-
 def _limb_stack(elements, geom_of, transports, transposes, grid):
     """The array core of limb assembly: the (D, 6, 6) tip compliances of D
     limbs, and the sums they symmetrize, which the caller checks.
@@ -267,7 +245,7 @@ def _limb_stack(elements, geom_of, transports, transposes, grid):
     `elements` is an element stack (elements.table_compliances), `geom_of`
     the element of each of T member terms, `transports` their (T, 6, 6)
     displacement transports to the limb tip, `transposes` those transposed
-    (spatial.transposed), and `grid` the _runs grid of the terms of each
+    (spatial.transposed), and `grid` the plan.runs grid of the terms of each
     limb's consecutive members.  Each limb sums its members' J C J^T in
     member order.
     """
@@ -296,141 +274,17 @@ _LIMB_CHECKS_AFTER_SUM = 2
 # one copy of the compiled mechanisms: limb row 0 placed by placement row 0
 _ONE_COPY = np.zeros(1, dtype=np.intp)
 
-# the plans kept (_plan, _grid_plan): past this many bytes of index arrays,
-# the oldest go first, as the kernels do past elements.KERNEL_CACHE_SIZE
-# keys, and a plan larger than this alone is used but not kept, so the
-# cache never holds more.  The plan of a SWEEP_BATCH (1024-point) batch of
-# the bundled design takes 100-320 kB, and of one analyze call 0.5 kB.
-PLAN_CACHE_BYTES = 4 * 2**20
-_plans = {}
-
-
-def _cached_plan(key, build):
-    """The plan of `key` from _plans, built by build() if it is not there."""
-    plan = _plans.get(key)
-    if plan is None:
-        plan = build()
-        if plan.nbytes <= PLAN_CACHE_BYTES:
-            _plans[key] = plan
-            while sum(kept.nbytes for kept in _plans.values()) > PLAN_CACHE_BYTES:
-                del _plans[next(iter(_plans))]
-    return plan
-
-
-def _read_only(*arrays):
-    """The total bytes of the given arrays, made read-only."""
-    for a in arrays:
-        a.flags.writeable = False
-    return sum(a.nbytes for a in arrays)
-
-
-class _Plan(NamedTuple):
-    """Every index array _evaluate reads for one layout of copies, read-only:
-    the integer half of the engine (_build_plan).  A NamedTuple, as its
-    class costs a tenth of a frozen dataclass's at import."""
-
-    rows: int                   # limb rows
-    places: int                 # placement rows
-    beams: int                  # beam rows of the GEOMETRY table, its head
-    table_rows: np.ndarray      # compiled table row of each edited table row; None: as compiled
-    hinge_row: np.ndarray       # limb row of each edited table row past the beams
-    masks: tuple                # what each edit column changes (_edit_mask)
-    member_src: np.ndarray      # flat (limb row, member) of each member transport
-    member_of: np.ndarray       # member of each member transport
-    force: np.ndarray           # transport kind: member transports, then wrench ones
-    term_geom: np.ndarray       # element of each J C J^T term
-    term_moved: np.ndarray      # transport of each term
-    limb_terms: np.ndarray      # _runs grid of each (limb row, limb)'s terms
-    member_grid: np.ndarray     # _runs grid of each (limb row, limb)'s flat members
-    element_of: np.ndarray      # element of each entry of member_grid, padding past the table
-    slot_limb: np.ndarray       # (n, L) limb of each slot of each copied mechanism
-    slot_j: np.ndarray          # (n, L) wrench transport of each, padding the first
-    limb_width: int             # checks per limb slot
-    mech_slot: np.ndarray       # (mechanisms, L) limb slots of each compiled mechanism, padding 0
-    mech_pad: np.ndarray        # (mechanisms, L) mask of the padding
-    mech_base: np.ndarray       # (mechanisms,) flat offset of each row of mech_slot
-    copy_side: np.ndarray       # (n,) flat (placement row, mechanism) of each copied mechanism
-    copy_tip: np.ndarray        # (n,) first limb slot transport of its placement row
-    copy_leg: np.ndarray        # (n,) first (limb row, limb) of its limb row
-    nbytes: int
-
-
 def _plan(compiled: _Compiled, names, row_of, place_of):
-    """The _Plan of copies row_of/place_of of `compiled` under edits of the
-    SWEEP_EDITS `names`, from _plans when a plan of the same integer inputs
-    was made: the GEOMETRY kinds, the compiled topology (geom_of, lengths,
-    limb_of, counts), the names and their edit masks, and the rows."""
+    """The plan.Plan of copies row_of/place_of of `compiled` under edits of
+    the SWEEP_EDITS `names`, kept by the integers it is made of: the
+    GEOMETRY kinds, the compiled topology (geom_of, lengths, limb_of,
+    counts), the names and their edit masks, and the rows."""
     masks = tuple(_edit_mask(compiled, name) for name in names)
     key = (names, compiled.table["kind"].tobytes(), compiled.geom_of.tobytes(),
            compiled.lengths.tobytes(), compiled.limb_of.tobytes(), compiled.counts.tobytes(),
            row_of.tobytes(), place_of.tobytes(), *(mask.tobytes() for mask in masks))
-    return _cached_plan(key, lambda: _build_plan(compiled, names, masks, row_of, place_of))
-
-
-def _build_plan(compiled: _Compiled, names, masks, row_of, place_of):
-    """The _Plan of _plan's arguments: which terms and transports the rows
-    share (_shared), the member, limb slot and mechanism runs (_runs), and
-    the gathers of the check tables and of the four-bar legs."""
-    kinds = compiled.table["kind"]
-    beams = int(np.count_nonzero(kinds != HINGE))
-    hinges = len(kinds) - beams
-    rows, places = int(row_of.max()) + 1, int(place_of.max()) + 1
-    size, limbs, count = len(compiled.geom_of), len(compiled.lengths), len(compiled.limb_of)
     targets = [SWEEP_EDITS[name][0] for name in names]
-    retuned = leaned = np.zeros(size, dtype=bool)
-    table_rows = hinge_row = None
-    elements = len(kinds)
-    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
-    for target, mask in zip(targets, masks):
-        if target == "member":
-            leaned = mask
-        elif target == "hinge" and table_rows is None:
-            retuned = mask
-            table_rows = np.concatenate([np.arange(beams), np.tile(np.arange(beams, len(kinds)),
-                                                                   rows)])
-            hinge_row = np.repeat(np.arange(rows), hinges)
-            elements = len(table_rows)
-            geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
-    # the transport and the J C J^T term of each (row, member), shared by
-    # the rows where no edit changes them, and the (row, member) each
-    # transport is made from (for a shared one, any row's is the same)
-    moved_of, moved = _shared(leaned, rows)
-    term_of, terms = _shared(leaned | retuned, rows)
-    member_src = np.empty(moved, dtype=np.intp)
-    member_src[moved_of] = np.arange(rows * size).reshape(rows, size)
-    term_geom, term_moved = np.empty(terms, dtype=np.intp), np.empty(terms, dtype=np.intp)
-    term_geom[term_of] = geom_of
-    term_moved[term_of] = moved_of
-    # the distinct limb and the limb slot transport of each limb slot of each
-    # copy: limbs numbered limb row by limb row, and transports placement
-    # row by placement row; the padding of a mechanism's slots gets limb
-    # rows x D, whose stiffness is zero, and the first transport
-    slots = (row_of[:, None] * limbs + compiled.limb_of).ravel()
-    placed = (place_of[:, None] * count + np.arange(count)).ravel()
-    member_grid = _runs(np.tile(compiled.lengths, rows), rows * size)
-    slot_grid = _runs(np.tile(compiled.counts, len(row_of)), len(slots))
-    # the four-bar legs: each compiled mechanism's slots, and each copied
-    # mechanism's (placement row, mechanism) and limb row
-    mech_grid = _runs(compiled.counts, count)
-    mech_pad = mech_grid == count
-    mechanisms = len(compiled.counts)
-    place_rep, row_rep = (np.repeat(of, mechanisms) for of in (place_of, row_of))
-    plan = dict(
-        rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
-        masks=masks, member_src=member_src, member_of=member_src % size,
-        force=np.arange(moved + places * count) >= moved, term_geom=term_geom,
-        term_moved=term_moved, limb_terms=np.append(term_of.ravel(), terms)[member_grid],
-        member_grid=member_grid,
-        element_of=np.append(geom_of.ravel(), elements)[member_grid],
-        slot_limb=np.append(slots, limbs * rows)[slot_grid],
-        slot_j=np.append(placed, 0)[slot_grid] + moved,
-        limb_width=member_grid.shape[1] + 1 + _LIMB_CHECKS_AFTER_SUM,
-        mech_slot=np.where(mech_pad, 0, mech_grid), mech_pad=mech_pad,
-        mech_base=np.arange(0, mech_grid.size, mech_grid.shape[1]),
-        copy_side=place_rep * mechanisms + np.tile(np.arange(mechanisms), len(row_of)),
-        copy_tip=place_rep * count, copy_leg=row_rep * limbs)
-    arrays = [a for a in plan.values() if isinstance(a, np.ndarray)]
-    return _Plan(**plan, nbytes=_read_only(*arrays, *masks))
+    return plans.cached(key, lambda: plans.build_plan(compiled, targets, masks, row_of, place_of))
 
 
 def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_COPY):
@@ -505,7 +359,8 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     finite = np.isfinite(heights) & np.isfinite(ideal)
     # each copy's checks: each limb slot's, then the mechanism's
     # (members, compliance sum, the checks after it)
-    n, limb_checks = len(k_sum), plan.slot_limb.shape[1] * plan.limb_width
+    limb_width = plan.member_grid.shape[1] + 1 + _LIMB_CHECKS_AFTER_SUM
+    n, limb_checks = len(k_sum), plan.slot_limb.shape[1] * limb_width
     checks = np.zeros((n, limb_checks + _MECHANISM_CHECKS), dtype=faults.dtype)
     conds = np.full(checks.shape, np.nan)
     if not any(map(np.count_nonzero, (faults, limb_refused, refused, decoupled, ideal_faults,
@@ -514,7 +369,7 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     g, d = len(elements), len(c_sum)
     # each limb's checks: its members' element checks, then its compliance
     # sum, inversion and stiffness; the last entry and row pass, for padding
-    limb = np.zeros((d + 1, plan.limb_width), dtype=faults.dtype)
+    limb = np.zeros((d + 1, limb_width), dtype=faults.dtype)
     limb[:d, :-3] = np.append(faults[:g], 0)[plan.element_of]
     limb[:d, -3] = faults[g:g + d]
     limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
@@ -728,45 +583,6 @@ def analyze(m: Mechanism) -> RccResult:
     return result
 
 
-class _GridPlan(NamedTuple):
-    """The level indices of a sweep grid, read-only (_grid_plan)."""
-
-    index: np.ndarray           # (N, P) level index of each point along each name
-    order: tuple                # the names' positions, limb edits first, then slot edits
-    batches: tuple              # per batch: (level indices of its rows per name, row_of, place_of)
-    nbytes: int
-
-
-def _grid_plan(sizes, placing):
-    """The _GridPlan of a grid of the given level counts whose names are
-    slot edits where `placing` holds, from _plans once made: each batch of
-    SWEEP_BATCH points, its limb rows and placement rows told by integer
-    keys of the level indices, and the level of each row along each name."""
-    return _cached_plan(("grid", sizes, placing, SWEEP_BATCH),
-                        lambda: _build_grid_plan(sizes, placing))
-
-
-def _build_grid_plan(sizes, placing):
-    index = np.indices(sizes).reshape(len(sizes), -1).T
-    # the limb rows, then the placement rows
-    picks = [[j for j, slot in enumerate(placing) if slot == kind] for kind in (False, True)]
-    batches, arrays = [], [index]
-    for start in range(0, len(index), SWEEP_BATCH):
-        batch = index[start:start + SWEEP_BATCH]
-        levels, row_ofs = [None] * len(sizes), []
-        for picked in picks:
-            key = np.zeros(len(batch), dtype=np.intp)
-            for j in picked:
-                key = key * sizes[j] + batch[:, j]
-            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
-            for j in picked:
-                levels[j] = batch[first, j]
-            row_ofs.append(row_of)
-        arrays += levels + row_ofs
-        batches.append((tuple(levels), *row_ofs))
-    return _GridPlan(index, tuple(picks[0] + picks[1]), tuple(batches), _read_only(*arrays))
-
-
 def evaluate_grid(template: Mechanism, levels):
     """The values, K, the remote-center rows and the first fault of each
     point of a sweep grid of `template`: the product of the (n,) level values
@@ -775,7 +591,7 @@ def evaluate_grid(template: Mechanism, levels):
     SWEEP_BATCH points is one _evaluate call; a point's limb row and
     placement row are told by integer keys of its level indices, so no row
     of floats is compared, and those keys depend only on the level counts,
-    so a grid of the same shape reuses them (_grid_plan).
+    so a grid of the same shape reuses them (plan.build_grid_plan).
 
     Returns, in grid order, the (N, P) grid values, one row per point, the
     (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal center,
@@ -788,8 +604,10 @@ def evaluate_grid(template: Mechanism, levels):
     for name in names:
         if not _edit_mask(compiled, name).any():
             raise ValueError(f"sweep parameter {name!r} edits nothing in this mechanism")
-    grid_plan = _grid_plan(tuple(len(v) for v in values),
-                           tuple(SWEEP_EDITS[name][0] == "slot" for name in names))
+    sizes = tuple(len(v) for v in values)
+    placing = tuple(SWEEP_EDITS[name][0] == "slot" for name in names)
+    grid_plan = plans.cached(("grid", sizes, placing, SWEEP_BATCH),
+                             lambda: plans.build_grid_plan(sizes, placing, SWEEP_BATCH))
     batches = []
     for levels_at, row_of, place_of in grid_plan.batches:
         columns = [(names[j], values[j][levels_at[j]]) for j in grid_plan.order]

@@ -217,10 +217,10 @@ def invert_stack(m):
     so it does not depend on units.  With d = 1 / root, root = diag(M)^1/2,
     column j of D M D sums to d_j (d^T |M|)_j, and column j of
     D^-1 M^-1 D^-1 to root_j (root^T |M^-1|)_j, so each 1-norm is one
-    vector-matrix product per matrix and a row max.  A
-    matrix with a non-positive diagonal entry, a non-finite entry or an exact
-    zero pivot gets inf.  A refused matrix is inverted as the identity, so
-    one singular matrix leaves the rest of the stack intact.
+    vector-matrix product per matrix and a row max.  A matrix with a
+    non-positive diagonal entry, a non-finite entry or an exact zero pivot
+    gets inf.  A refused matrix is inverted as the identity, so one
+    singular matrix leaves the rest of the stack intact.
     """
     try:
         inv = np.linalg.inv(m)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flexmech.mechanism as mech
+import flexmech.plan as plans
 import flexmech.spatial as spatial
 from flexmech.elements import BeamGeometry, HingeGeometry, element_compliance
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
@@ -719,7 +720,7 @@ def _engine_bits(mechanisms):
 def _cold(f):
     """f() run with an empty plan cache, which is restored afterwards."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mech, "_plans", {})
+        patch.setattr(plans, "_plans", {})
         return f()
 
 
@@ -746,34 +747,34 @@ def test_cold_plan_equals_warm_plan_bitwise(ms):
 
 class TestPlan:
     """The engine's integer half is a plan made once per layout of copies
-    and kept (mechanism._plan); the float half runs on every call."""
+    and kept (flexmech.plan); the float half runs on every call."""
 
     def test_identity_and_order_get_their_own_plan_and_cold_result(self, monkeypatch):
-        monkeypatch.setattr(mech, "_plans", {})
+        monkeypatch.setattr(plans, "_plans", {})
         shared, fresh = repeated_design(False), repeated_design(True)
         # limb slots (a, a, b, b, c, c) placed as (a, b, a, b, c, c)
         reordered = Mechanism(tuple(shared.limbs[i] for i in (0, 2, 1, 3, 4, 5)))
         seen = []
         for m in (shared, fresh, reordered):
             warm = _engine_bits([m])
-            assert len(mech._plans) == len(seen) + 1
+            assert len(plans._plans) == len(seen) + 1
             assert _cold(lambda: _engine_bits([m])) == warm
             seen.append(warm)
         # equal objects give the same K, shared or not
         assert seen[0][1] == seen[1][1]
 
     def test_warm_calls_of_a_known_layout_build_no_plan(self, monkeypatch):
-        monkeypatch.setattr(mech, "_plans", {})
+        monkeypatch.setattr(plans, "_plans", {})
         built = []
-        for name in ("_build_plan", "_build_grid_plan", "_shared", "_runs"):
-            function = getattr(mech, name)
-            monkeypatch.setattr(mech, name, lambda *a, f=function, n=name: (built.append(n),
-                                                                             f(*a))[1])
+        for name in ("build_plan", "build_grid_plan", "shared", "runs"):
+            function = getattr(plans, name)
+            monkeypatch.setattr(plans, name, lambda *a, f=function, n=name: (built.append(n),
+                                                                              f(*a))[1])
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda *a, **k: (built.append("unique"),
                                                            unique(*a, **k))[1])
         analyze(design(2, long={1}))
-        assert "_build_plan" in built
+        assert "build_plan" in built
         built.clear()
         # new numbers, the same topology: the plan is reused
         analyze(design(2, long={1}, lean=23.0, y=11.0, hinge=hinged(2.5)))
@@ -782,7 +783,7 @@ class TestPlan:
         objective = SweepObjective(rcc_height_target=28.6)
         run_sweep(SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 13.0, 16)}, objective),
                   small_rcc())
-        assert {"_build_plan", "_build_grid_plan", "_shared", "_runs", "unique"} <= set(built)
+        assert {"build_plan", "build_grid_plan", "shared", "runs", "unique"} <= set(built)
         built.clear()
         # a second sweep of the same grid shape, over other ranges
         run_sweep(SweepSpec({"angle": (14.0, 25.0, 16), "y": (9.0, 12.0, 16)}, objective),
@@ -790,31 +791,31 @@ class TestPlan:
         assert built == []
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(mech, "_plans", {})
-        monkeypatch.setattr(mech, "PLAN_CACHE_BYTES", 200_000)
+        monkeypatch.setattr(plans, "_plans", {})
+        monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 200_000)
         objective = SweepObjective(rcc_height_target=28.6)
         for pairs in range(1, 5):
             for long in ((), (0,), (pairs - 1,)):
                 analyze(design(pairs, long=set(long)))
-                assert sum(p.nbytes for p in mech._plans.values()) <= 200_000
+                assert sum(p.nbytes for p in plans._plans.values()) <= 200_000
         for n in (2, 7, 16, 40):
             run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
                       small_rcc())
-            assert sum(p.nbytes for p in mech._plans.values()) <= 200_000
+            assert sum(p.nbytes for p in plans._plans.values()) <= 200_000
         # the oldest went first: the last sweep's plans are kept
-        assert ("grid", (40, 40), (False, False), mech.SWEEP_BATCH) in mech._plans
+        assert ("grid", (40, 40), (False, False), mech.SWEEP_BATCH) in plans._plans
         # a plan larger than the bound alone is used, not kept
-        monkeypatch.setattr(mech, "_plans", {})
-        monkeypatch.setattr(mech, "PLAN_CACHE_BYTES", 1_000)
+        monkeypatch.setattr(plans, "_plans", {})
+        monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 1_000)
         analyze(design(4, long={0, 1, 2, 3}))
-        assert mech._plans == {}
+        assert plans._plans == {}
 
     def test_plan_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(mech, "_plans", {})
+        monkeypatch.setattr(plans, "_plans", {})
         analyze(small_rcc())
         run_sweep(SweepSpec({"angle": (12.0, 30.0, 4), "t": (2.0, 3.0, 3), "y": (8.0, 13.0, 2)},
                             SweepObjective(rcc_height_target=28.6)), small_rcc())
-        assert {type(p).__name__ for p in mech._plans.values()} == {"_Plan", "_GridPlan"}
+        assert {type(p).__name__ for p in plans._plans.values()} == {"Plan", "GridPlan"}
 
         def arrays_in(value):
             if isinstance(value, np.ndarray):
@@ -822,7 +823,7 @@ class TestPlan:
             return [a for item in value for a in arrays_in(item)] if isinstance(value, tuple) \
                 else []
 
-        arrays = arrays_in(tuple(mech._plans.values()))
+        arrays = arrays_in(tuple(plans._plans.values()))
         assert len(arrays) > 30
         for a in arrays:
             assert not a.flags.writeable
