@@ -274,6 +274,7 @@ _LIMB_CHECKS_AFTER_SUM = 2
 # one copy of the compiled mechanisms: limb row 0 placed by placement row 0
 _ONE_COPY = np.zeros(1, dtype=np.intp)
 
+
 def _plan(compiled: _Compiled, names, row_of, place_of):
     """The plan.Plan of copies row_of/place_of of `compiled` under edits of
     the SWEEP_EDITS `names`, kept by the integers it is made of: the
