@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import flexmech.mechanism as mech
 import flexmech.plan as plans
 import flexmech.spatial as spatial
-from flexmech.elements import BeamGeometry, HingeGeometry, element_compliance
 from flexmech.analysis import SweepObjective, SweepSpec, run_sweep
+from flexmech.elements import BeamGeometry, HingeGeometry, element_compliance
 from flexmech.errors import SingularMatrixError, fault_error
 from flexmech.fixtures import load_reference_stiffness, load_small_rcc
 from flexmech.materials import Material
