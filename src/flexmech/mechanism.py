@@ -353,7 +353,11 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
         c_inv, cond, refused = invert_stack(k)
         c = symmetrize(c_inv)
         heights, decoupled = _center_heights(c)
-        ideal, ideal_faults = _copied_centers(plan, compiled.limb_of, -slot_r[..., :2], lean)
+        # each limb slot's leg (x, y, angle): its tip in reference coordinates
+        # and its limb's leg angle; the padding's y = 0 is on neither side
+        legs = np.concatenate([_padded(-slot_r[..., :2].reshape(-1, 2))[plan.slot_tip],
+                               _padded(lean)[plan.slot_limb][..., None]], axis=-1)
+        ideal, ideal_faults = fourbar_centers(legs)
     centers = np.column_stack([heights, ideal, np.abs(heights - ideal)])
 
     faults = matrix_faults(np.concatenate([elements, c_sum, k_limb, k_sum, c_inv]))
@@ -384,21 +388,6 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
         ideal_faults, np.where(finite, 0, CENTERS_NOT_FINITE)])
     conds[:, limb_checks + 1] = cond
     return c_limb, k, c, centers, checks, conds
-
-
-def _copied_centers(plan, limb_of, tips, lean):
-    """fourbar_centers of each copied mechanism of `plan`, from the
-    (places, S, 2) limb tip (x, y) of each placement row and the leg angle
-    of each (limb row, limb).  A leg's y is its placement row's, so each
-    side's first leg is found once per (placement row, mechanism), and only
-    the two legs found are gathered per copy."""
-    # the padding gets y = 0, on neither side
-    firsts, one_sided = _sides(np.where(plan.mech_pad, 0.0, tips[:, plan.mech_slot, 1]))
-    legs = plan.mech_slot.ravel()[firsts + plan.mech_base].reshape(2, -1)[:, plan.copy_side]
-    first_tip, second_tip = tips.reshape(-1, 2)[plan.copy_tip + legs]
-    first_angle, second_angle = lean[plan.copy_leg + limb_of[legs]]
-    return _crossings(*first_tip.T, first_angle, *second_tip.T, second_angle,
-                      one_sided.ravel()[plan.copy_side])
 
 
 def limb_compliance(limb: Limb) -> SpatialMatrix6:
@@ -460,34 +449,18 @@ def fourbar_centers(legs):
     arithmetic overflows give a non-finite height; callers that must not
     warn run it under np.errstate."""
     rows = np.arange(len(legs))
-    (first, second), one_sided = _sides(legs[..., 1])
-    return _crossings(*legs[rows, first].T, *legs[rows, second].T, one_sided)
-
-
-# y > 0, then -y > 0 (y < 0), of each leg y
-_SIDES = np.array([1.0, -1.0])
-
-
-def _sides(y):
-    """The index of the first leg with y > 0 and of the first with y < 0
-    along the last axis of an array of leg y coordinates, stacked as one
-    (2, ...) array, and the mask of the rows without both (y = 0 or NaN is
-    on neither side)."""
-    sides = np.multiply.outer(_SIDES, y) > 0.0
-    return sides.argmax(axis=-1), ~sides.any(axis=-1).all(axis=0)
-
-
-def _crossings(x1, y1, a1, x2, y2, a2, one_sided):
-    """The heights and fault codes of fourbar_centers from the (N,) tip
-    (x, y) and angle of the first leg of each side, and the (N,) one-sided
-    mask."""
+    pos, neg = legs[..., 1] > 0.0, legs[..., 1] < 0.0
+    # the first leg of each side
+    x1, y1, a1 = legs[rows, pos.argmax(axis=1)].T
+    x2, y2, a2 = legs[rows, neg.argmax(axis=1)].T
     sin = np.sin(a2 - a1)
     parallel = np.abs(sin) < 1e-12
     # lines: (x, y) = (xi, yi) + s (cos ai, sin ai); solve for intersection
     # (a parallel pair divides by 1 instead; its height is masked below)
     s1 = ((x2 - x1) * np.sin(a2) - (y2 - y1) * np.cos(a2)) / np.where(parallel, 1.0, sin)
     heights = x1 + s1 * np.cos(a1)
-    faults = np.where(one_sided, ONE_SIDED, np.where(parallel, PARALLEL_LEGS, 0))
+    faults = np.where(pos.any(axis=1) & neg.any(axis=1),
+                      np.where(parallel, PARALLEL_LEGS, 0), ONE_SIDED)
     return np.where(faults == 0, heights, np.nan), faults
 
 

@@ -91,12 +91,7 @@ class Plan(NamedTuple):
     element_of: np.ndarray      # element of each entry of member_grid, padding past the table
     slot_limb: np.ndarray       # (n, L) limb of each slot of each copied mechanism
     slot_j: np.ndarray          # (n, L) wrench transport of each, padding the first
-    mech_slot: np.ndarray       # (mechanisms, L) limb slots of each compiled mechanism, padding 0
-    mech_pad: np.ndarray        # (mechanisms, L) mask of the padding
-    mech_base: np.ndarray       # (mechanisms,) flat offset of each row of mech_slot
-    copy_side: np.ndarray       # (n,) flat (placement row, mechanism) of each copied mechanism
-    copy_tip: np.ndarray        # (n,) first limb slot transport of its placement row
-    copy_leg: np.ndarray        # (n,) first (limb row, limb) of its limb row
+    slot_tip: np.ndarray        # (n, L) flat (placement row, limb slot) of each, padding past it
     nbytes: int
 
 
@@ -140,17 +135,12 @@ def build_plan(compiled, targets, masks, row_of, place_of):
     # the distinct limb and the limb slot transport of each limb slot of each
     # copy: limbs numbered limb row by limb row, and transports placement
     # row by placement row; the padding of a mechanism's slots gets limb
-    # rows x D, whose stiffness is zero, and the first transport
+    # rows x D, whose stiffness is zero, the first transport, and the leg
+    # tip past the last, which mechanism._evaluate pads with y = 0
     slots = (row_of[:, None] * limbs + compiled.limb_of).ravel()
     placed = (place_of[:, None] * count + np.arange(count)).ravel()
     member_grid = runs(np.tile(compiled.lengths, rows), rows * size)
     slot_grid = runs(np.tile(compiled.counts, len(row_of)), len(slots))
-    # the four-bar legs: each compiled mechanism's slots, and each copied
-    # mechanism's (placement row, mechanism) and limb row
-    mech_grid = runs(compiled.counts, count)
-    mech_pad = mech_grid == count
-    mechanisms = len(compiled.counts)
-    place_rep, row_rep = (np.repeat(of, mechanisms) for of in (place_of, row_of))
     plan = dict(
         rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
         masks=masks, member_src=member_src, member_of=member_src % size,
@@ -159,10 +149,7 @@ def build_plan(compiled, targets, masks, row_of, place_of):
         member_grid=member_grid, element_of=np.append(geom_of.ravel(), elements)[member_grid],
         slot_limb=np.append(slots, limbs * rows)[slot_grid],
         slot_j=np.append(placed, 0)[slot_grid] + moved,
-        mech_slot=np.where(mech_pad, 0, mech_grid), mech_pad=mech_pad,
-        mech_base=np.arange(0, mech_grid.size, mech_grid.shape[1]),
-        copy_side=place_rep * mechanisms + np.tile(np.arange(mechanisms), len(row_of)),
-        copy_tip=place_rep * count, copy_leg=row_rep * limbs)
+        slot_tip=np.append(placed, places * count)[slot_grid])
     arrays = [a for a in plan.values() if isinstance(a, np.ndarray)]
     return Plan(**plan, nbytes=_read_only(*arrays, *masks))
 
