@@ -14,38 +14,60 @@ every batch of a sweep of one grid shape has one layout.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .elements import HINGE
 
-# the plans kept (cached): past this many bytes of index arrays, the oldest
-# go first, as the kernels do past elements.KERNEL_CACHE_SIZE keys, and a
-# plan larger than this alone is used but not kept, so the cache never
-# holds more.  The plan of a 1024-point sweep batch (mechanism.SWEEP_BATCH)
-# of the bundled design takes 100-320 kB, and of one analyze call 0.5 kB.
+# the plans kept (cached): past this many bytes, the oldest go first, as
+# the kernels do past elements.KERNEL_CACHE_SIZE keys, and a plan larger
+# than this alone is used but not kept.  An entry counts what its key and
+# its plan hold as sys.getsizeof reads it (_footprint): every array's
+# header and buffer, the tuples, and the key's bytes copies of the
+# topology and rows.  Only the dict's own slots are not counted, well
+# under 0.1 kB an entry against 2.3 kB for the smallest entry (one
+# analyze call of two one-hinge limbs), so the cache holds at most 4 MiB
+# and a few percent more.  A 1024-point sweep batch (mechanism.SWEEP_BATCH)
+# of the bundled design takes 120-415 kB for its plan and 35-51 kB for
+# its grid plan, one bundled analyze call 2.7 kB.
 PLAN_CACHE_BYTES = 4 * 2**20
-_plans = {}
+_plans = {}             # key -> (plan, its entry's bytes), oldest first
+_kept = 0               # the bytes of every entry of _plans
+
+
+def _footprint(value):
+    """The bytes of `value` as sys.getsizeof reads them, with the items of a
+    tuple and the buffer of an array view."""
+    size = sys.getsizeof(value)
+    if isinstance(value, tuple):
+        return size + sum(map(_footprint, value))
+    if isinstance(value, np.ndarray) and value.base is not None:
+        return size + value.nbytes
+    return size
 
 
 def cached(key, build):
     """The plan of `key`, built by build() if it is not kept."""
-    plan = _plans.get(key)
-    if plan is None:
-        plan = build()
-        if plan.nbytes <= PLAN_CACHE_BYTES:
-            _plans[key] = plan
-            while sum(kept.nbytes for kept in _plans.values()) > PLAN_CACHE_BYTES:
-                del _plans[next(iter(_plans))]
+    global _kept
+    entry = _plans.get(key)
+    if entry is not None:
+        return entry[0]
+    plan = build()
+    size = _footprint((key, plan))
+    if size <= PLAN_CACHE_BYTES:
+        _plans[key] = plan, size
+        _kept += size
+        while _kept > PLAN_CACHE_BYTES:
+            _kept -= _plans.pop(next(iter(_plans)))[1]
     return plan
 
 
-def _read_only(*arrays):
-    """The total bytes of the given arrays, made read-only."""
+def _read_only(arrays):
+    """Make the given arrays read-only."""
     for a in arrays:
         a.flags.writeable = False
-    return sum(a.nbytes for a in arrays)
 
 
 def runs(lengths, size):
@@ -92,7 +114,6 @@ class Plan(NamedTuple):
     slot_limb: np.ndarray       # (n, L) limb of each slot of each copied mechanism
     slot_j: np.ndarray          # (n, L) wrench transport of each, padding the first
     slot_tip: np.ndarray        # (n, L) flat (placement row, limb slot) of each, padding past it
-    nbytes: int
 
 
 def build_plan(compiled, targets, masks, row_of, place_of):
@@ -141,7 +162,7 @@ def build_plan(compiled, targets, masks, row_of, place_of):
     placed = (place_of[:, None] * count + np.arange(count)).ravel()
     member_grid = runs(np.tile(compiled.lengths, rows), rows * size)
     slot_grid = runs(np.tile(compiled.counts, len(row_of)), len(slots))
-    plan = dict(
+    plan = Plan(
         rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
         masks=masks, member_src=member_src, member_of=member_src % size,
         force=np.arange(moved + places * count) >= moved, term_geom=term_geom,
@@ -150,8 +171,8 @@ def build_plan(compiled, targets, masks, row_of, place_of):
         slot_limb=np.append(slots, limbs * rows)[slot_grid],
         slot_j=np.append(placed, 0)[slot_grid] + moved,
         slot_tip=np.append(placed, places * count)[slot_grid])
-    arrays = [a for a in plan.values() if isinstance(a, np.ndarray)]
-    return Plan(**plan, nbytes=_read_only(*arrays, *masks))
+    _read_only([a for a in plan if isinstance(a, np.ndarray)] + list(masks))
+    return plan
 
 
 class GridPlan(NamedTuple):
@@ -160,7 +181,6 @@ class GridPlan(NamedTuple):
     index: np.ndarray           # (N, P) level index of each point along each name
     order: tuple                # the names' positions, limb edits first, then slot edits
     batches: tuple              # per batch: (level indices of its rows per name, row_of, place_of)
-    nbytes: int
 
 
 def build_grid_plan(sizes, placing, batch_size):
@@ -185,4 +205,5 @@ def build_grid_plan(sizes, placing, batch_size):
             row_ofs.append(row_of)
         arrays += levels + row_ofs
         batches.append((tuple(levels), *row_ofs))
-    return GridPlan(index, tuple(picks[0] + picks[1]), tuple(batches), _read_only(*arrays))
+    _read_only(arrays)
+    return GridPlan(index, tuple(picks[0] + picks[1]), tuple(batches))

@@ -717,10 +717,21 @@ def _engine_bits(mechanisms):
     return [(a.dtype, a.shape, a.tobytes()) for a in mech._evaluate(compiled)]
 
 
+def _empty_cache(patch):
+    """Give the plan cache no entries, until `patch` (a MonkeyPatch) undoes it."""
+    patch.setattr(plans, "_plans", {})
+    patch.setattr(plans, "_kept", 0)
+
+
+def _kept_plans():
+    """The plans the cache keeps, oldest first."""
+    return [plan for plan, _ in plans._plans.values()]
+
+
 def _cold(f):
     """f() run with an empty plan cache, which is restored afterwards."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(plans, "_plans", {})
+        _empty_cache(patch)
         return f()
 
 
@@ -750,7 +761,7 @@ class TestPlan:
     and kept (flexmech.plan); the float half runs on every call."""
 
     def test_identity_and_order_get_their_own_plan_and_cold_result(self, monkeypatch):
-        monkeypatch.setattr(plans, "_plans", {})
+        _empty_cache(monkeypatch)
         shared, fresh = repeated_design(False), repeated_design(True)
         # limb slots (a, a, b, b, c, c) placed as (a, b, a, b, c, c)
         reordered = Mechanism(tuple(shared.limbs[i] for i in (0, 2, 1, 3, 4, 5)))
@@ -764,7 +775,7 @@ class TestPlan:
         assert seen[0][1] == seen[1][1]
 
     def test_warm_calls_of_a_known_layout_build_no_plan(self, monkeypatch):
-        monkeypatch.setattr(plans, "_plans", {})
+        _empty_cache(monkeypatch)
         built = []
         for name in ("build_plan", "build_grid_plan", "shared", "runs"):
             function = getattr(plans, name)
@@ -791,31 +802,38 @@ class TestPlan:
         assert built == []
 
     def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(plans, "_plans", {})
+        _empty_cache(monkeypatch)
         monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 200_000)
         objective = SweepObjective(rcc_height_target=28.6)
+
+        def check():
+            # the running total is the footprint of every key and plan kept
+            assert plans._kept == sum(plans._footprint((key, plan))
+                                      for key, (plan, _) in plans._plans.items())
+            assert plans._kept <= 200_000
+
         for pairs in range(1, 5):
             for long in ((), (0,), (pairs - 1,)):
                 analyze(design(pairs, long=set(long)))
-                assert sum(p.nbytes for p in plans._plans.values()) <= 200_000
+                check()
         for n in (2, 7, 16, 40):
             run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
                       small_rcc())
-            assert sum(p.nbytes for p in plans._plans.values()) <= 200_000
+            check()
         # the oldest went first: the last sweep's plans are kept
         assert ("grid", (40, 40), (False, False), mech.SWEEP_BATCH) in plans._plans
         # a plan larger than the bound alone is used, not kept
-        monkeypatch.setattr(plans, "_plans", {})
+        _empty_cache(monkeypatch)
         monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 1_000)
         analyze(design(4, long={0, 1, 2, 3}))
-        assert plans._plans == {}
+        assert plans._plans == {} and plans._kept == 0
 
     def test_plan_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(plans, "_plans", {})
+        _empty_cache(monkeypatch)
         analyze(small_rcc())
         run_sweep(SweepSpec({"angle": (12.0, 30.0, 4), "t": (2.0, 3.0, 3), "y": (8.0, 13.0, 2)},
                             SweepObjective(rcc_height_target=28.6)), small_rcc())
-        assert {type(p).__name__ for p in plans._plans.values()} == {"Plan", "GridPlan"}
+        assert {type(p).__name__ for p in _kept_plans()} == {"Plan", "GridPlan"}
 
         def arrays_in(value):
             if isinstance(value, np.ndarray):
@@ -823,7 +841,7 @@ class TestPlan:
             return [a for item in value for a in arrays_in(item)] if isinstance(value, tuple) \
                 else []
 
-        arrays = arrays_in(tuple(plans._plans.values()))
+        arrays = arrays_in(tuple(_kept_plans()))
         assert len(arrays) > 30
         for a in arrays:
             assert not a.flags.writeable
