@@ -200,11 +200,11 @@ def transposed(j):
     return np.ascontiguousarray(_swap(j))
 
 
-def congruence(j, m, jt=None):
-    """J M J^T for each pair of a stack of transports and matrices; `jt`,
-    when given, is transposed(j), made once for the stacks j is gathered
-    from."""
-    return j @ m @ (transposed(j) if jt is None else jt)
+def congruence(j, m, jt):
+    """J M J^T for each pair of a stack of transports and matrices, `jt`
+    being transposed(j), which a caller makes once for the stacks it
+    gathers j from."""
+    return j @ m @ jt
 
 
 def invert_stack(m):

@@ -12,7 +12,8 @@ import mpmath
 
 from flexmech.kernels import notch_kernels, torsion_beta
 from flexmech.materials import Material
-from flexmech.spatial import FramePlacement, SpatialMatrix6, congruence, rot_z, transports
+from flexmech.spatial import (FramePlacement, SpatialMatrix6, congruence, rot_z, transports,
+                              transposed)
 
 
 def rect_torsion_constant(side_a, side_b):
@@ -64,14 +65,16 @@ def transform_compliance(c: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6
     """Congruence J C J^T moving a compliance to the placement's evaluation point."""
     if c.kind != "compliance":
         raise ValueError(f"transform_compliance needs a compliance matrix, got {c.kind}")
-    return SpatialMatrix6(congruence(amplification_displacement(p), c.m), "compliance")
+    j = amplification_displacement(p)
+    return SpatialMatrix6(congruence(j, c.m, transposed(j)), "compliance")
 
 
 def transform_stiffness(k: SpatialMatrix6, p: FramePlacement) -> SpatialMatrix6:
     """Congruence J_F K J_F^T moving a stiffness to the placement's evaluation point."""
     if k.kind != "stiffness":
         raise ValueError(f"transform_stiffness needs a stiffness matrix, got {k.kind}")
-    return SpatialMatrix6(congruence(amplification_force(p), k.m), "stiffness")
+    j = amplification_force(p)
+    return SpatialMatrix6(congruence(j, k.m, transposed(j)), "stiffness")
 
 
 def compose(outer: FramePlacement, inner: FramePlacement) -> FramePlacement:
