@@ -57,7 +57,7 @@ from .analysis import (SweepObjective, SweepSpec, check_stiffness_axis, check_st
                        check_sweep_range)
 from .elements import BeamGeometry, HingeGeometry
 from .errors import MechanismFileError
-from .materials import Material, MeasuredJointRecord
+from .materials import Material, MeasuredJointRecord, derive_shear_modulus
 from .mechanism import Limb, Mechanism
 from .spatial import FramePlacement
 
@@ -438,78 +438,79 @@ def parse_mechanism(path) -> ParsedMechanism:
 # canonical serialization (round-trip stable)
 
 def _fmt(x):
-    return repr(float(x))  # shortest exact round-trip form
+    """A token as written: text as it is, a number in its shortest exact
+    round-trip form."""
+    return x if isinstance(x, str) else repr(float(x))
 
 
-def _fmt_placement(p: FramePlacement):
-    r = ",".join(_fmt(c) for c in p.r)
-    return f"r={r} theta={_fmt(p.theta_deg)}"
+def _record(head, words, options):
+    """One record line: the head, the positional words, then the options in
+    GRAMMAR's required-then-optional order; an option given as None is left
+    out."""
+    _, _, required, optional = GRAMMAR[head]
+    given = [f"{key}={_fmt(options[key])}" for key in required + optional
+             if options.get(key) is not None]
+    return " ".join([head, *map(_fmt, words), *given])
+
+
+def _placement_options(p: FramePlacement):
+    return {"r": ",".join(_fmt(c) for c in p.r), "theta": p.theta_deg}
+
+
+def _material_record(name, m):
+    # G is written only where it is not the one E and nu give
+    derived = derive_shear_modulus(m.e_modulus, m.nu)
+    return _record("material", [name], {"E": m.e_modulus, "nu": m.nu,
+                                        "G": None if m.g_modulus == derived else m.g_modulus})
+
+
+def _element_record(name, g):
+    if isinstance(g, HingeGeometry):
+        return _record("hinge", [name], {"material": g.material.name, "r": g.r, "t": g.t,
+                                         "w": g.w, "h1": g.h1})
+    return _record("beam", [name], {"material": g.material.name, "l": g.l, "w": g.w, "s": g.s})
+
+
+def _sweep_records(spec):
+    """The [sweep] records: each range, then each objective term, with its
+    weight where one is set."""
+    obj = spec.objective
+    weight = obj.weights.get
+    records = [_record("vary", [name, lo, hi, str(n)], {})
+               for name, (lo, hi, n) in spec.parameters.items()]
+    if obj.rcc_height_target is not None:
+        records.append(_record("target", ["rcc_height", obj.rcc_height_target],
+                               {"weight": weight("rcc")}))
+    if obj.stiffness_ratio_max:
+        records.append(_record("maximize", ["stiffness_ratio"], {"weight": weight("ratio")}))
+    for axis, target in (obj.diag_stiffness_target or {}).items():
+        records.append(_record("target_k", [axis, target], {"weight": weight("diag")}))
+    return records
 
 
 def serialize(parsed: ParsedMechanism) -> str:
-    """Canonical text form; parse(serialize(x)) == x."""
-    out = [FORMAT_HEADER, UNITS_HEADER, ""]
-
-    out.append("[materials]")
-    for name in sorted(parsed.materials):
-        m = parsed.materials[name]
-        line = f"material {name} E={_fmt(m.e_modulus)} nu={_fmt(m.nu)}"
-        if m.g_modulus != m.e_modulus / (2.0 * (1.0 + m.nu)):
-            line += f" G={_fmt(m.g_modulus)}"
-        out.append(line)
-    out.append("")
-
-    out.append("[elements]")
-    for name in sorted(parsed.elements):
-        g = parsed.elements[name]
-        if isinstance(g, HingeGeometry):
-            out.append(f"hinge {name} material={g.material.name} r={_fmt(g.r)} "
-                       f"t={_fmt(g.t)} w={_fmt(g.w)} h1={_fmt(g.h1)}")
-        else:
-            out.append(f"beam {name} material={g.material.name} l={_fmt(g.l)} "
-                       f"w={_fmt(g.w)} s={_fmt(g.s)}")
-    out.append("")
-
-    elem_names = {id(g): n for n, g in parsed.elements.items()}
-    seen = {}
-    for limb, _ in parsed.mechanism.limbs:
-        if limb.name in seen:
-            continue
-        seen[limb.name] = limb
-        out.append(f"[limb {limb.name}]")
-        for geom, placement in limb.members:
-            out.append(f"member {elem_names[id(geom)]} {_fmt_placement(placement)}")
-        out.append("")
-
-    out.append("[mechanism]")
-    out.append(f"reference {parsed.mechanism.reference}")
-    for limb, placement in parsed.mechanism.limbs:
-        out.append(f"limb {limb.name} {_fmt_placement(placement)}")
-    out.append("")
-
-    if parsed.sweep is not None:
-        out.append("[sweep]")
-        for name, (lo, hi, n) in parsed.sweep.parameters.items():
-            out.append(f"vary {name} {_fmt(lo)} {_fmt(hi)} {n}")
-        obj = parsed.sweep.objective
-        if obj.rcc_height_target is not None:
-            out.append(f"target rcc_height {_fmt(obj.rcc_height_target)}"
-                       + (f" weight={_fmt(obj.weights['rcc'])}" if "rcc" in obj.weights else ""))
-        if obj.stiffness_ratio_max:
-            out.append("maximize stiffness_ratio"
-                       + (f" weight={_fmt(obj.weights['ratio'])}" if "ratio" in obj.weights else ""))
-        for axis, target in (obj.diag_stiffness_target or {}).items():
-            out.append(f"target_k {axis} {_fmt(target)}"
-                       + (f" weight={_fmt(obj.weights['diag'])}" if "diag" in obj.weights else ""))
-        out.append("")
-
-    if parsed.measured is not None:
-        out.append("[measured]")
-        for axis, value in parsed.measured.items():
-            if isinstance(value, tuple):
-                out.append(f"measured {axis} {_fmt(value[0])} {_fmt(value[1])}")
-            else:
-                out.append(f"measured {axis} {_fmt(value)}")
-        out.append("")
-
-    return "\n".join(out).rstrip() + "\n"
+    """Canonical text form; parse(serialize(x)) == x.  Every record line is
+    written by _record, so in GRAMMAR's option order."""
+    mech = parsed.mechanism
+    elements = {id(g): name for name, g in parsed.elements.items()}
+    limbs = {}
+    for limb, _ in mech.limbs:
+        limbs.setdefault(limb.name, limb)
+    # each section's records, in file order; None for an absent optional section
+    sections = {
+        "materials": [_material_record(name, m) for name, m in sorted(parsed.materials.items())],
+        "elements": [_element_record(name, g) for name, g in sorted(parsed.elements.items())],
+        **{f"limb {name}": [_record("member", [elements[id(geom)]], _placement_options(p))
+                            for geom, p in limb.members] for name, limb in limbs.items()},
+        "mechanism": [f"reference {mech.reference}"]
+                     + [_record("limb", [limb.name], _placement_options(p)) for limb, p in mech.limbs],
+        "sweep": None if parsed.sweep is None else _sweep_records(parsed.sweep),
+        "measured": None if parsed.measured is None else [
+            _record("measured", [axis, *(value if isinstance(value, tuple) else (value,))], {})
+            for axis, value in parsed.measured.items()],
+    }
+    out = [FORMAT_HEADER, UNITS_HEADER]
+    for section, records in sections.items():
+        if records is not None:
+            out += ["", f"[{section}]", *records]
+    return "\n".join(out) + "\n"
