@@ -438,9 +438,18 @@ def parse_mechanism(path) -> ParsedMechanism:
 # canonical serialization (round-trip stable)
 
 def _fmt(x):
-    """A token as written: text as it is, a number in its shortest exact
-    round-trip form."""
-    return x if isinstance(x, str) else repr(float(x))
+    """A token as written: a number in its shortest exact round-trip form,
+    text as it is.  Text must read back as one token: it must follow
+    NAME_RULE, checked by the reader's own _name, and hold no '#', which
+    would start a comment."""
+    if not isinstance(x, str):
+        return repr(float(x))
+    if "#" in x:
+        raise ValueError(f"{x!r} holds '#', which would start a comment")
+    try:
+        return _name(x, None)
+    except MechanismFileError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _record(head, words, options):
@@ -448,62 +457,68 @@ def _record(head, words, options):
     GRAMMAR's required-then-optional order; an option given as None is left
     out."""
     _, _, required, optional = GRAMMAR[head]
-    given = [f"{key}={_fmt(options[key])}" for key in required + optional
-             if options.get(key) is not None]
+    given = [f"{k}={_fmt(options[k])}" for k in required + optional if options.get(k) is not None]
     return " ".join([head, *map(_fmt, words), *given])
 
 
-def _placement_options(p: FramePlacement):
-    return {"r": ",".join(_fmt(c) for c in p.r), "theta": p.theta_deg}
+def _placed(p: FramePlacement):
+    """The options of a member or limb line."""
+    return {"r": ",".join(map(_fmt, p.r)), "theta": p.theta_deg}
 
 
 def _material_record(name, m):
     # G is written only where it is not the one E and nu give
-    derived = derive_shear_modulus(m.e_modulus, m.nu)
-    return _record("material", [name], {"E": m.e_modulus, "nu": m.nu,
-                                        "G": None if m.g_modulus == derived else m.g_modulus})
+    g = None if m.g_modulus == derive_shear_modulus(m.e_modulus, m.nu) else m.g_modulus
+    return _record("material", [name], {"E": m.e_modulus, "nu": m.nu, "G": g})
 
 
 def _element_record(name, g):
-    if isinstance(g, HingeGeometry):
-        return _record("hinge", [name], {"material": g.material.name, "r": g.r, "t": g.t,
-                                         "w": g.w, "h1": g.h1})
-    return _record("beam", [name], {"material": g.material.name, "l": g.l, "w": g.w, "s": g.s})
+    # a hinge's or beam's options are its fields, the material by name
+    head = "hinge" if isinstance(g, HingeGeometry) else "beam"
+    return _record(head, [name], {**vars(g), "material": g.material.name})
 
 
 def _sweep_records(spec):
-    """The [sweep] records: each range, then each objective term, with its
-    weight where one is set."""
+    """The [sweep] records: each range, then each objective line with the
+    weight of its term where one is set."""
     obj = spec.objective
-    weight = obj.weights.get
-    records = [_record("vary", [name, lo, hi, str(n)], {})
-               for name, (lo, hi, n) in spec.parameters.items()]
+    rows = [("vary", [p, lo, hi, str(n)], None) for p, (lo, hi, n) in spec.parameters.items()]
     if obj.rcc_height_target is not None:
-        records.append(_record("target", ["rcc_height", obj.rcc_height_target],
-                               {"weight": weight("rcc")}))
+        rows.append(("target", ["rcc_height", obj.rcc_height_target], "rcc"))
     if obj.stiffness_ratio_max:
-        records.append(_record("maximize", ["stiffness_ratio"], {"weight": weight("ratio")}))
-    for axis, target in (obj.diag_stiffness_target or {}).items():
-        records.append(_record("target_k", [axis, target], {"weight": weight("diag")}))
-    return records
+        rows.append(("maximize", ["stiffness_ratio"], "ratio"))
+    rows += [("target_k", [a, k], "diag") for a, k in (obj.diag_stiffness_target or {}).items()]
+    return [_record(head, words, {"weight": obj.weights.get(term)}) for head, words, term in rows]
 
 
 def serialize(parsed: ParsedMechanism) -> str:
     """Canonical text form; parse(serialize(x)) == x.  Every record line is
-    written by _record, so in GRAMMAR's option order."""
+    written by _record, so in GRAMMAR's option order.
+
+    Raises ValueError, naming the object, where the text would read back as
+    something else: a name or reference the reader would read differently,
+    two different limbs of one name, or a member whose geometry is not one
+    of `parsed.elements`."""
     mech = parsed.mechanism
     elements = {id(g): name for name, g in parsed.elements.items()}
     limbs = {}
     for limb, _ in mech.limbs:
-        limbs.setdefault(limb.name, limb)
+        if limbs.setdefault(limb.name, limb) != limb:
+            raise ValueError(f"two different limbs are named {limb.name!r}")
+        if any(id(geom) not in elements for geom, _ in limb.members):
+            raise ValueError(f"limb {limb.name!r}: a member's geometry is not an element")
+    # the reader cuts a comment off the reference line, strips it and reads
+    # the rest after the head, or the default reference where none is left
+    if mech.reference.split("#")[0].strip().splitlines() != [mech.reference]:
+        raise ValueError(f"reference {mech.reference!r} would not read back as itself")
     # each section's records, in file order; None for an absent optional section
     sections = {
         "materials": [_material_record(name, m) for name, m in sorted(parsed.materials.items())],
         "elements": [_element_record(name, g) for name, g in sorted(parsed.elements.items())],
-        **{f"limb {name}": [_record("member", [elements[id(geom)]], _placement_options(p))
+        **{f"limb {name}": [_record("member", [elements[id(geom)]], _placed(p))
                             for geom, p in limb.members] for name, limb in limbs.items()},
         "mechanism": [f"reference {mech.reference}"]
-                     + [_record("limb", [limb.name], _placement_options(p)) for limb, p in mech.limbs],
+                     + [_record("limb", [limb.name], _placed(p)) for limb, p in mech.limbs],
         "sweep": None if parsed.sweep is None else _sweep_records(parsed.sweep),
         "measured": None if parsed.measured is None else [
             _record("measured", [axis, *(value if isinstance(value, tuple) else (value,))], {})

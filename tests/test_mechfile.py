@@ -1,6 +1,7 @@
 """Mechanism file parsing, error reporting and round-trip serialization."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,42 @@ class TestRoundTrip:
         first = load_small_rcc()
         second = parse_lines(lines(serialize(first)))
         assert second.mechanism == first.mechanism
+
+
+def _renamed(parsed, old, new):
+    """`parsed` with limb `old` renamed `new` in each of its slots."""
+    limbs = tuple((replace(limb, name=new) if limb.name == old else limb, placement)
+                  for limb, placement in parsed.mechanism.limbs)
+    return replace(parsed, mechanism=replace(parsed.mechanism, limbs=limbs))
+
+
+def _referenced(parsed, reference):
+    return replace(parsed, mechanism=replace(parsed.mechanism, reference=reference))
+
+
+# (a library-built edit of GOOD whose text would read back as something
+# else, the ValueError message)
+WRITER_REFUSALS = {
+    "reference with '#'": (lambda p: _referenced(p, "top # plate"),
+                           "reference 'top # plate' would not read back as itself"),
+    "empty reference": (lambda p: _referenced(p, ""), "reference '' would not read back as itself"),
+    "two-line reference": (lambda p: _referenced(p, "top\nplate"),
+                           "reference 'top\\nplate' would not read back as itself"),
+    "two limbs, one name": (lambda p: _renamed(p, "right", "left"),
+                            "two different limbs are named 'left'"),
+    "name with a space": (lambda p: _renamed(p, "left", "left arm"),
+                          f"name 'left arm' is not {NAME_RULE}"),
+    "name with '#'": (lambda p: _renamed(p, "left", "left#1"),
+                      "'left#1' holds '#', which would start a comment"),
+    "member outside elements": (lambda p: replace(p, elements={"n": p.elements["n"]}),
+                                "limb 'left': a member's geometry is not an element"),
+}
+
+
+@pytest.mark.parametrize("edit, message", WRITER_REFUSALS.values(), ids=WRITER_REFUSALS)
+def test_writer_refuses_text_that_reads_back_as_something_else(edit, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize(edit(parse_lines(lines(GOOD))))
 
 
 class TestErrors:
