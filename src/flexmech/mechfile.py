@@ -462,8 +462,17 @@ def _record(head, words, options):
 
 
 def _placed(p: FramePlacement):
-    """The options of a member or limb line."""
-    return {"r": ",".join(map(_fmt, p.r)), "theta": p.theta_deg}
+    """The options of a member or limb line: r, and as theta the shortest
+    degree value FramePlacement.from_degrees reads back to exactly p, looked
+    for within 4 ulps of p.theta_deg.  An angle with none there (one fmod
+    normalized) is written as the angle its nearest degree value reads back
+    to, whose text is then a fixed point."""
+    near = p.theta_deg
+    exact = [d for d in (near + k * math.ulp(near) for k in (0, -1, 1, -2, 2, -3, 3, -4, 4))
+             if FramePlacement.from_degrees(d, p.r) == p]
+    if not exact:
+        return _placed(FramePlacement.from_degrees(near, p.r))
+    return {"r": ",".join(map(_fmt, p.r)), "theta": min(exact, key=lambda d: len(repr(d)))}
 
 
 def _material_record(name, m):
@@ -493,7 +502,10 @@ def _sweep_records(spec):
 
 def serialize(parsed: ParsedMechanism) -> str:
     """Canonical text form; parse(serialize(x)) == x.  Every record line is
-    written by _record, so in GRAMMAR's option order.
+    written by _record, so in GRAMMAR's option order.  An angle is written
+    exactly where some degree value reads back to it (_placed); for one that
+    fmod normalized there may be none, and then only the fixed point holds:
+    serialize(parse(serialize(x))) == serialize(x).
 
     Raises ValueError, naming the object, where the text would read back as
     something else: a name or reference the reader would read differently,

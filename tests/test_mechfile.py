@@ -49,6 +49,9 @@ measured y 8.3 10
 """
 
 
+BUNDLED = Path(data_path("small_rcc.mech")).read_text(encoding="utf-8")
+
+
 def lines(text):
     return text.splitlines()
 
@@ -104,6 +107,22 @@ class TestRoundTrip:
         first = load_small_rcc()
         second = parse_lines(lines(serialize(first)))
         assert second.mechanism == first.mechanism
+
+    @pytest.mark.parametrize("angle", ["8.784", "-35.394", "54.823"])
+    def test_decimal_angle_reads_back_exactly(self, angle):
+        # math.degrees(math.radians(8.784)) is 8.784000000000002, which
+        # reads back as another angle
+        text = BUNDLED.replace("theta=20", f"theta={angle}")
+        first = parse_lines(lines(text))
+        written = serialize(first)
+        assert f" theta={angle}\n" in written
+        assert parse_lines(lines(written)) == first
+
+    def test_normalized_angle_is_a_fixed_point(self):
+        # fmod takes 400.5 degrees to an angle that no degree value reads
+        # back to exactly, so only the fixed point holds
+        first = serialize(parse_lines(lines(BUNDLED.replace("theta=20", "theta=400.5"))))
+        assert serialize(parse_lines(lines(first))) == first
 
 
 def _renamed(parsed, old, new):
