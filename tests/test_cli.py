@@ -11,13 +11,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flexmech
 import flexmech.elements as elements
 from flexmech.cli import main
 from flexmech.fixtures import data_path
 from flexmech.mechfile import GRAMMAR
+from strategies import mechanism_texts
 
 SMALL_RCC = data_path("small_rcc.mech")
 CREEP = data_path("creep_22n.dat")
@@ -162,18 +163,36 @@ def test_input_error_names_file_line(tmp_path, capfd, command, text, message):
     assert "DLASCL" not in out + err  # the bad sample never reaches LAPACK
 
 
-BUNDLED_LINES = Path(SMALL_RCC).read_text().splitlines()
-# (index, head) of each record line of the bundled design
-BUNDLED_RECORDS = [(i, line.split()[0]) for i, line in enumerate(BUNDLED_LINES)
-                   if line.split()[:1] and line.split()[0] in GRAMMAR]
+def _validate(text):
+    """(exit code, stdout, stderr) of an in-process `flexmech validate` of `text`."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.mech"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(mechanism_texts())
+def test_validate_accepts_every_written_file(text):
+    code, out, err = _validate(text)
+    assert (code, err) == (0, "") and out.endswith(" materials)\n"), err
+
+
+def _broken(lines, at, line):
+    """The number of line `at` and the text of `lines` with it replaced by `line`."""
+    return at + 1, "\n".join(lines[:at] + [line] + lines[at + 1:]) + "\n"
 
 
 @st.composite
 def _mutated_design(draw):
-    """The bundled design with one record line broken by one grammar
+    """A drawn valid design with one record line broken by one grammar
     mutation, and the number of that line."""
-    at, head = draw(st.sampled_from(BUNDLED_RECORDS))
-    tokens = BUNDLED_LINES[at].split()
+    lines = draw(mechanism_texts()).splitlines()
+    at, head = draw(st.sampled_from([(i, line.split()[0]) for i, line in enumerate(lines)
+                                     if line.split()[:1] and line.split()[0] in GRAMMAR]))
+    tokens = lines[at].split()
     required = GRAMMAR[head][2]
     options = [token for token in tokens if "=" in token]
     present = [token for token in options if token.partition("=")[0] in required]
@@ -191,21 +210,21 @@ def _mutated_design(draw):
             # never a number, so it cannot pass as an optional positional value
             token = draw(st.from_regex(r"[a-z]{1,8}", fullmatch=True))
         tokens.insert(draw(st.integers(1, len(tokens))), token)
-    return at + 1, "\n".join(BUNDLED_LINES[:at] + [" ".join(tokens)] + BUNDLED_LINES[at + 1:])
+    return _broken(lines, at, " ".join(tokens))
+
+
+BUNDLED_LINES = Path(SMALL_RCC).read_text().splitlines()
+MISSPELT_THETA = BUNDLED_LINES.index("member column r=10.4,0,0 theta=20")
 
 
 @settings(deadline=None)
 @given(_mutated_design())
+@example(_broken(BUNDLED_LINES, MISSPELT_THETA, "member column r=10.4,0,0 teta=20"))
 def test_grammar_mutation_is_one_error_at_its_line(mutated):
     lineno, text = mutated
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mutated.mech"
-        path.write_text(text + "\n")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["validate", str(path)])
-    assert code == 1 and out.getvalue() == ""
-    assert re.fullmatch(f"error: line {lineno}[,:] [^\n]*\n", err.getvalue()), err.getvalue()
+    code, out, err = _validate(text)
+    assert code == 1 and out == ""
+    assert re.fullmatch(f"error: line {lineno}[,:] [^\n]*\n", err), err
 
 
 @pytest.mark.parametrize("old, new", [

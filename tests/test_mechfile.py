@@ -5,10 +5,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.mechfile import GRAMMAR, NAME_RULE, load_joint_catalog, parse_lines, parse_mechanism, serialize
+from strategies import mechanism_texts, parsed_mechanisms
 
 GOOD = """\
 flexmech mechanism format 1
@@ -117,6 +119,15 @@ class TestRoundTrip:
         written = serialize(first)
         assert f" theta={angle}\n" in written
         assert parse_lines(lines(written)) == first
+
+    @given(parsed_mechanisms())
+    def test_drawn_file_reads_back_as_drawn(self, parsed):
+        text = serialize(parsed)
+        assert parse_lines(lines(text)) == parsed
+        assert serialize(parse_lines(lines(text))) == text
+        for line in lines(text):
+            if line.split()[:1] and line.split()[0] in GRAMMAR:
+                _assert_in_grammar_order(line)
 
     def test_normalized_angle_is_a_fixed_point(self):
         # fmod takes 400.5 degrees to an angle that no degree value reads
@@ -520,6 +531,32 @@ def test_record_error_names_its_line(sample, line, field, message):
     where = f"line {at + 1}" + ("" if field is None else f", field '{field}'")
     with pytest.raises(MechanismFileError, match=f"^{re.escape(f'{where}: {message}')}$"):
         (load_joint_catalog if joint else parse_lines)(bad)
+
+
+def _assert_in_grammar_order(line):
+    """A written record line: its positional words, then every required
+    option and any optional ones, all in GRAMMAR's order."""
+    head, *tokens = line.split()
+    _, (fewest, most), required, optional = GRAMMAR[head]
+    words = [token for token in tokens if "=" not in token]
+    keys = [token.partition("=")[0] for token in tokens[len(words):]]
+    assert tokens[:len(words)] == words and fewest <= len(words) <= most, line
+    assert keys == [key for key in required + optional if key in keys], line
+    assert set(required) <= set(keys), line
+
+
+def test_writer_writes_every_grammar_head():
+    # across drawn files, serialize writes each record line kind of a
+    # mechanism file; joint lines belong to the joint catalog, which flexmech
+    # reads and never writes
+    heads = set()
+
+    @given(mechanism_texts())
+    def collect(text):
+        heads.update(line.split()[0] for line in lines(text) if line.split()[:1])
+
+    collect()
+    assert heads >= set(GRAMMAR) - {"joint"}
 
 
 def test_readme_lists_the_grammar():
