@@ -20,11 +20,12 @@ Each part is computed once for the rows it differs on: a member no edit
 touches has one transport and one term that every limb row shares, and a
 limb slot one transport per placement row.  _evaluate has two halves: the
 integer one is a plan (flexmech.plan), every index array its gathers need,
-which depends only on the compiled topology, the edit masks and the
-copies' rows and so is made once per such layout and kept, read-only; the
-float one runs on every call, as algebra on the arrays the plan gathers,
-with the same operations in the same order whether the plan was fresh or
-kept.  analyze_batch, analyze,
+built from nothing but the bytes of the geometry kinds, the compiled
+topology, the edit targets and masks and the copies' rows, so it is made
+once per such layout and the last plan.PLAN_CACHE_SIZE are kept, read-only;
+the float one runs on every call, as algebra on the arrays the plan
+gathers, with the same operations in the same order whether the plan was
+fresh or kept.  analyze_batch, analyze,
 mechanism_stiffness and limb_compliance compile their objects and evaluate
 them as they are; evaluate_grid, the engine's one sweep entry
 (analysis.run_sweep), compiles the template once and evaluates grid points
@@ -189,9 +190,9 @@ def _compile(slots, counts) -> _Compiled:
     table_geoms, geom_of = _by_identity(beams + geoms)
     return _Compiled(geometry_table(table_geoms), geom_of[len(beams):],
                      np.array([p.theta for _, p in members]), np.array([p.r for _, p in members]),
-                     np.array([len(limb.members) for limb in distinct]), limb_of,
+                     np.array([len(limb.members) for limb in distinct], dtype=np.intp), limb_of,
                      np.array([p.theta for _, p in slots]), np.array([p.r for _, p in slots]),
-                     np.array(counts))
+                     np.array(counts, dtype=np.intp))
 
 
 def _edit_mask(compiled: _Compiled, name):
@@ -277,15 +278,14 @@ _ONE_COPY = np.zeros(1, dtype=np.intp)
 
 def _plan(compiled: _Compiled, names, row_of, place_of):
     """The plan.Plan of copies row_of/place_of of `compiled` under edits of
-    the SWEEP_EDITS `names`, kept by the integers it is made of: the
-    GEOMETRY kinds, the compiled topology (geom_of, lengths, limb_of,
-    counts), the names and their edit masks, and the rows."""
-    masks = tuple(_edit_mask(compiled, name) for name in names)
-    key = (names, compiled.table["kind"].tobytes(), compiled.geom_of.tobytes(),
-           compiled.lengths.tobytes(), compiled.limb_of.tobytes(), compiled.counts.tobytes(),
-           row_of.tobytes(), place_of.tobytes(), *(mask.tobytes() for mask in masks))
-    targets = [SWEEP_EDITS[name][0] for name in names]
-    return plans.cached(key, lambda: plans.build_plan(compiled, targets, masks, row_of, place_of))
+    the SWEEP_EDITS `names`: plan.build_plan of the integers it reads, the
+    names' edit targets and masks, the GEOMETRY kinds, the compiled topology
+    (geom_of, lengths, limb_of, counts) and the rows, as bytes."""
+    return plans.build_plan(
+        tuple(SWEEP_EDITS[name][0] for name in names), compiled.table["kind"].tobytes(),
+        compiled.geom_of.tobytes(), compiled.lengths.tobytes(), compiled.limb_of.tobytes(),
+        compiled.counts.tobytes(), tuple(_edit_mask(compiled, name).tobytes() for name in names),
+        row_of.tobytes(), place_of.tobytes())
 
 
 def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_COPY):
@@ -295,8 +295,8 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     _edited); copy by copy.  With no edit arguments, one copy as compiled.
 
     The integer half is the plan (_plan): which transports and terms each
-    row shares and every gather below, made once per layout of copies and
-    kept.  What follows is the float half, algebra on arrays gathered by
+    row shares and every gather below, a function of the layout of copies
+    alone, made once per layout and kept among the last few.  What follows is the float half, algebra on arrays gathered by
     the plan.  Each part is computed once for the rows it differs on.  A
     member whose angle no edit changes has one transport to its limb tip,
     and a member whose angle and table row no edit changes has one J C J^T
@@ -375,7 +375,8 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
     # each limb's checks: its members' element checks, then its compliance
     # sum, inversion and stiffness; the last entry and row pass, for padding
     limb = np.zeros((d + 1, limb_width), dtype=faults.dtype)
-    limb[:d, :-3] = np.append(faults[:g], 0)[plan.element_of]
+    element_of = np.append(plan.term_geom, g)[plan.limb_terms]
+    limb[:d, :-3] = np.append(faults[:g], 0)[element_of]
     limb[:d, -3] = faults[g:g + d]
     limb[:d, -2] = limb_refused * SINGULAR_COMPLIANCE
     limb[:d, -1] = faults[g + d:g + 2 * d]
@@ -580,8 +581,7 @@ def evaluate_grid(template: Mechanism, levels):
             raise ValueError(f"sweep parameter {name!r} edits nothing in this mechanism")
     sizes = tuple(len(v) for v in values)
     placing = tuple(SWEEP_EDITS[name][0] == "slot" for name in names)
-    grid_plan = plans.cached(("grid", sizes, placing, SWEEP_BATCH),
-                             lambda: plans.build_grid_plan(sizes, placing, SWEEP_BATCH))
+    grid_plan = plans.build_grid_plan(sizes, placing, SWEEP_BATCH)
     batches = []
     for levels_at, row_of, place_of in grid_plan.batches:
         columns = [(names[j], values[j][levels_at[j]]) for j in grid_plan.order]

@@ -6,62 +6,30 @@ J C J^T terms the limb rows share, the runs of members, limb slots and
 mechanisms, and every gather of the check tables and the four-bar legs
 depend only on integers: the geometry kinds, the compiled topology, what
 each edit changes, and the copies' rows.  build_plan makes them as one
-read-only Plan; build_grid_plan makes a sweep grid's level keys as one
-GridPlan.  mechanism keys both and keeps them here (cached), so a repeated
-layout builds nothing: design iteration changes numbers, not topology, and
-every batch of a sweep of one grid shape has one layout.
+read-only Plan and build_grid_plan a sweep grid's level keys as one
+GridPlan.  Each is a pure function of hashable integers (bytes copies of
+integer arrays, tuples, ints), so a plan reads only its key, and each keeps
+its last PLAN_CACHE_SIZE results (functools.lru_cache): design iteration
+changes numbers, not topology, and every batch of a sweep of one grid shape
+has one layout, so a repeated layout builds nothing.
 """
 
 from __future__ import annotations
 
-import sys
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .elements import HINGE
 
-# the plans kept (cached): past this many bytes, the oldest go first, as
-# the kernels do past elements.KERNEL_CACHE_SIZE keys, and a plan larger
-# than this alone is used but not kept.  An entry counts what its key and
-# its plan hold as sys.getsizeof reads it (_footprint): every array's
-# header and buffer, the tuples, and the key's bytes copies of the
-# topology and rows.  Only the dict's own slots are not counted, well
-# under 0.1 kB an entry against 2.3 kB for the smallest entry (one
-# analyze call of two one-hinge limbs), so the cache holds at most 4 MiB
-# and a few percent more.  A 1024-point sweep batch (mechanism.SWEEP_BATCH)
-# of the bundled design takes 120-415 kB for its plan and 35-51 kB for
-# its grid plan, one bundled analyze call 2.7 kB.
-PLAN_CACHE_BYTES = 4 * 2**20
-_plans = {}             # key -> (plan, its entry's bytes), oldest first
-_kept = 0               # the bytes of every entry of _plans
-
-
-def _footprint(value):
-    """The bytes of `value` as sys.getsizeof reads them, with the items of a
-    tuple and the buffer of an array view."""
-    size = sys.getsizeof(value)
-    if isinstance(value, tuple):
-        return size + sum(map(_footprint, value))
-    if isinstance(value, np.ndarray) and value.base is not None:
-        return size + value.nbytes
-    return size
-
-
-def cached(key, build):
-    """The plan of `key`, built by build() if it is not kept."""
-    global _kept
-    entry = _plans.get(key)
-    if entry is not None:
-        return entry[0]
-    plan = build()
-    size = _footprint((key, plan))
-    if size <= PLAN_CACHE_BYTES:
-        _plans[key] = plan, size
-        _kept += size
-        while _kept > PLAN_CACHE_BYTES:
-            _kept -= _plans.pop(next(iter(_plans)))[1]
-    return plan
+# the results each builder keeps, the least recently used going first.  A
+# seeded benchmark corpus of designs has 6 layouts and a sweep 1 plan and 1
+# grid plan.  At mechanism.SWEEP_BATCH points a plan of the bundled design
+# with its key takes 119-365 kB and a grid plan 34-83 kB, so the two caches
+# hold at most about 7.2 MB of such entries; an analyze_batch plan grows
+# with its batch and a grid plan with its grid, and are kept all the same.
+PLAN_CACHE_SIZE = 16
 
 
 def _read_only(arrays):
@@ -110,27 +78,33 @@ class Plan(NamedTuple):
     term_moved: np.ndarray      # transport of each term
     limb_terms: np.ndarray      # runs grid of each (limb row, limb)'s terms
     member_grid: np.ndarray     # runs grid of each (limb row, limb)'s flat members
-    element_of: np.ndarray      # element of each entry of member_grid, padding past the table
     slot_limb: np.ndarray       # (n, L) limb of each slot of each copied mechanism
     slot_j: np.ndarray          # (n, L) wrench transport of each, padding the first
     slot_tip: np.ndarray        # (n, L) flat (placement row, limb slot) of each, padding past it
 
 
-def build_plan(compiled, targets, masks, row_of, place_of):
-    """The Plan of copies row_of/place_of of the compiled mechanisms
-    `compiled` (mechanism._compile) under edit columns of the given
-    SWEEP_EDITS targets and masks: which terms and transports the rows
-    share, the member, limb slot and mechanism runs, and the gathers of the
-    check tables and of the four-bar legs."""
-    kinds = compiled.table["kind"]
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def build_plan(targets, kinds, geom_of, lengths, limb_of, counts, masks, row_of, place_of):
+    """The Plan of copies row_of/place_of of compiled mechanisms
+    (mechanism._compile) under edit columns of the given SWEEP_EDITS
+    targets and masks: which terms and transports the rows share, the
+    member, limb slot and mechanism runs, and the gathers of the check
+    tables and of the four-bar legs.  Every argument but the targets (a
+    tuple) is the bytes of an integer array: the int8 GEOMETRY kinds, the
+    intp topology (geom_of, lengths, limb_of, counts), a tuple of bool edit
+    masks, and the intp rows."""
+    kinds = np.frombuffer(kinds, dtype=np.int8)
+    geom_of, lengths, limb_of, counts, row_of, place_of = (
+        np.frombuffer(a, dtype=np.intp) for a in (geom_of, lengths, limb_of, counts, row_of,
+                                                  place_of))
+    masks = tuple(np.frombuffer(mask, dtype=bool) for mask in masks)
     beams = int(np.count_nonzero(kinds != HINGE))
     hinges = len(kinds) - beams
     rows, places = int(row_of.max()) + 1, int(place_of.max()) + 1
-    size, limbs, count = len(compiled.geom_of), len(compiled.lengths), len(compiled.limb_of)
+    size, limbs, count = len(geom_of), len(lengths), len(limb_of)
     retuned = leaned = np.zeros(size, dtype=bool)
     table_rows = hinge_row = None
-    elements = len(kinds)
-    geom_of = compiled.geom_of[None].repeat(rows, axis=0)
+    geom_of = geom_of[None].repeat(rows, axis=0)
     for target, mask in zip(targets, masks):
         if target == "member":
             leaned = mask
@@ -141,7 +115,6 @@ def build_plan(compiled, targets, masks, row_of, place_of):
             table_rows = np.concatenate([np.arange(beams), np.tile(np.arange(beams, len(kinds)),
                                                                    rows)])
             hinge_row = np.repeat(np.arange(rows), hinges)
-            elements = len(table_rows)
             geom_of[:, retuned] += np.arange(rows)[:, None] * hinges
     # the transport and the J C J^T term of each (row, member), shared by
     # the rows where no edit changes them, and the (row, member) each
@@ -158,20 +131,19 @@ def build_plan(compiled, targets, masks, row_of, place_of):
     # row by placement row; the padding of a mechanism's slots gets limb
     # rows x D, whose stiffness is zero, the first transport, and the leg
     # tip past the last, which mechanism._evaluate pads with y = 0
-    slots = (row_of[:, None] * limbs + compiled.limb_of).ravel()
+    slots = (row_of[:, None] * limbs + limb_of).ravel()
     placed = (place_of[:, None] * count + np.arange(count)).ravel()
-    member_grid = runs(np.tile(compiled.lengths, rows), rows * size)
-    slot_grid = runs(np.tile(compiled.counts, len(row_of)), len(slots))
+    member_grid = runs(np.tile(lengths, rows), rows * size)
+    slot_grid = runs(np.tile(counts, len(row_of)), len(slots))
     plan = Plan(
         rows=rows, places=places, beams=beams, table_rows=table_rows, hinge_row=hinge_row,
         masks=masks, member_src=member_src, member_of=member_src % size,
         force=np.arange(moved + places * count) >= moved, term_geom=term_geom,
         term_moved=term_moved, limb_terms=np.append(term_of.ravel(), terms)[member_grid],
-        member_grid=member_grid, element_of=np.append(geom_of.ravel(), elements)[member_grid],
-        slot_limb=np.append(slots, limbs * rows)[slot_grid],
+        member_grid=member_grid, slot_limb=np.append(slots, limbs * rows)[slot_grid],
         slot_j=np.append(placed, 0)[slot_grid] + moved,
         slot_tip=np.append(placed, places * count)[slot_grid])
-    _read_only([a for a in plan if isinstance(a, np.ndarray)] + list(masks))
+    _read_only([a for a in plan if isinstance(a, np.ndarray)])
     return plan
 
 
@@ -183,6 +155,7 @@ class GridPlan(NamedTuple):
     batches: tuple              # per batch: (level indices of its rows per name, row_of, place_of)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def build_grid_plan(sizes, placing, batch_size):
     """The GridPlan of a grid of the given level counts whose names are
     slot edits where `placing` holds, in batches of `batch_size` points:

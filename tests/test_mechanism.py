@@ -717,22 +717,21 @@ def _engine_bits(mechanisms):
     return [(a.dtype, a.shape, a.tobytes()) for a in mech._evaluate(compiled)]
 
 
-def _empty_cache(patch):
-    """Give the plan cache no entries, until `patch` (a MonkeyPatch) undoes it."""
-    patch.setattr(plans, "_plans", {})
-    patch.setattr(plans, "_kept", 0)
+def _empty_cache():
+    """Give both plan caches no entries and zero their counts."""
+    plans.build_plan.cache_clear()
+    plans.build_grid_plan.cache_clear()
 
 
-def _kept_plans():
-    """The plans the cache keeps, oldest first."""
-    return [plan for plan, _ in plans._plans.values()]
+def _builds():
+    """The (plan, grid plan) builds so far: each cache's misses."""
+    return plans.build_plan.cache_info().misses, plans.build_grid_plan.cache_info().misses
 
 
 def _cold(f):
-    """f() run with an empty plan cache, which is restored afterwards."""
-    with pytest.MonkeyPatch.context() as patch:
-        _empty_cache(patch)
-        return f()
+    """f() run with empty plan caches."""
+    _empty_cache()
+    return f()
 
 
 # the faulty designs of FAULT_CASES, so cold and warm runs also compare
@@ -760,24 +759,25 @@ class TestPlan:
     """The engine's integer half is a plan made once per layout of copies
     and kept (flexmech.plan); the float half runs on every call."""
 
-    def test_identity_and_order_get_their_own_plan_and_cold_result(self, monkeypatch):
-        _empty_cache(monkeypatch)
+    def test_identity_and_order_get_their_own_plan_and_cold_result(self):
+        _empty_cache()
         shared, fresh = repeated_design(False), repeated_design(True)
         # limb slots (a, a, b, b, c, c) placed as (a, b, a, b, c, c)
         reordered = Mechanism(tuple(shared.limbs[i] for i in (0, 2, 1, 3, 4, 5)))
+        designs = (shared, fresh, reordered)
         seen = []
-        for m in (shared, fresh, reordered):
-            warm = _engine_bits([m])
-            assert len(plans._plans) == len(seen) + 1
+        for m in designs:
+            seen.append(_engine_bits([m]))
+            assert plans.build_plan.cache_info().currsize == len(seen)
+        for m, warm in zip(designs, seen):
             assert _cold(lambda: _engine_bits([m])) == warm
-            seen.append(warm)
         # equal objects give the same K, shared or not
         assert seen[0][1] == seen[1][1]
 
     def test_warm_calls_of_a_known_layout_build_no_plan(self, monkeypatch):
-        _empty_cache(monkeypatch)
+        _empty_cache()
         built = []
-        for name in ("build_plan", "build_grid_plan", "shared", "runs"):
+        for name in ("shared", "runs"):
             function = getattr(plans, name)
             monkeypatch.setattr(plans, name, lambda *a, f=function, n=name: (built.append(n),
                                                                               f(*a))[1])
@@ -785,55 +785,64 @@ class TestPlan:
         monkeypatch.setattr(np, "unique", lambda *a, **k: (built.append("unique"),
                                                            unique(*a, **k))[1])
         analyze(design(2, long={1}))
-        assert "build_plan" in built
+        assert _builds() == (1, 0)
         built.clear()
         # new numbers, the same topology: the plan is reused
         analyze(design(2, long={1}, lean=23.0, y=11.0, hinge=hinged(2.5)))
         mechanism_stiffness(design(2, long={1}, lean=17.0, hinge=hinged(3.1)))
-        assert built == []
+        assert built == [] and _builds() == (1, 0)
         objective = SweepObjective(rcc_height_target=28.6)
         run_sweep(SweepSpec({"angle": (12.0, 30.0, 16), "y": (8.0, 13.0, 16)}, objective),
                   small_rcc())
-        assert {"build_plan", "build_grid_plan", "shared", "runs", "unique"} <= set(built)
+        assert {"shared", "runs", "unique"} <= set(built) and _builds() == (2, 1)
         built.clear()
         # a second sweep of the same grid shape, over other ranges
         run_sweep(SweepSpec({"angle": (14.0, 25.0, 16), "y": (9.0, 12.0, 16)}, objective),
                   small_rcc())
-        assert built == []
+        assert built == [] and _builds() == (2, 1)
 
-    def test_cache_stays_within_its_bound(self, monkeypatch):
-        _empty_cache(monkeypatch)
-        monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 200_000)
+    def test_t_and_r_sweeps_of_one_grid_shape_share_a_plan(self):
+        # the plan reads the edit targets and masks, which t and r share
+        _empty_cache()
         objective = SweepObjective(rcc_height_target=28.6)
+        for name in ("t", "r", "w"):
+            run_sweep(SweepSpec({name: (1.0, 3.0, 5), "angle": (12.0, 30.0, 4)}, objective),
+                      small_rcc())
+            assert _builds() == (1, 1)
 
-        def check():
-            # the running total is the footprint of every key and plan kept
-            assert plans._kept == sum(plans._footprint((key, plan))
-                                      for key, (plan, _) in plans._plans.items())
-            assert plans._kept <= 200_000
-
-        for pairs in range(1, 5):
-            for long in ((), (0,), (pairs - 1,)):
+    def test_cache_stays_within_its_bound(self):
+        _empty_cache()
+        objective = SweepObjective(rcc_height_target=28.6)
+        # 24 topologies: 1 to 5 limb pairs, some of them long
+        for pairs in range(1, 6):
+            for long in ((), (0,), (1,), (pairs - 1,), (0, pairs - 1), tuple(range(pairs)),
+                         tuple(range(0, pairs, 2))):
                 analyze(design(pairs, long=set(long)))
-                check()
+        topologies = _builds()[0]
+        assert topologies >= 24
+        # more grid shapes than the grid plan cache keeps, then 4 sweep shapes
+        for n in range(1, plans.PLAN_CACHE_SIZE + 5):
+            plans.build_grid_plan((n, 3), (False, True), mech.SWEEP_BATCH)
         for n in (2, 7, 16, 40):
             run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
                       small_rcc())
-            check()
-        # the oldest went first: the last sweep's plans are kept
-        assert ("grid", (40, 40), (False, False), mech.SWEEP_BATCH) in plans._plans
-        # a plan larger than the bound alone is used, not kept
-        _empty_cache(monkeypatch)
-        monkeypatch.setattr(plans, "PLAN_CACHE_BYTES", 1_000)
-        analyze(design(4, long={0, 1, 2, 3}))
-        assert plans._plans == {} and plans._kept == 0
+        # the 40-point sweep takes two batches
+        builds = (topologies + 5, plans.PLAN_CACHE_SIZE + 8)
+        assert _builds() == builds
+        for cached in (plans.build_plan, plans.build_grid_plan):
+            assert cached.cache_info().currsize == plans.PLAN_CACHE_SIZE
+        # the newest layout is kept: the last sweep builds nothing again
+        run_sweep(SweepSpec({"angle": (14.0, 25.0, 40), "t": (2.5, 3.5, 40)}, objective),
+                  small_rcc())
+        assert _builds() == builds
 
-    def test_plan_arrays_are_read_only(self, monkeypatch):
-        _empty_cache(monkeypatch)
-        analyze(small_rcc())
-        run_sweep(SweepSpec({"angle": (12.0, 30.0, 4), "t": (2.0, 3.0, 3), "y": (8.0, 13.0, 2)},
-                            SweepObjective(rcc_height_target=28.6)), small_rcc())
-        assert {type(p).__name__ for p in _kept_plans()} == {"Plan", "GridPlan"}
+    def test_plan_arrays_are_read_only(self):
+        compiled = mech._compile(small_rcc().limbs, (4,))
+        names = ("angle", "t", "y")
+        grid_plan = plans.build_grid_plan((4, 3, 2), (False, False, True), mech.SWEEP_BATCH)
+        built = [grid_plan, mech._plan(compiled, (), mech._ONE_COPY, mech._ONE_COPY)]
+        built += [mech._plan(compiled, names, row_of, place_of)
+                  for _, row_of, place_of in grid_plan.batches]
 
         def arrays_in(value):
             if isinstance(value, np.ndarray):
@@ -841,7 +850,7 @@ class TestPlan:
             return [a for item in value for a in arrays_in(item)] if isinstance(value, tuple) \
                 else []
 
-        arrays = arrays_in(tuple(_kept_plans()))
+        arrays = arrays_in(tuple(built))
         assert len(arrays) > 30
         for a in arrays:
             assert not a.flags.writeable
