@@ -37,12 +37,12 @@ class Material:
     caveat: str = ISOTROPY_CAVEAT
 
     def __post_init__(self):
+        derived = derive_shear_modulus(self.e_modulus, self.nu)  # range checks
         if self.g_modulus is None:
-            object.__setattr__(self, "g_modulus", derive_shear_modulus(self.e_modulus, self.nu))
-        else:
-            derive_shear_modulus(self.e_modulus, self.nu)  # range checks
-            if not 0.0 < self.g_modulus < math.inf:
-                raise ValueError("shear modulus must be positive")
+            object.__setattr__(self, "g_modulus", derived)
+        # a derived G overflows to inf where E is near the float limit
+        if not 0.0 < self.g_modulus < math.inf:
+            raise ValueError(f"shear modulus must be positive and finite, got {self.g_modulus}")
 
 
 @dataclass(frozen=True)

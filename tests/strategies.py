@@ -9,13 +9,14 @@ mechanism_texts() is their serialized text, a base for tests that mutate
 whole files line by line.
 """
 
+import math
 from decimal import Decimal
 
 from hypothesis import strategies as st
 
 from flexmech.analysis import SWEEP_PARAMETERS, WEIGHT_TERMS, SweepObjective, SweepSpec
 from flexmech.elements import BeamGeometry, HingeGeometry
-from flexmech.materials import Material
+from flexmech.materials import Material, derive_shear_modulus
 from flexmech.mechanism import AXIS_ROW, SWEEP_EDITS, Limb, Mechanism
 from flexmech.mechfile import MEASURED_AXES, ParsedMechanism, serialize
 from flexmech.spatial import FramePlacement
@@ -31,6 +32,7 @@ REFERENCES = st.text(st.characters(codec="utf-8", exclude_categories=("C", "Zl",
     .map(str.strip).filter(bool)
 FINITE = st.floats(-1e300, 1e300)
 POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+NU = st.floats(-1.0, 0.5, exclude_min=True, exclude_max=True)
 # an angle as a file writes it: decimal degrees inside (-360, 360), where
 # every angle has a degree value that reads back to it exactly
 DEGREES = st.decimals(Decimal("-359.999999"), Decimal("359.999999"), places=6).map(float)
@@ -41,8 +43,10 @@ def _materials(draw):
     out = {}
     for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
         g = draw(st.none() | POSITIVE)
-        out[name] = Material(name, draw(POSITIVE), draw(st.floats(-1.0, 0.5, exclude_min=True,
-                                                                   exclude_max=True)), g)
+        # a G derived from E and nu must not underflow to 0 or overflow
+        e, nu = draw(st.tuples(POSITIVE, NU).filter(
+            lambda v: g is not None or 0.0 < derive_shear_modulus(*v) < math.inf))
+        out[name] = Material(name, e, nu, g)
     return out
 
 

@@ -247,6 +247,21 @@ def test_extreme_dimension_warns_nothing(tmp_path, capsys, monkeypatch, old, new
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_overflowing_shear_modulus_is_an_error_at_its_line(tmp_path, capsys, command):
+    # E=1e308 and nu=-0.99 derive G = E / 0.02, which overflows to inf
+    text = Path(SMALL_RCC).read_text()
+    material = "material copolyester E=43.8 nu=0.48"
+    assert material in text
+    path = tmp_path / "overflow.mech"
+    path.write_text(text.replace(material, "material copolyester E=1e308 nu=-0.99"))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: line {_line_of(text, material)}, field 'copolyester': "
+                            "shear modulus must be positive and finite, got inf\n")
+
+
 def test_unallocatable_sweep_grid_is_an_input_error(tmp_path, capsys):
     # a grid count no machine can allocate; a smaller one might be allocated
     path = tmp_path / "huge.mech"

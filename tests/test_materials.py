@@ -48,6 +48,13 @@ class TestMaterial:
         m = Material("x", 100.0, 0.3, g_modulus=37.0)
         assert m.g_modulus == 37.0
 
+    @pytest.mark.parametrize("g", [None, np.inf, 0.0, -1.0])
+    def test_shear_modulus_must_be_positive_and_finite(self, g):
+        # E near the float limit over 2 (1 + nu) near 0 overflows the
+        # derived G to inf, which is refused as an explicit inf is
+        with pytest.raises(ValueError, match="shear modulus must be positive and finite"):
+            Material("x", 1e308, -0.99, g_modulus=g)
+
     def test_caveat_present(self):
         assert "isotropy" in Material("x", 10.0, 0.4).caveat
 
