@@ -509,8 +509,13 @@ def serialize(parsed: ParsedMechanism) -> str:
 
     Raises ValueError, naming the object, where the text would read back as
     something else: a name or reference the reader would read differently,
-    two different limbs of one name, or a member whose geometry is not one
-    of `parsed.elements`."""
+    two different limbs of one name, a member whose geometry is not one of
+    `parsed.elements`, or an element whose material is not the `materials`
+    entry of its name."""
+    for name, g in parsed.elements.items():
+        if parsed.materials.get(g.material.name) != g.material:
+            raise ValueError(f"element {name!r}: material {g.material.name!r} is not the "
+                             "materials entry of that name")
     mech = parsed.mechanism
     elements = {id(g): name for name, g in parsed.elements.items()}
     limbs = {}

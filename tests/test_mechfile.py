@@ -9,6 +9,7 @@ from hypothesis import given
 
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import data_path, load_small_rcc
+from flexmech.materials import Material
 from flexmech.mechfile import GRAMMAR, NAME_RULE, load_joint_catalog, parse_lines, parse_mechanism, serialize
 from strategies import mechanism_texts, parsed_mechanisms
 
@@ -163,6 +164,12 @@ WRITER_REFUSALS = {
                       "'left#1' holds '#', which would start a comment"),
     "member outside elements": (lambda p: replace(p, elements={"n": p.elements["n"]}),
                                 "limb 'left': a member's geometry is not an element"),
+    "material outside materials": (
+        lambda p: replace(p, materials={"other": Material("other", 10.0, 0.3)}),
+        "element 'n': material 'soft' is not the materials entry of that name"),
+    "material under another name": (
+        lambda p: replace(p, materials={"steel": p.materials["soft"]}),
+        "element 'n': material 'soft' is not the materials entry of that name"),
 }
 
 
