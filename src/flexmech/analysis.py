@@ -188,6 +188,12 @@ class SweepObjective:
         targets = [*(self.diag_stiffness_target or {}).values(), self.rcc_height_target or 0.0]
         if not all(math.isfinite(v) for v in targets + list(self.weights.values())):
             raise ValueError("sweep targets and weights must be finite")
+        # a weight for a term with no objective would be ignored by _score
+        scored = {"rcc": self.rcc_height_target is not None, "ratio": self.stiffness_ratio_max,
+                  "diag": bool(self.diag_stiffness_target)}
+        for name in self.weights:
+            if not scored[name]:
+                raise ValueError(f"weight for term {name!r}, which has no objective")
 
     def weight(self, name):
         return float(self.weights.get(name, 1.0))

@@ -221,6 +221,17 @@ class TestRunSweep:
         assert str(exc.value) == (f"unknown weight term {name!r}; "
                                   "expected one of rcc, ratio, diag")
 
+    @pytest.mark.parametrize("objective, term", [
+        ({"weights": {"diag": 2.0}, "rcc_height_target": 28.0}, "diag"),
+        ({"weights": {"diag": 2.0}, "diag_stiffness_target": {}}, "diag"),
+        ({"weights": {"rcc": 2.0}, "stiffness_ratio_max": True}, "rcc"),
+        ({"weights": {"ratio": 0.5}, "diag_stiffness_target": {"z": 2.4}}, "ratio")])
+    def test_weight_without_its_objective_rejected(self, objective, term):
+        # _score would ignore the weight, and serialize would not write it
+        with pytest.raises(ValueError) as exc:
+            SweepObjective(**objective)
+        assert str(exc.value) == f"weight for term {term!r}, which has no objective"
+
     @pytest.mark.parametrize("target", [0.0, -0.0])
     def test_zero_stiffness_target_rejected(self, target):
         # the score divides by each stiffness target
