@@ -40,7 +40,7 @@ class Material:
         derived = derive_shear_modulus(self.e_modulus, self.nu)  # range checks
         if self.g_modulus is None:
             object.__setattr__(self, "g_modulus", derived)
-        # a derived G overflows to inf where E is near the float limit
+        # a derived G can overflow to inf or underflow to 0
         if not 0.0 < self.g_modulus < math.inf:
             raise ValueError(f"shear modulus must be positive and finite, got {self.g_modulus}")
 

@@ -296,11 +296,12 @@ def _evaluate(compiled: _Compiled, columns=(), row_of=_ONE_COPY, place_of=_ONE_C
 
     The integer half is the plan (_plan): which transports and terms each
     row shares and every gather below, a function of the layout of copies
-    alone, made once per layout and kept among the last few.  What follows is the float half, algebra on arrays gathered by
-    the plan.  Each part is computed once for the rows it differs on.  A
-    member whose angle no edit changes has one transport to its limb tip,
-    and a member whose angle and table row no edit changes has one J C J^T
-    term; every row shares them.  Each limb slot of each placement row has
+    alone, made once per layout and kept among the last few.  What follows
+    is the float half, algebra on arrays gathered by the plan.  Each part
+    is computed once for the rows it differs on.  A member whose angle no
+    edit changes has one transport to its limb tip, and a member whose
+    angle and table row no edit changes has one J C J^T term; every row
+    shares them.  Each limb slot of each placement row has
     one transport to the reference point.  The limb sums gather the terms
     in member order, so a sum adds the same terms in the same order however
     many rows share them.

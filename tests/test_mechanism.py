@@ -813,7 +813,7 @@ class TestPlan:
     def test_cache_stays_within_its_bound(self):
         _empty_cache()
         objective = SweepObjective(rcc_height_target=28.6)
-        # 24 topologies: 1 to 5 limb pairs, some of them long
+        # at least 24 topologies: 1 to 5 limb pairs, some of them long
         for pairs in range(1, 6):
             for long in ((), (0,), (1,), (pairs - 1,), (0, pairs - 1), tuple(range(pairs)),
                          tuple(range(0, pairs, 2))):
@@ -826,7 +826,7 @@ class TestPlan:
         for n in (2, 7, 16, 40):
             run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
                       small_rcc())
-        # the 40-point sweep takes two batches
+        # the 40 x 40 sweep takes two batches
         builds = (topologies + 5, plans.PLAN_CACHE_SIZE + 8)
         assert _builds() == builds
         for cached in (plans.build_plan, plans.build_grid_plan):
