@@ -30,6 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from flexmech import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 SWEEP_FILES = 8
@@ -75,14 +77,12 @@ def runs():
 def run(argv, files):
     """The bytes of one run: its argv, stdout, stderr, exit code and --out
     file, each length-prefixed."""
-    from flexmech.cli import main
-
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, text in files.items():
             Path(name).write_text(text, encoding="utf-8")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            code = cli.main(argv)
         out = Path("out.txt")
         written = out.read_text(encoding="utf-8") if out.exists() else ""
     parts = [" ".join(argv), stdout.getvalue(), stderr.getvalue(), str(code), written]
