@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .analysis import fit_creep, run_sweep
@@ -23,10 +24,16 @@ EXIT_NUMERICAL = 2
 
 
 def _write_out(path, text):
-    """Write a report file; an unwritable path is an input error naming it."""
+    """Write a report file as its UTF-8 bytes, in one write where the system
+    takes them all; an unwritable path is an input error naming it."""
+    data = memoryview(text.encode("utf-8"))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise MechanismFileError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -87,13 +94,16 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process: parse_args leaves it unchanged."""
+    """The argument parser and its subcommand parsers by name, built once per
+    process: parse_args leaves them unchanged."""
     parser = _Parser(
         prog="flexmech",
         description="Spatial stiffness analysis of compound flexure mechanisms")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("analyze", help="assemble the 6x6 stiffness of a mechanism file")
+    p = commands["analyze"] = sub.add_parser(
+        "analyze", help="assemble the 6x6 stiffness of a mechanism file")
     p.add_argument("file")
     p.add_argument("--rcc", action="store_true",
                    help="print remote-center height and rotational precision lines")
@@ -101,25 +111,36 @@ def build_parser():
     p.add_argument("--measured", help="measured directional stiffness file")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="run the parametric design sweep of a mechanism file")
+    p = commands["sweep"] = sub.add_parser(
+        "sweep", help="run the parametric design sweep of a mechanism file")
     p.add_argument("file")
     p.add_argument("--out", help="write the ranked table to this path")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("creep", help="fit the exponential creep model to a sample file")
+    p = commands["creep"] = sub.add_parser(
+        "creep", help="fit the exponential creep model to a sample file")
     p.add_argument("samples")
     p.add_argument("--out", help="write the fit report to this path")
     p.set_defaults(func=cmd_creep)
 
-    p = sub.add_parser("validate", help="parse a mechanism file and report problems")
+    p = commands["validate"] = sub.add_parser(
+        "validate", help="parse a mechanism file and report problems")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
-    return parser
+    return parser, commands
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        # the top-level parser would hand a subcommand's tokens unchanged to
+        # that subcommand's parser after a pass of its own, so they go there
+        # directly; any other argv gets the top-level usage and errors
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except MechanismFileError as exc:
         print(f"error: {exc}", file=sys.stderr)

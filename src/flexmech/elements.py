@@ -27,6 +27,7 @@ the oldest go first.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -109,8 +110,12 @@ def _cached(cache, keys, compute):
     if fresh:
         cache.update(zip(fresh, compute(fresh)))
     values = [cache[key] for key in keys]
-    while len(cache) > KERNEL_CACHE_SIZE:
-        del cache[next(iter(cache))]
+    # the oldest keys in one pass: a fresh iterator per key would rescan
+    # the slots already deleted
+    excess = len(cache) - KERNEL_CACHE_SIZE
+    if excess > 0:
+        for key in list(itertools.islice(cache, excess)):
+            del cache[key]
     return values
 
 

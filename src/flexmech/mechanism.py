@@ -58,6 +58,18 @@ from .spatial import (IDENTITY_PLACEMENT, SpatialMatrix6, congruence, invert, in
 AXIS_ROW = {"x": 0, "y": 1, "z": 2, "tx": 3, "ty": 4, "tz": 5}
 
 
+def check_member(limb_name, geom, placement):
+    """Refuse a member of limb `limb_name` that no limb may hold: a geometry
+    that is not an element (TypeError), or a tip out of the member's x-y
+    plane (ValueError)."""
+    if not isinstance(geom, (BeamGeometry, HingeGeometry)):
+        raise TypeError(f"unsupported member geometry {type(geom).__name__}")
+    if abs(placement.r[2]) > 0.0:
+        raise ValueError(
+            f"limb {limb_name!r}: member placements must have r_z = 0 "
+            "(tip lies in the member x-y plane)")
+
+
 @dataclass(frozen=True)
 class Limb:
     """Serial element chain; members are (geometry, placement-to-tip) pairs."""
@@ -69,12 +81,7 @@ class Limb:
         if len(self.members) < 1:
             raise ValueError("a limb needs at least one member")
         for geom, placement in self.members:
-            if not isinstance(geom, (BeamGeometry, HingeGeometry)):
-                raise TypeError(f"unsupported member geometry {type(geom).__name__}")
-            if abs(placement.r[2]) > 0.0:
-                raise ValueError(
-                    f"limb {self.name!r}: member placements must have r_z = 0 "
-                    "(tip lies in the member x-y plane)")
+            check_member(self.name, geom, placement)
 
     def leg_angle(self):
         """Net member rotation (rad); the beam lean of a hinge-beam-hinge leg."""
@@ -567,7 +574,7 @@ def evaluate_grid(template: Mechanism, levels):
     SWEEP_BATCH points is one _evaluate call; a point's limb row and
     placement row are told by integer keys of its level indices, so no row
     of floats is compared, and those keys depend only on the level counts,
-    so a grid of the same shape reuses them (plan.build_grid_plan).
+    so a batch of a grid of the same shape reuses them (plan.build_grid_plan).
 
     Returns, in grid order, the (N, P) grid values, one row per point, the
     (N, 6, 6) K stack, the (N, 3) rows of (rcc height, ideal center,
@@ -582,11 +589,20 @@ def evaluate_grid(template: Mechanism, levels):
             raise ValueError(f"sweep parameter {name!r} edits nothing in this mechanism")
     sizes = tuple(len(v) for v in values)
     placing = tuple(SWEEP_EDITS[name][0] == "slot" for name in names)
-    grid_plan = plans.build_grid_plan(sizes, placing, SWEEP_BATCH)
-    batches = []
-    for levels_at, row_of, place_of in grid_plan.batches:
-        columns = [(names[j], values[j][levels_at[j]]) for j in grid_plan.order]
-        _, k, _, centers, checks, conds = _evaluate(compiled, columns, row_of, place_of)
-        batches.append((k, centers, *_first_faults(checks, conds)))
-    grid = np.stack([v[i] for v, i in zip(values, grid_plan.index.T)], axis=-1)
-    return (grid, *map(np.concatenate, zip(*batches)))
+    total = math.prod(sizes)
+    out = None
+    for start in range(0, total, SWEEP_BATCH):
+        stop = min(start + SWEEP_BATCH, total)
+        batch = plans.build_grid_plan(sizes, placing, start, stop)
+        columns = [(names[j], values[j][batch.levels[j]]) for j in batch.order]
+        _, k, _, centers, checks, conds = _evaluate(compiled, columns, batch.row_of,
+                                                    batch.place_of)
+        grid = np.stack([v[i] for v, i in zip(values, batch.index.T)], axis=-1)
+        parts = (grid, k, centers, *_first_faults(checks, conds))
+        # the whole grid's outputs are made at the first batch, so a grid
+        # too large to hold them fails there (MemoryError)
+        if out is None:
+            out = tuple(np.empty((total,) + a.shape[1:], a.dtype) for a in parts)
+        for whole, part in zip(out, parts):
+            whole[start:stop] = part
+    return out

@@ -58,7 +58,7 @@ from .analysis import (SweepObjective, SweepSpec, check_stiffness_axis, check_st
 from .elements import BeamGeometry, HingeGeometry
 from .errors import MechanismFileError
 from .materials import Material, MeasuredJointRecord, derive_shear_modulus
-from .mechanism import Limb, Mechanism
+from .mechanism import Limb, Mechanism, check_member
 from .spatial import FramePlacement
 
 FORMAT_HEADER = "flexmech mechanism format 1"
@@ -90,12 +90,16 @@ GRAMMAR = {
 # the one rule for a name, in a [limb <name>] header and at a record's name
 # position (GRAMMAR's <name>, <variant> and <element>); README states it
 NAME_RULE = "one token, with no '=', '[' or ']'"
-_NAME_TOKENS = ("<name>", "<variant>", "<element>")
+_NAME_BANNED = frozenset("=[]")
+# each head's positional token positions that hold a name
+_NAME_AT = {head: tuple(i for i, token in enumerate(usage.split()[1:])
+                        if token in ("<name>", "<variant>", "<element>"))
+            for head, (usage, *_) in GRAMMAR.items()}
 
 
 def _name(text, lineno):
     """`text`, or an error at the line if it breaks NAME_RULE."""
-    if len(text.split()) != 1 or any(c in text for c in "=[]"):
+    if len(text.split()) != 1 or not _NAME_BANNED.isdisjoint(text):
         raise MechanismFileError(f"name {text!r} is not {NAME_RULE}", lineno)
     return text
 
@@ -125,8 +129,8 @@ def read_lines(path):
 
 def text_entries(lines):
     """(line number, text) of every line left with content once comments are cut."""
-    cut = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(lines, start=1))
-    return [(lineno, text) for lineno, text in cut if text]
+    return [(lineno, text) for lineno, raw in enumerate(lines, start=1)
+            if (text := raw.split("#", 1)[0].strip())]
 
 
 def _num(token, lineno, field):
@@ -178,9 +182,9 @@ def _records(entries, section, heads):
         for key in required:
             if key not in options:
                 raise MechanismFileError(f"{head} needs {' and '.join(required)}", lineno, key)
-        for word, token in zip(words, usage.split()[1:]):
-            if token in _NAME_TOKENS:
-                _name(word, lineno)
+        for i in _NAME_AT[head]:
+            if i < len(words):
+                _name(words[i], lineno)
         records.append((lineno, head, words, options))
     return records
 
@@ -193,7 +197,7 @@ def numeric_rows(entries, columns):
         if len(parts) != len(columns):
             raise MechanismFileError(
                 f"expected {len(columns)} columns: {' '.join(columns)}", lineno)
-        rows.append(tuple(_num(p, lineno, c) for p, c in zip(parts, columns)))
+        rows.append(tuple([_num(p, lineno, c) for p, c in zip(parts, columns)]))
     return rows
 
 
@@ -296,8 +300,8 @@ def _parse_limb(name, entries, elements, section_line):
         if elem_name not in elements:
             raise MechanismFileError(f"dangling element reference {elem_name!r}", lineno, name)
         member = (elements[elem_name], _placement(options, lineno))
-        # a member a limb of it alone refuses is named at its own line
-        _checked(Limb, lineno, name, name, (member,))
+        # a member no limb may hold is named at its own line
+        _checked(check_member, lineno, name, name, *member)
         members.append(member)
     # an empty limb is named at its section header
     return _checked(Limb, section_line, name, name, tuple(members))
@@ -510,12 +514,16 @@ def serialize(parsed: ParsedMechanism) -> str:
     Raises ValueError, naming the object, where the text would read back as
     something else: a name or reference the reader would read differently,
     two different limbs of one name, a member whose geometry is not one of
-    `parsed.elements`, or an element whose material is not the `materials`
-    entry of its name."""
+    `parsed.elements`, an element whose material is not the `materials`
+    entry of its name, or a `materials` entry under a key other than its
+    material's name."""
     for name, g in parsed.elements.items():
         if parsed.materials.get(g.material.name) != g.material:
             raise ValueError(f"element {name!r}: material {g.material.name!r} is not the "
                              "materials entry of that name")
+    for key, m in parsed.materials.items():
+        if m.name != key:
+            raise ValueError(f"materials entry {key!r} holds a material named {m.name!r}")
     mech = parsed.mechanism
     elements = {id(g): name for name, g in parsed.elements.items()}
     limbs = {}

@@ -6,12 +6,12 @@ J C J^T terms the limb rows share, the runs of members, limb slots and
 mechanisms, and every gather of the check tables and the four-bar legs
 depend only on integers: the geometry kinds, the compiled topology, what
 each edit changes, and the copies' rows.  build_plan makes them as one
-read-only Plan and build_grid_plan a sweep grid's level keys as one
-GridPlan.  Each is a pure function of hashable integers (bytes copies of
-integer arrays, tuples, ints), so a plan reads only its key, and each keeps
-its last PLAN_CACHE_SIZE results (functools.lru_cache): design iteration
-changes numbers, not topology, and every batch of a sweep of one grid shape
-has one layout, so a repeated layout builds nothing.
+read-only Plan and build_grid_plan the level keys of one batch of a sweep
+grid as one GridPlan.  Each is a pure function of hashable integers (bytes
+copies of integer arrays, tuples, ints), so a plan reads only its key, and
+each keeps its last PLAN_CACHE_SIZE results (functools.lru_cache): design
+iteration changes numbers, not topology, and every batch of a sweep of one
+grid shape has one layout, so a repeated layout builds nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .elements import HINGE
 # seeded benchmark corpus of designs has 6 layouts and a sweep 1 plan and 1
 # grid plan.  At mechanism.SWEEP_BATCH points a plan of the bundled design
 # with its key takes 119-365 kB and a grid plan 34-83 kB, so the two caches
-# hold at most about 7.2 MB of such entries; an analyze_batch plan grows
-# with its batch and a grid plan with its grid, and are kept all the same.
+# hold at most about 7.2 MB of such entries; a grid plan covers one batch,
+# but an analyze_batch plan grows with its batch and is kept all the same.
 PLAN_CACHE_SIZE = 16
 
 
@@ -148,35 +148,34 @@ def build_plan(targets, kinds, geom_of, lengths, limb_of, counts, masks, row_of,
 
 
 class GridPlan(NamedTuple):
-    """The level indices of a sweep grid, read-only (build_grid_plan)."""
+    """The level indices of one batch of a sweep grid, read-only
+    (build_grid_plan)."""
 
-    index: np.ndarray           # (N, P) level index of each point along each name
+    index: np.ndarray           # (n, P) level index of each of its points along each name
     order: tuple                # the names' positions, limb edits first, then slot edits
-    batches: tuple              # per batch: (level indices of its rows per name, row_of, place_of)
+    levels: tuple               # level indices of its rows per name
+    row_of: np.ndarray          # limb row of each of its points
+    place_of: np.ndarray        # placement row of each of its points
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def build_grid_plan(sizes, placing, batch_size):
-    """The GridPlan of a grid of the given level counts whose names are
-    slot edits where `placing` holds, in batches of `batch_size` points:
-    each batch's limb rows and placement rows, told by integer keys of the
-    level indices, and the level of each row along each name."""
-    index = np.indices(sizes).reshape(len(sizes), -1).T
+def build_grid_plan(sizes, placing, start, stop):
+    """The GridPlan of points start to stop (in grid order, the last name
+    varying fastest) of a grid of the given level counts whose names are
+    slot edits where `placing` holds: their limb rows and placement rows,
+    told by integer keys of the level indices, and the level of each row
+    along each name.  One entry covers one batch, never the whole grid."""
+    index = np.stack(np.unravel_index(np.arange(start, stop), sizes), axis=-1)
     # the limb rows, then the placement rows
     picks = [[j for j, slot in enumerate(placing) if slot == kind] for kind in (False, True)]
-    batches, arrays = [], [index]
-    for start in range(0, len(index), batch_size):
-        batch = index[start:start + batch_size]
-        levels, row_ofs = [None] * len(sizes), []
-        for picked in picks:
-            key = np.zeros(len(batch), dtype=np.intp)
-            for j in picked:
-                key = key * sizes[j] + batch[:, j]
-            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
-            for j in picked:
-                levels[j] = batch[first, j]
-            row_ofs.append(row_of)
-        arrays += levels + row_ofs
-        batches.append((tuple(levels), *row_ofs))
-    _read_only(arrays)
-    return GridPlan(index, tuple(picks[0] + picks[1]), tuple(batches))
+    levels, row_ofs = [None] * len(sizes), []
+    for picked in picks:
+        key = np.zeros(len(index), dtype=np.intp)
+        for j in picked:
+            key = key * sizes[j] + index[:, j]
+        _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+        for j in picked:
+            levels[j] = index[first, j]
+        row_ofs.append(row_of)
+    _read_only([index, *levels, *row_ofs])
+    return GridPlan(index, tuple(picks[0] + picks[1]), tuple(levels), *row_ofs)

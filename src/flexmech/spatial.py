@@ -59,12 +59,12 @@ class FramePlacement:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValueError("placement angle must be finite")
-        if not all(math.isfinite(c) for c in self.r):
+        if not all(map(math.isfinite, self.r)):
             raise ValueError("placement displacement must be finite")
         # normalize into (-2pi, 2pi); files carry degrees, internals radians
         theta = math.fmod(self.theta, 2.0 * math.pi)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "r", tuple(float(c) for c in self.r))
+        object.__setattr__(self, "r", tuple(map(float, self.r)))
 
     @classmethod
     def from_degrees(cls, theta_deg, r):

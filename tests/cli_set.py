@@ -6,10 +6,14 @@ of every corpus design, `creep --out` of every creep trace, and `sweep --out`
 of placement and geometry sweep files 0-7; then `analyze --rcc --out` and
 `validate` of the bundled design and of four edge variants of it (a hinge
 at t=1e-9 and at w=1e120, a misspelt `teta=20`, and a decimal angle
-`theta=8.784`).  Each run calls flexmech.cli.main in this process, in a
-temporary directory and with relative file names, so no path enters the
-output; the digest covers each run's arguments, stdout, stderr, exit code
-and `--out` file, in order.
+`theta=8.784`); then the command lines the argument parser refuses or
+answers with help: a missing file, an unknown option, an unknown command,
+no arguments, `-h`, and `<command> -h` of each command.  Each run calls
+flexmech.cli.main in this process, in a temporary directory and with
+relative file names, so no path enters the output; help text is wrapped at
+80 columns whatever the terminal.  The digest covers each run's arguments,
+stdout, stderr, exit code (or the code of its SystemExit) and `--out` file,
+in order.
 
 Run it from the repository root with the flexmech to test on the path:
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -71,6 +76,10 @@ def runs():
         files = {f"{name}.mech": bundled.replace(old, new) if old else bundled}
         out.append((["analyze", f"{name}.mech", "--rcc", "--out", "out.txt"], files))
         out.append((["validate", f"{name}.mech"], files))
+    out += [(["analyze", "missing.mech"], {}),
+            (["analyze", "bundled.mech", "--no-such-flag"], {"bundled.mech": bundled}),
+            (["bogus", "bundled.mech"], {}), ([], {}), (["-h"], {})]
+    out += [([command, "-h"], {}) for command in ("analyze", "sweep", "creep", "validate")]
     return out
 
 
@@ -82,7 +91,10 @@ def run(argv, files):
             Path(name).write_text(text, encoding="utf-8")
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
         out = Path("out.txt")
         written = out.read_text(encoding="utf-8") if out.exists() else ""
     parts = [" ".join(argv), stdout.getvalue(), stderr.getvalue(), str(code), written]
@@ -90,6 +102,7 @@ def run(argv, files):
 
 
 def main():
+    os.environ["COLUMNS"] = "80"
     digest = hashlib.sha256()
     todo = runs()
     for argv, files in todo:

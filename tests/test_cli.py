@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import flexmech
+import flexmech.cli as cli
 import flexmech.elements as elements
 from flexmech.cli import main
 from flexmech.fixtures import data_path
@@ -308,6 +309,48 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: flexmech" in capsys.readouterr().out
+
+
+# (argv, the exit code or the ("exit", code) of a SystemExit); {sweep} and
+# {tmp} are filled in per run
+DISPATCH = {
+    "analyze": (["analyze", str(SMALL_RCC), "--rcc"], 0),
+    "sweep": (["sweep", "{sweep}"], 0),
+    "creep": (["creep", str(CREEP)], 0),
+    "validate": (["validate", str(SMALL_RCC)], 0),
+    "missing-file": (["analyze", "{tmp}/missing.mech"], 1),
+    "unknown-option": (["analyze", str(SMALL_RCC), "--nope"], 1),
+    "unknown-command": (["bogus", "x"], 1),
+    "no-argv": ([], 1),
+    "help": (["-h"], ("exit", 0)),
+    **{f"{command}-help": ([command, "-h"], ("exit", 0))
+       for command in ("analyze", "sweep", "creep", "validate")},
+}
+
+
+def _outcome(argv, capsys):
+    """main(argv)'s exit code, or ("exit", code) of its SystemExit, and its
+    stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, code", DISPATCH.values(), ids=DISPATCH)
+def test_subcommand_dispatch_matches_the_top_level_parser(tmp_path, capsys, monkeypatch,
+                                                          argv, code):
+    # main hands a subcommand's tokens straight to that subcommand's parser;
+    # through the top-level parser alone every argv ends the same way
+    sweep = tmp_path / "s.mech"
+    sweep.write_text(SWEEP_FILE.format(extra="[sweep]\nvary t 2.4 3.2 2\ntarget rcc_height 28.6\n"))
+    argv = [a.format(sweep=sweep, tmp=tmp_path) for a in argv]
+    direct = _outcome(argv, capsys)
+    assert direct[0] == code
+    parser, _ = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: (parser, {}))
+    assert _outcome(argv, capsys) == direct
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep", "creep"])

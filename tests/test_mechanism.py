@@ -2,6 +2,7 @@
 remote-center extraction, deflection and deviation reporting."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -822,12 +823,12 @@ class TestPlan:
         assert topologies >= 24
         # more grid shapes than the grid plan cache keeps, then 4 sweep shapes
         for n in range(1, plans.PLAN_CACHE_SIZE + 5):
-            plans.build_grid_plan((n, 3), (False, True), mech.SWEEP_BATCH)
+            plans.build_grid_plan((n, 3), (False, True), 0, 3 * n)
         for n in (2, 7, 16, 40):
             run_sweep(SweepSpec({"angle": (12.0, 30.0, n), "t": (2.0, 3.0, n)}, objective),
                       small_rcc())
-        # the 40 x 40 sweep takes two batches
-        builds = (topologies + 5, plans.PLAN_CACHE_SIZE + 8)
+        # the 40 x 40 sweep takes two batches, each with a plan and a grid plan
+        builds = (topologies + 5, plans.PLAN_CACHE_SIZE + 9)
         assert _builds() == builds
         for cached in (plans.build_plan, plans.build_grid_plan):
             assert cached.cache_info().currsize == plans.PLAN_CACHE_SIZE
@@ -839,10 +840,9 @@ class TestPlan:
     def test_plan_arrays_are_read_only(self):
         compiled = mech._compile(small_rcc().limbs, (4,))
         names = ("angle", "t", "y")
-        grid_plan = plans.build_grid_plan((4, 3, 2), (False, False, True), mech.SWEEP_BATCH)
-        built = [grid_plan, mech._plan(compiled, (), mech._ONE_COPY, mech._ONE_COPY)]
-        built += [mech._plan(compiled, names, row_of, place_of)
-                  for _, row_of, place_of in grid_plan.batches]
+        grid_plan = plans.build_grid_plan((4, 3, 2), (False, False, True), 0, 24)
+        built = [grid_plan, mech._plan(compiled, (), mech._ONE_COPY, mech._ONE_COPY),
+                 mech._plan(compiled, names, grid_plan.row_of, grid_plan.place_of)]
 
         def arrays_in(value):
             if isinstance(value, np.ndarray):
@@ -856,6 +856,25 @@ class TestPlan:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = a
+
+    def test_grid_plan_cache_holds_batches_not_grids(self):
+        # each entry covers one batch, so the kept entries of a million-point
+        # grid are at most PLAN_CACHE_SIZE batches, not the grid's level index
+        # (40.6 MB when an entry covered the whole grid)
+        _empty_cache()
+        sizes, total = (1000, 1000), 1000 * 1000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for start in range(0, total, mech.SWEEP_BATCH):
+                plans.build_grid_plan(sizes, (False, True), start,
+                                      min(start + mech.SWEEP_BATCH, total))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plans.build_grid_plan.cache_info().currsize == plans.PLAN_CACHE_SIZE
+        assert held < 1e6
+        _empty_cache()
 
 
 @settings(max_examples=30)

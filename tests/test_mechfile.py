@@ -10,6 +10,7 @@ from hypothesis import given
 from flexmech.errors import MechanismFileError
 from flexmech.fixtures import data_path, load_small_rcc
 from flexmech.materials import Material
+from flexmech.mechanism import Limb
 from flexmech.mechfile import GRAMMAR, NAME_RULE, load_joint_catalog, parse_lines, parse_mechanism, serialize
 from strategies import mechanism_texts, parsed_mechanisms
 
@@ -170,6 +171,9 @@ WRITER_REFUSALS = {
     "material under another name": (
         lambda p: replace(p, materials={"steel": p.materials["soft"]}),
         "element 'n': material 'soft' is not the materials entry of that name"),
+    "materials entry under another key": (
+        lambda p: replace(p, materials={**p.materials, "spare": Material("other", 10.0, 0.3)}),
+        "materials entry 'spare' holds a material named 'other'"),
 }
 
 
@@ -177,6 +181,15 @@ WRITER_REFUSALS = {
 def test_writer_refuses_text_that_reads_back_as_something_else(edit, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         serialize(edit(parse_lines(lines(GOOD))))
+
+
+def test_reader_builds_one_limb_per_limb_section(monkeypatch):
+    # a member line is checked by mechanism.check_member, not by a Limb of it alone
+    built = []
+    check = Limb.__post_init__
+    monkeypatch.setattr(Limb, "__post_init__", lambda self: (built.append(self.name), check(self)))
+    parse_mechanism(data_path("small_rcc.mech"))
+    assert built == ["left", "right"]
 
 
 class TestErrors:
