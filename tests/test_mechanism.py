@@ -858,9 +858,9 @@ class TestPlan:
                 a[...] = a
 
     def test_grid_plan_cache_holds_batches_not_grids(self):
-        # each entry covers one batch, so the kept entries of a million-point
-        # grid are at most PLAN_CACHE_SIZE batches, not the grid's level index
-        # (40.6 MB when an entry covered the whole grid)
+        # each entry covers one batch, so a million-point grid leaves at most
+        # PLAN_CACHE_SIZE batches in the cache; its whole level index and row
+        # keys would take about 40 MB
         _empty_cache()
         sizes, total = (1000, 1000), 1000 * 1000
         tracemalloc.start()
