@@ -19,8 +19,18 @@ import numpy as np
 from .errors import fault_error
 from .mechanism import AXIS_ROW, SWEEP_EDITS, Mechanism, check_edit_range, evaluate_grid
 
-GN_TOL = 1e-9          # parameter convergence tolerance of the creep fit
-GN_MAX_ITER = 200
+# the creep fit's log-tau grid runs from TAU_FAST of the first positive
+# sample time to TAU_SLOW spans, both from the first sample, with points at
+# most GRID_STEP apart and at most GRID_MAX of them; the REFINE lowest local
+# minima on it are refined until a step moves log tau by at most STEP_TOL,
+# which is then taken, or for at most REFINE_MAX_ITER steps
+TAU_FAST = 1.0 / 16.0
+TAU_SLOW = 128.0
+GRID_STEP = 0.3
+GRID_MAX = 256
+REFINE = 3
+STEP_TOL = 1e-8
+REFINE_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -56,76 +66,137 @@ class CreepFit:
     tau_identifiable: bool
 
 
-def fit_creep(samples) -> CreepFit:
-    """Least-squares fit of the exponential relaxation to (time, force) samples.
+def _unit(x):
+    """The power of two 2^(e-1) <= x < 2^e of a finite x > 0, and 1/2 for x = 0:
+    dividing by it is exact and scales x into [1, 2)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
-    Log-linearized initialization followed by damped Gauss-Newton; constant
-    force traces are flagged tau-unidentifiable instead of failing.
+
+def _profile(u, s, yc):
+    """The variable-projection profile phi(log tau) = min ||F_ss + A e^{-s/tau} - F||^2
+    at one log time constant u, or at each of an array (k,) of them.
+
+    F_ss and A solve the linear least squares in closed form; yc is F with
+    its mean taken out, so F_ss = mean(F) - A * mean(e^{-s/tau}).  Returns
+    phi, A, the mean decay, phi'/2 and a positive curvature for the step
+    -(phi'/2) / curvature: phi''/2 where that is positive (a Newton step),
+    else Kaufman's Gauss-Newton term (the model's derivative projected off
+    the basis {1, e^{-s/tau}}, squared), which is zero only where the model
+    does not move with tau.
     """
-    pts = sorted((float(t), float(f)) for t, f in samples)
+    mean = np.full(len(s), 1.0 / len(s))
+    rate = s * np.exp(-u)[..., None]
+    decay = np.exp(-rate)
+    dbar = decay @ mean
+    dc = decay - dbar[..., None]
+    dd = np.vecdot(dc, dc)
+    a = (dc @ yc) / dd
+    r = a[..., None] * dc - yc
+    # g = d e^{-s/tau} / d log tau; r is orthogonal to 1 and to e^{-s/tau},
+    # so only g's centred part and the curvature's h = dg / d log tau remain
+    g = decay * rate
+    gr = np.vecdot(g, r)
+    hr = np.vecdot(g * (rate - 1.0), r)
+    g -= (g @ mean)[..., None]
+    gdc = np.vecdot(g, dc)
+    kaufman = a * a * (np.vecdot(g, g) - gdc * gdc / dd)
+    newton = kaufman - (2.0 * a * gdc * gr + gr * gr) / dd + a * hr
+    return np.vecdot(r, r), a, dbar, a * gr, np.where(newton > 0.0, newton, kaufman)
+
+
+def fit_creep(samples) -> CreepFit:
+    """Least-squares fit of the exponential relaxation to (time, force) samples
+    by variable projection.
+
+    For a fixed tau, F_ss and A = F0 - F_ss solve a two-column linear least
+    squares in closed form, which leaves a 1-D profile over log tau
+    (_profile).  The profile is evaluated on a log grid (TAU_FAST, TAU_SLOW);
+    its REFINE lowest local minima are refined by Newton steps, Gauss-Newton
+    ones where the profile is not convex, each kept inside the grid cells
+    next to its minimum and halved when it does not lower the profile; the
+    lowest result is the fit.  Forces are fitted in units of a power of two
+    near max F and times from the first sample in units of a power of two
+    near the span, so the fit scales exactly with either; F0 is then mapped
+    back to t = 0.  tau is unidentifiable when the minimum lies on the
+    grid's edge, when a fitted force below zero is clamped to zero, when the
+    samples have fewer than three distinct times and when the forces are
+    constant.  The residual norm is always that of the returned model.
+    """
+    pts = np.array(list(samples), dtype=float)
     if len(pts) < 4:
         raise ValueError(f"need at least 4 samples, got {len(pts)}")
-    t = np.array([p[0] for p in pts])
-    f = np.array([p[1] for p in pts])
-    if not (np.isfinite(t).all() and np.isfinite(f).all()):
+    if pts.shape[1:] != (2,):
+        raise ValueError("samples must be (time, force) pairs")
+    if not np.isfinite(pts).all():
         raise ValueError("samples must be finite")
-    if np.any(f < 0.0):
+    t, f = pts[np.argsort(pts[:, 0], kind="stable")].T
+    f_min, f_max = f.min(), f.max()
+    if f_min < 0.0:
         raise ValueError("forces must be nonnegative")
+    span = float(t[-1]) - float(t[0])
+    if not math.isfinite(span):
+        raise ValueError("sample times span more than the largest float")
 
-    span = f.max() - f.min()
-    scale = max(abs(f).max(), 1.0)
-    if span < 1e-12 * scale:
-        mean = float(f.mean())
-        return CreepFit(CreepModel(mean, mean, 1.0), float(np.linalg.norm(f - mean)), False)
+    f_unit = _unit(f_max)
+    y = f / f_unit
+    ybar = y.sum() / len(y)
+    if span == 0.0 or f_max - f_min <= 1e-12 * f_max:
+        mean = float(ybar * f_unit)
+        return CreepFit(CreepModel(mean, mean, 1.0),
+                        math.sqrt((y - ybar) @ (y - ybar)) * f_unit, False)
 
-    # init: take the last sample as a steady-state guess, shifted slightly so
-    # the log of the remaining decay is defined everywhere, then regress
-    # log|f - f_ss| against t
-    sign = 1.0 if f[0] >= f[-1] else -1.0
-    fss0 = f[-1] - sign * 0.05 * span
-    resid0 = sign * (f - fss0)
-    mask = resid0 > 1e-12 * scale
-    if mask.sum() >= 2:
-        slope, intercept = np.polyfit(t[mask], np.log(resid0[mask]), 1)
-        tau = -1.0 / slope if slope < 0 else (t[-1] - t[0])
-        f0 = fss0 + sign * math.exp(intercept)
-    else:
-        # noise-dominated trace; crude init, Gauss-Newton does the rest
-        tau = max(t[-1] - t[0], 1.0)
-        f0 = f[0]
-    p = np.array([f0, fss0, max(tau, 1e-9)])
+    t_unit = _unit(span)
+    s = (t - t[0]) / t_unit
+    # the floor keeps s / tau finite
+    lo = math.log(max(s[s > 0.0][0] * TAU_FAST, s[-1] * 1e-300))
+    hi = math.log(s[-1] * TAU_SLOW)
+    m = min(GRID_MAX, math.ceil((hi - lo) / GRID_STEP) + 1)
+    u = lo + np.arange(m) * ((hi - lo) / (m - 1))
+    yc = y - ybar
+    phi, a, dbar, grad, curv = _profile(u, s, yc)
 
-    def residuals(p):
-        f0, fss, tau = p
-        decay = np.exp(-t / tau)
-        return fss + (f0 - fss) * decay - f
+    # refine the REFINE lowest local minima of the grid, each inside its
+    # neighbouring cells (an edge point inside its one cell): a trial that
+    # lowers the profile is kept, a step that does not is halved
+    walled = np.concatenate(([np.inf], phi, [np.inf]))
+    k = np.flatnonzero((phi < walled[:-2]) & (phi <= walled[2:]))
+    found = []
+    for j in k[np.argsort(phi[k], kind="stable")[:REFINE]].tolist():
+        left, right = u[max(j - 1, 0)], u[min(j + 1, len(u) - 1)]
+        x, phi_x = u[j], phi[j]
+        dx = -grad[j] / curv[j] if curv[j] > 0.0 else 0.0
+        for _ in range(REFINE_MAX_ITER):
+            trial = min(max(x + dx, left), right)
+            if abs(trial - x) <= STEP_TOL:
+                # a Newton step this short leaves an error of about its
+                # square: take it
+                x = trial
+                break
+            phi_t, _, _, grad_t, curv_t = _profile(trial, s, yc)
+            if phi_t <= phi_x:
+                x, phi_x = trial, phi_t
+                dx = -grad_t / curv_t if curv_t > 0.0 else 0.0
+            else:
+                dx = 0.5 * (trial - x)
+        found.append((phi_x, x))
 
-    r = residuals(p)
-    cost = float(r @ r)
-    for _ in range(GN_MAX_ITER):
-        f0, fss, tau = p
-        decay = np.exp(-t / tau)
-        jac = np.column_stack([decay, 1.0 - decay, (f0 - fss) * (t / tau**2) * decay])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        # halving line search; keeps tau positive
-        lam = 1.0
-        for _ in range(40):
-            trial = p + lam * step
-            if trial[2] > 0.0:
-                r_trial = residuals(trial)
-                cost_trial = float(r_trial @ r_trial)
-                if cost_trial <= cost:
-                    break
-            lam *= 0.5
-        else:
-            break
-        moved = np.abs(lam * step) / np.maximum(np.abs(p), 1.0)
-        p, r, cost = trial, r_trial, cost_trial
-        if moved.max() < GN_TOL:
-            break
-
-    model = CreepModel(max(p[0], 0.0), max(p[1], 0.0), p[2])
-    return CreepFit(model, math.sqrt(cost), True)
+    x = min(found)[1]
+    _, a_x, dbar_x, _, _ = _profile(x, s, yc)
+    tau = math.exp(x) * t_unit
+    f_ss = ybar - a_x * dbar_x
+    try:
+        f0 = f_ss + a_x * math.exp(t[0] / tau)
+    except OverflowError:
+        f0 = math.inf
+    if not math.isfinite(f0 * f_unit):
+        raise ValueError("the fitted force at t = 0 overflows; measure times from "
+                         "the start of the relaxation")
+    identifiable = bool(u[0] < x < u[-1] and f0 >= 0.0 and f_ss >= 0.0
+                        and np.count_nonzero(s[1:] != s[:-1]) >= 2)
+    f0, f_ss = max(f0, 0.0), max(f_ss, 0.0)
+    resid = f_ss + (f0 - f_ss) * np.exp(-t / tau) - y
+    return CreepFit(CreepModel(float(f0 * f_unit), float(f_ss * f_unit), tau),
+                    math.sqrt(resid @ resid) * f_unit, identifiable)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,16 @@ Run it from the repository root with the flexmech to test on the path:
     PYTHONPATH=src python tests/cli_set.py
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_set.py
 
-It prints the run count and the digest.  The inputs always come from this
-checkout's perfbench/inputs.py, so both lines above run the same set.
-pytest does not collect this file.
+It prints the run count and the digest.  With --runs it first prints one
+`<sha256> <argv>` line per run, so that two checkouts whose digests differ
+can be diffed run by run; the last line is the same.  The inputs always come
+from this checkout's perfbench/inputs.py, so both lines above run the same
+set.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -102,11 +105,19 @@ def run(argv, files):
 
 
 def main():
+    parser = argparse.ArgumentParser(description="One sha256 over flexmech's CLI output "
+                                                 "for a fixed set of runs.")
+    parser.add_argument("--runs", action="store_true",
+                        help="first print each run's own sha256 and its arguments")
+    show_runs = parser.parse_args().runs
     os.environ["COLUMNS"] = "80"
     digest = hashlib.sha256()
     todo = runs()
     for argv, files in todo:
-        digest.update(run(argv, files))
+        data = run(argv, files)
+        digest.update(data)
+        if show_runs:
+            print(hashlib.sha256(data).hexdigest(), " ".join(argv))
     print(f"{len(todo)} runs sha256 {digest.hexdigest()}")
 
 

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import mpmath
+import numpy as np
 
 from flexmech.kernels import notch_kernels, torsion_beta
 from flexmech.materials import Material
@@ -105,3 +106,22 @@ def sort_key(point):
     """A SweepPoint's rank key: infeasible last, then score, then the grid
     values in spec order."""
     return (not point.feasible, point.score, tuple(v for _, v in point.params))
+
+
+def creep_profile_min(times, forces, tau_lo, tau_hi, points=20001):
+    """The least squared residual of F_ss + A e^{-(t - t0)/tau} over `points`
+    log-spaced tau from tau_lo to tau_hi, t0 the first time: at each tau,
+    F_ss and A solve the 2x2 normal equations of the linear least squares,
+    and the residual is summed from the fitted model."""
+    t = np.asarray(times, dtype=float)
+    f = np.asarray(forces, dtype=float)
+    best = math.inf
+    for taus in np.array_split(np.geomspace(tau_lo, tau_hi, points), 50):
+        d = np.exp(-(t - t.min()) / taus[:, None])
+        sd, sdd, sdf = d.sum(axis=1), (d * d).sum(axis=1), d @ f
+        det = len(t) * sdd - sd * sd
+        amp = (len(t) * sdf - sd * f.sum()) / det
+        f_ss = (f.sum() - amp * sd) / len(t)
+        r = f_ss[:, None] + amp[:, None] * d - f
+        best = min(best, float((r * r).sum(axis=1).min()))
+    return best

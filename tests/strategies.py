@@ -6,12 +6,14 @@ explicit G, hinges and beams that limbs share, limbs of 1-5 members, their
 placements, and an optional [sweep] and [measured] section.  Member and limb
 angles are drawn as the decimal degree text that files carry.
 mechanism_texts() is their serialized text, a base for tests that mutate
-whole files line by line.
+whole files line by line.  creep_traces() draws noisy relaxation traces for
+the creep fit.
 """
 
 import math
 from decimal import Decimal
 
+import numpy as np
 from hypothesis import strategies as st
 
 from flexmech.analysis import SWEEP_PARAMETERS, WEIGHT_TERMS, SweepObjective, SweepSpec
@@ -117,3 +119,24 @@ def parsed_mechanisms(draw):
 def mechanism_texts():
     """The text of a drawn valid mechanism file."""
     return parsed_mechanisms().map(serialize)
+
+
+@st.composite
+def creep_traces(draw):
+    """(times, forces) of a relaxation trace F_ss + A e^{-t/tau} plus noise:
+    8-80 samples at uniform or random times from t = 0, a span of 0.3-50
+    tau, a rising or decaying step A and Gaussian noise of 0-5% of |A|.
+    Forces are reflected at zero, so every trace is a valid creep file."""
+    n = draw(st.integers(8, 80))
+    tau = draw(st.floats(1e-3, 1e4))
+    span = tau * draw(st.floats(0.3, 50.0))
+    f_ss = draw(st.floats(0.5, 50.0))
+    step = f_ss * draw(st.floats(-0.9, 5.0).filter(lambda v: abs(v) > 1e-3))
+    noise = abs(step) * draw(st.floats(0.0, 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        t = np.linspace(0.0, span, n)
+    else:
+        t = np.sort(np.r_[0.0, rng.uniform(0.0, span, n - 1)])
+    f = np.abs(f_ss + step * np.exp(-t / tau) + noise * rng.standard_normal(n))
+    return t.tolist(), f.tolist()

@@ -22,7 +22,8 @@ from flexmech.mechanism import Limb, Mechanism, analyze
 from flexmech.mechfile import parse_lines, read_lines
 from flexmech.report import sweep_table
 from flexmech.spatial import FramePlacement, SpatialMatrix6
-from oracles import grid, sort_key
+from oracles import creep_profile_min, grid, sort_key
+from strategies import creep_traces
 
 PAPER_CREEP = CreepModel(22.0, 19.0, 200.0)
 
@@ -107,6 +108,103 @@ class TestFitCreep:
         assert abs(np.mean(taus) - 200.0) / 200.0 < 0.05
         assert abs(np.median(taus) - 200.0) / 200.0 < 0.05
         assert np.std(taus) < 0.1 * 200.0
+
+    def test_linear_trace_is_on_the_slow_edge(self):
+        # a straight line is the tau -> infinity limit: the profile falls
+        # toward the grid's slow edge, where F_ss = F0 - A is negative and
+        # is clamped to zero; the residual is that of the clamped model
+        t = np.array([0.0, 1.0, 2.0, 3.0])
+        f = np.array([5.0, 4.0, 3.0, 2.0])
+        fit = fit_creep(list(zip(t, f)))
+        assert not fit.tau_identifiable
+        assert fit.model.f_ss == 0.0
+        assert fit.model.tau == 128.0 * 3.0
+        assert fit.residual_norm == pytest.approx(
+            np.linalg.norm(creep_force(fit.model, t) - f), rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [
+        [(0.0, 5.0), (0.0, 4.0), (0.0, 3.0), (0.0, 2.0)],
+        [(0.0, 5.0), (0.0, 4.0), (1.0, 3.0), (1.0, 2.0)],
+    ], ids=["one-time", "two-times"])
+    def test_fewer_than_three_times_unidentifiable(self, samples):
+        fit = fit_creep(samples)
+        assert not fit.tau_identifiable
+        t, f = np.array(samples).T
+        assert fit.residual_norm == pytest.approx(
+            np.linalg.norm(creep_force(fit.model, t) - f), rel=1e-12)
+
+    def test_no_linear_algebra_solver(self, monkeypatch):
+        # the linear parameters come in closed form; no lstsq or polyfit
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_creep called a least-squares solver")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        assert fit_creep(self.samples()).tau_identifiable
+        assert not hasattr(analysis, "GN_TOL") and not hasattr(analysis, "GN_MAX_ITER")
+
+
+def _fit_and_arrays(trace):
+    return fit_creep(list(zip(*trace))), np.array(trace[0]), np.array(trace[1])
+
+
+@settings(max_examples=60)
+@given(trace=creep_traces())
+def test_creep_fit_reaches_the_profile_minimum(trace):
+    """The fit's squared residual is at most the least one of a dense log-tau
+    profile over the fit's own grid range, and an identifiable fit is a
+    stationary point in all three parameters."""
+    fit, t, f = _fit_and_arrays(trace)
+    model = fit.model
+    r = creep_force(model, t) - f
+    if model.f_ss == 0.0 or model.f0 == 0.0:
+        # a least-squares force below zero was clamped; the clamped model
+        # is no least-squares point and is never called identifiable
+        assert not fit.tau_identifiable
+    else:
+        # the fit's grid: from TAU_FAST of the first positive time to
+        # TAU_SLOW spans
+        profile = creep_profile_min(t, f, analysis.TAU_FAST * t[t > 0.0][0],
+                                    analysis.TAU_SLOW * t[-1])
+        # residuals within a few dozen ulps of the forces per sample are
+        # rounding, and cannot be compared
+        rounding = len(t) * (32 * np.finfo(float).eps * f.max()) ** 2
+        assert fit.residual_norm**2 <= profile * (1 + 1e-9) + rounding
+    if fit.tau_identifiable:
+        decay = np.exp(-t / model.tau)
+        jacobian = (decay, 1.0 - decay, (model.f0 - model.f_ss) * t / model.tau**2 * decay)
+        for column in jacobian:
+            assert abs(r @ column) <= 1e-6 * np.linalg.norm(column) * np.linalg.norm(f)
+
+
+@settings(max_examples=60)
+@given(trace=creep_traces())
+def test_creep_residual_describes_the_printed_model(trace):
+    fit, t, f = _fit_and_arrays(trace)
+    assert fit.residual_norm == pytest.approx(
+        np.linalg.norm(creep_force(fit.model, t) - f), rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=60)
+@given(trace=creep_traces(), k=st.integers(-60, 60))
+def test_creep_fit_scales_with_force_and_time_units(trace, k):
+    fit, t, f = _fit_and_arrays(trace)
+    forces = fit_creep(list(zip(t, f * 2.0**k)))
+    assert forces.model.tau == fit.model.tau
+    assert forces.model.f0 == fit.model.f0 * 2.0**k
+    assert forces.model.f_ss == fit.model.f_ss * 2.0**k
+    assert forces.residual_norm == fit.residual_norm * 2.0**k
+    assert forces.tau_identifiable == fit.tau_identifiable
+    times = fit_creep(list(zip(t * 2.0**k, f)))
+    assert times.model.tau == pytest.approx(fit.model.tau * 2.0**k, rel=1e-9)
+
+
+def test_huge_forces_stay_finite():
+    samples = [(0.0, 1e300), (1.0, 1e-300), (2.0, 1e200), (3.0, 1.0)]
+    fit = fit_creep(samples)
+    t, f = np.array(samples).T
+    assert math.isfinite(fit.residual_norm)
+    assert fit.residual_norm == pytest.approx(
+        np.linalg.norm((creep_force(fit.model, t) - f) / 1e300) * 1e300, rel=1e-12)
 
 
 @pytest.mark.parametrize("build, message", [

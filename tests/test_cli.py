@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import math
 import os
 import re
 import subprocess
@@ -510,6 +511,37 @@ class TestCreep:
         path.write_text("0 19\n10 19\n20 19\n30 19\n")
         assert main(["creep", str(path)]) == 0
         assert "creep.tau_identifiable = no" in capsys.readouterr().out
+
+    def test_reaches_the_minimum_past_fifty_time_constants(self, tmp_path, capsys):
+        # F = 20 + 5 e^{-t/800} sampled exactly over 50 tau: the true
+        # parameters leave no residual
+        times = [40000.0 * i / 57 for i in range(58)]
+        path = tmp_path / "slow.dat"
+        path.write_text("".join(f"{t!r} {20.0 + 5.0 * math.exp(-t / 800.0)!r}\n"
+                                for t in times))
+        assert main(["creep", str(path)]) == 0
+        fields = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert float(fields["creep.tau_s"]) == pytest.approx(800.0, rel=1e-6)
+        assert float(fields["creep.residual_norm_n"]) < 1e-9
+        assert fields["creep.tau_identifiable"] == "yes"
+
+    @pytest.mark.parametrize("text", [
+        "0 5\n0 4\n0 3\n0 2\n",
+        "0 5\n1e-300 4\n2e-300 3\n3e-300 2\n",
+        "0 5\n1 4\n2 3\n3 2\n",
+        "0 1e300\n1 1e-300\n2 1e200\n3 1\n",
+    ], ids=["equal-times", "times-1e-300-apart", "linear", "huge-forces"])
+    def test_degenerate_trace_unidentifiable(self, tmp_path, capfd, text):
+        # exit 0 and a finite report, with nothing on stderr: no LAPACK
+        # complaint, no warning
+        path = tmp_path / "degenerate.dat"
+        path.write_text(text)
+        assert main(["creep", str(path)]) == 0
+        out, err = capfd.readouterr()
+        fields = dict(line.split(" = ") for line in out.splitlines())
+        assert fields["creep.tau_identifiable"] == "no"
+        assert math.isfinite(float(fields["creep.residual_norm_n"]))
+        assert err == ""
 
     def test_missing_file_names_path(self, capsys):
         assert main(["creep", "nope.dat"]) == 1
