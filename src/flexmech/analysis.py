@@ -23,11 +23,13 @@ from .mechanism import AXIS_ROW, SWEEP_EDITS, Mechanism, check_edit_range, evalu
 # sample time to TAU_SLOW spans, both from the first sample, with points at
 # most GRID_STEP apart and at most GRID_MAX of them; the REFINE lowest local
 # minima on it are refined until a step moves log tau by at most STEP_TOL,
-# which is then taken, or for at most REFINE_MAX_ITER steps
+# which is then taken, or for at most REFINE_MAX_ITER steps; the grid is
+# evaluated in chunks of at most GRID_CHUNK (tau, sample) pairs
 TAU_FAST = 1.0 / 16.0
 TAU_SLOW = 128.0
 GRID_STEP = 0.3
 GRID_MAX = 256
+GRID_CHUNK = 1 << 16
 REFINE = 3
 STEP_TOL = 1e-8
 REFINE_MAX_ITER = 60
@@ -139,7 +141,7 @@ def fit_creep(samples) -> CreepFit:
 
     f_unit = _unit(f_max)
     y = f / f_unit
-    ybar = y.sum() / len(y)
+    ybar = float(y.sum()) / len(y)
     if span == 0.0 or f_max - f_min <= 1e-12 * f_max:
         mean = float(ybar * f_unit)
         return CreepFit(CreepModel(mean, mean, 1.0),
@@ -153,7 +155,11 @@ def fit_creep(samples) -> CreepFit:
     m = min(GRID_MAX, math.ceil((hi - lo) / GRID_STEP) + 1)
     u = lo + np.arange(m) * ((hi - lo) / (m - 1))
     yc = y - ybar
-    phi, a, dbar, grad, curv = _profile(u, s, yc)
+    # a chunk of grid rows holds at most GRID_CHUNK values per temporary,
+    # however long the trace
+    rows = max(1, GRID_CHUNK // len(s))
+    phi, _, _, grad, curv = (np.concatenate(c) for c in zip(
+        *(_profile(u[i:i + rows], s, yc) for i in range(0, m, rows))))
 
     # refine the REFINE lowest local minima of the grid, each inside its
     # neighbouring cells (an edge point inside its one cell): a trial that
@@ -183,7 +189,9 @@ def fit_creep(samples) -> CreepFit:
     x = min(found)[1]
     _, a_x, dbar_x, _, _ = _profile(x, s, yc)
     tau = math.exp(x) * t_unit
-    f_ss = ybar - a_x * dbar_x
+    # Python floats, whose products overflow to inf without a warning
+    a_x = float(a_x)
+    f_ss = ybar - a_x * float(dbar_x)
     try:
         f0 = f_ss + a_x * math.exp(t[0] / tau)
     except OverflowError:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,22 @@ class TestFitCreep:
         t, f = np.array(samples).T
         assert fit.residual_norm == pytest.approx(
             np.linalg.norm(creep_force(fit.model, t) - f), rel=1e-12)
+
+    def test_long_trace_fits_in_bounded_memory(self):
+        # a second time 1e-30 after the first stretches the log-tau grid to
+        # GRID_MAX points; evaluated at once, each of its (256, 20 000)
+        # temporaries would take 41 MB
+        t = np.r_[0.0, 1e-30, np.linspace(0.0, 1000.0, 19_999)[1:]]
+        samples = list(zip(t.tolist(), (2.0 + np.exp(-t / 100.0)).tolist()))
+        tracemalloc.start()
+        try:
+            fit = fit_creep(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.model.tau == pytest.approx(100.0, rel=1e-9)
+        assert fit.tau_identifiable
+        assert peak < 16e6
 
     def test_no_linear_algebra_solver(self, monkeypatch):
         # the linear parameters come in closed form; no lstsq or polyfit

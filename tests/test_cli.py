@@ -543,6 +543,22 @@ class TestCreep:
         assert math.isfinite(float(fields["creep.residual_norm_n"]))
         assert err == ""
 
+    @pytest.mark.parametrize("start, scale", [(709.6, 1.0), (30.0, 1e300)],
+                             ids=["decay-term", "force-unit"])
+    def test_late_start_overflow_is_one_error_line(self, tmp_path, capfd, start, scale):
+        # tau = 1 and times from `start`: e^{start/tau} is finite, but F0
+        # overflows, in the decay term's product at 709.6 and in the force
+        # unit's at 30 with forces near 1e300; neither may warn first
+        times = [start + k for k in range(11)]
+        path = tmp_path / "late.dat"
+        path.write_text("".join(f"{t!r} {scale * (0.1 + 1.8 * math.exp(start - t))!r}\n"
+                                for t in times))
+        assert main(["creep", str(path)]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == ("error: the fitted force at t = 0 overflows; measure times "
+                       "from the start of the relaxation\n")
+
     def test_missing_file_names_path(self, capsys):
         assert main(["creep", "nope.dat"]) == 1
         assert "nope.dat" in capsys.readouterr().err
